@@ -1,10 +1,20 @@
 """Analyst policies that drive curator interactions.
 
-A policy maps (transcript prefix, remaining squared budget, rng) to the next
-spend, or None to stop.  Policies are deterministic given that triple and may
+Each policy is one kernel
+
+    spends(i, remaining_sq, last_accepted, prev_spend) -> (spend, stop)
+
+for round ``i``, given the remaining squared budget, the last accepted
+answer (NaN before the first) and the previous round's spend (NaN in round
+0).  Like the other shared kernels (see ``gdpsim._numeric``) it runs on
+floats for one scalar session and on arrays with one lane per trial for the
+vector engine; lanes are independent, and the spend of a stopped lane is
+meaningless.  Policies are deterministic given those inputs and may
 deliberately emit inadmissible spends -- admissibility is the filter's job.
-``summary`` reduces a finished transcript to one scalar for two-sample
-testing; every built-in policy uses the sum of accepted answers.
+``next_spend(prefix, remaining_sq, rng)`` is the same rule in prefix form
+(the spend, or None to stop).  ``summary`` reduces a finished transcript to
+one scalar for two-sample testing; every built-in policy uses the sum of
+accepted answers.
 
 The built-in suite covers the four interaction shapes the harness needs:
 nonadaptive replay (``fixed``), answer-adaptive spending (``sign_adaptive``),
@@ -16,34 +26,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
+from ._numeric import ops
 from .budget import check_spend
 
 # Policies stop once less than this much squared budget remains.
 STOP_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class AdversaryPolicy:
-    name: str
-    next_spend: Callable  # (prefix rounds, remaining_sq, rng) -> float | None
-    summary: Callable     # Transcript -> float
-
-
 def summary_sum_of_answers(transcript) -> float:
     return float(sum(r.answer for r in transcript.rounds if r.accepted))
+
+
+def _next_spend(spends, prefix, remaining_sq, rng) -> Optional[float]:
+    """Run the kernel ``spends`` on a transcript prefix."""
+    last = next((r.answer for r in reversed(prefix) if r.accepted), math.nan)
+    prev = prefix[-1].spend if prefix else math.nan
+    spend, stop = spends(len(prefix), remaining_sq, last, prev)
+    return None if stop else spend
+
+
+@dataclass
+class AdversaryPolicy:
+    """A named policy kernel.  Not frozen, so a caller may wrap ``spends``
+    in place; ``next_spend`` defaults to the prefix form of ``spends``."""
+
+    name: str
+    spends: Callable      # (i, remaining_sq, last_accepted, prev_spend) -> (spend, stop)
+    summary: Callable = summary_sum_of_answers   # Transcript -> float
+    next_spend: Optional[Callable] = None        # (prefix, remaining_sq, rng) -> float | None
+
+    def __post_init__(self):
+        if self.next_spend is None:
+            self.next_spend = partial(_next_spend, self.spends)
 
 
 def policy_fixed(spends: Sequence[float]) -> AdversaryPolicy:
     """Replay a predetermined spend list, then stop."""
     fixed = tuple(check_spend(s) for s in spends)
 
-    def next_spend(prefix, remaining_sq, rng) -> Optional[float]:
-        i = len(prefix)
-        return fixed[i] if i < len(fixed) else None
+    def kernel(i, remaining_sq, last_accepted, prev_spend):
+        o = ops(remaining_sq)
+        if i >= len(fixed):
+            return o.full(remaining_sq, math.nan), o.full(remaining_sq, True)
+        return o.full(remaining_sq, fixed[i]), o.full(remaining_sq, False)
 
-    return AdversaryPolicy("fixed", next_spend, summary_sum_of_answers)
+    return AdversaryPolicy("fixed", kernel)
 
 
 def policy_sign_adaptive(hi: float, lo: float) -> AdversaryPolicy:
@@ -59,20 +89,15 @@ def policy_sign_adaptive(hi: float, lo: float) -> AdversaryPolicy:
     if lo > hi:
         raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
 
-    def next_spend(prefix, remaining_sq, rng) -> Optional[float]:
-        if remaining_sq < STOP_TOL:
-            return None
-        if len(prefix) == 0:
-            return hi / 2.0
-        last = None
-        for r in reversed(prefix):
-            if r.accepted:
-                last = r.answer
-                break
-        base = hi if (last is not None and last > 0.0) else lo
-        return min(base, math.sqrt(remaining_sq))
+    def kernel(i, remaining_sq, last_accepted, prev_spend):
+        o = ops(remaining_sq)
+        stop = remaining_sq < STOP_TOL
+        if i == 0:
+            return o.full(remaining_sq, hi / 2.0), stop
+        base = o.where(last_accepted > 0.0, hi, lo)   # NaN -> lo
+        return o.minimum(base, o.sqrt(remaining_sq)), stop
 
-    return AdversaryPolicy("sign_adaptive", next_spend, summary_sum_of_answers)
+    return AdversaryPolicy("sign_adaptive", kernel)
 
 
 def policy_greedy_halving() -> AdversaryPolicy:
@@ -82,12 +107,10 @@ def policy_greedy_halving() -> AdversaryPolicy:
     squared budget is 2**-k, so the STOP_TOL rule stops it at round 20.
     """
 
-    def next_spend(prefix, remaining_sq, rng) -> Optional[float]:
-        if remaining_sq < STOP_TOL:
-            return None
-        return math.sqrt(remaining_sq / 2.0)
+    def kernel(i, remaining_sq, last_accepted, prev_spend):
+        return ops(remaining_sq).sqrt(remaining_sq / 2.0), remaining_sq < STOP_TOL
 
-    return AdversaryPolicy("greedy_halving", next_spend, summary_sum_of_answers)
+    return AdversaryPolicy("greedy_halving", kernel)
 
 
 def policy_overspend_prober() -> AdversaryPolicy:
@@ -100,14 +123,13 @@ def policy_overspend_prober() -> AdversaryPolicy:
     refusal-pattern checks exploit.
     """
 
-    def next_spend(prefix, remaining_sq, rng) -> Optional[float]:
-        if remaining_sq < STOP_TOL:
-            return None
-        if len(prefix) % 2 == 0:
-            return 0.9 * math.sqrt(remaining_sq)
-        return prefix[-1].spend
+    def kernel(i, remaining_sq, last_accepted, prev_spend):
+        stop = remaining_sq < STOP_TOL
+        if i % 2 == 0:
+            return 0.9 * ops(remaining_sq).sqrt(remaining_sq), stop
+        return prev_spend, stop
 
-    return AdversaryPolicy("overspend_prober", next_spend, summary_sum_of_answers)
+    return AdversaryPolicy("overspend_prober", kernel)
 
 
 _REGISTRY = {

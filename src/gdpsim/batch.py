@@ -1,11 +1,13 @@
 """Vectorized Monte-Carlo trial engine.
 
 Runs n_trials independent curator interactions for one (kind, bit, policy)
-arm, round-synchronously across numpy arrays.  Per-trial behaviour is
-bitwise identical to a scalar ``gdpsim.curator.Session`` fed the same draw
-row -- the test suite asserts this -- so the engine is purely an executor
-and the scalar session stays the reference implementation.  The single-box
-equivalent of fanning trials out across workers.
+arm, round-synchronously across numpy arrays with one lane per trial.  The
+filter rule (``budget.admit``), the streaming factor step
+(``cholesky.stream_step``) and the policy's ``spends`` kernel are the same
+functions a scalar ``gdpsim.curator.Session`` runs on floats, so per-trial
+behaviour is bitwise identical to a session fed the same draw row -- the
+test suite asserts this.  The single-box equivalent of fanning trials out
+across workers.
 
 Randomness: one arm key is derived from (master seed, kind, policy id, bit);
 trial t consumes the standard-normal draws of row t of the arm's tableau.
@@ -13,9 +15,10 @@ The tableau is materialized in chunks keyed by (arm key, "chunk", k), so it
 can grow without disturbing draws already consumed (numpy array draws are
 prefix-stable).  Refused rounds consume nothing.
 
-Only registered, rng-free policies have vector forms; anything else runs on
-the scalar fallback engine (``engine="scalar"``), which produces the same
-BatchResult via real sessions.
+Both engines run registered policies only.  ``engine="scalar"`` replays
+each trial through a real session and ``run_interaction``; it is the
+per-trial reference the vector engine is tested against, and produces the
+same BatchResult.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import kahan_step
-from .adversaries import STOP_TOL, make_policy
-from .budget import REL_SLACK, check_budget
-from .cholesky import CLAMP_BAND
+from .adversaries import make_policy
+from .budget import admit, check_budget
+from .cholesky import stream_step
 from .curator import DEFAULT_MAX_ROUNDS, Round, Session, Transcript, run_interaction
-from .errors import BudgetOverflowError, NumericalIntegrityError
+from .errors import NumericalIntegrityError
 from .rng import ReplayNormals, derive_key, generator
 
 _INITIAL_WIDTH = 36
@@ -77,67 +79,10 @@ class DrawTableau:
         return self._data[t, :width]
 
 
-# --- vector policies -------------------------------------------------------
-#
-# Each mirrors its scalar twin in gdpsim.adversaries expression for
-# expression; the bitwise cross-validation test keeps them honest.
-
-class _FixedVec:
-    def __init__(self, spends):
-        self._spends = [float(s) for s in spends]
-
-    def spends(self, i, remaining, last_accepted, prev_spend):
-        n = remaining.shape[0]
-        if i >= len(self._spends):
-            return np.empty(n), np.ones(n, dtype=bool)
-        return np.full(n, self._spends[i]), np.zeros(n, dtype=bool)
-
-
-class _SignAdaptiveVec:
-    def __init__(self, hi, lo):
-        self._hi = float(hi)
-        self._lo = float(lo)
-
-    def spends(self, i, remaining, last_accepted, prev_spend):
-        stop = remaining < STOP_TOL
-        if i == 0:
-            sp = np.full(remaining.shape[0], self._hi / 2.0)
-        else:
-            base = np.where(last_accepted > 0.0, self._hi, self._lo)  # NaN -> lo
-            sp = np.minimum(base, np.sqrt(np.where(stop, 1.0, remaining)))
-        return sp, stop
-
-
-class _GreedyVec:
-    def spends(self, i, remaining, last_accepted, prev_spend):
-        stop = remaining < STOP_TOL
-        sp = np.sqrt(np.where(stop, 0.0, remaining) / 2.0)
-        return sp, stop
-
-
-class _ProberVec:
-    def spends(self, i, remaining, last_accepted, prev_spend):
-        stop = remaining < STOP_TOL
-        if i % 2 == 0:
-            sp = 0.9 * np.sqrt(np.where(stop, 0.0, remaining))
-        else:
-            sp = prev_spend
-        return sp, stop
-
-
-_VECTOR_REGISTRY = {
-    "fixed": _FixedVec,
-    "sign_adaptive": _SignAdaptiveVec,
-    "greedy_halving": _GreedyVec,
-    "overspend_prober": _ProberVec,
-}
-
-
 def make_vector_policy(name: str, params: dict):
-    key = name.replace("-", "_")
-    if key not in _VECTOR_REGISTRY:
-        raise ValueError(f"no vector form for policy {name!r}; use engine='scalar'")
-    return _VECTOR_REGISTRY[key](**params)
+    """The registered policy, whose ``spends`` kernel the vector engine
+    calls on arrays of trial lanes."""
+    return make_policy(name, **params)
 
 
 # --- results ---------------------------------------------------------------
@@ -194,40 +139,6 @@ class BatchResult:
         return self.decisions == 0
 
 
-def _stream_cholesky_step(q, qc, s, idx, m, v):
-    """Vector twin of the streaming branch of cholesky.next_noise.
-
-    Mutates q, qc, s in the lanes ``idx``; returns the noise values U.
-    """
-    qq = q[idx]
-    qcc = qc[idx]
-    one_prev = 1.0 - qq
-    exhausted = one_prev <= 0.0
-    if np.any(exhausted & (m * m > CLAMP_BAND)):
-        raise BudgetOverflowError("positive spend after exhaustion in batch arm")
-    msq = m * m
-    t_new, c_new = kahan_step(qq, qcc, msq)
-    q_new = np.where(exhausted, qq, t_new)
-    qc_new = np.where(exhausted, qcc, c_new)
-    if np.any(~exhausted & (q_new - 1.0 > CLAMP_BAND)):
-        raise BudgetOverflowError("norm exceeds unit bound beyond tolerance in batch arm")
-    one_new = 1.0 - q_new
-    one_new = np.where(one_new < 0.0, 0.0, one_new)
-    safe_prev = np.where(exhausted, 1.0, one_prev)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(exhausted, 1.0, np.sqrt(one_new / safe_prev))
-        y_last = np.where(
-            exhausted | (one_new <= 0.0),
-            0.0,
-            m / np.sqrt(one_new * safe_prev),
-        )
-    u = -m * s[idx] + d * v
-    s[idx] = s[idx] + y_last * v
-    q[idx] = q_new
-    qc[idx] = qc_new
-    return u
-
-
 def run_trial_batch(
     kind: str,
     bit: int,
@@ -264,7 +175,6 @@ def run_trial_batch(
     vec = make_vector_policy(policy_name, policy_params)
     mu0 = check_budget(budget)
     budget_sq = mu0 * mu0
-    bound = budget_sq * (1.0 + REL_SLACK)
     norm = mu0 if mu0 > 0.0 else 1.0
     n = n_trials
     spent = np.zeros(n)
@@ -303,17 +213,11 @@ def run_trial_batch(
                 f"policy {policy_name!r} emitted a malformed spend at round {r}"
             )
 
-        # Filter decision: mirrors budget.try_spend branch for branch.
-        musq = sp * sp
-        zero = sp == 0.0
-        ledger_full = spent[cont] >= budget_sq
-        t_new, c_new = kahan_step(spent[cont], comp[cont], musq)
-        admit = zero | (~ledger_full & (t_new <= bound))
-        update = admit & ~zero
-        upd_idx = cont[update]
-        spent[upd_idx] = t_new[update]
-        comp[upd_idx] = c_new[update]
-        acc_idx = cont[admit]
+        admitted, total, new_comp = admit(spent[cont], comp[cont], budget_sq, sp)
+        moved = admitted & (sp != 0.0)
+        spent[cont[moved]] = total[moved]
+        comp[cont[moved]] = new_comp[moved]
+        acc_idx = cont[admitted]
 
         col_spend = np.full(n, np.nan)
         col_dec = np.full(n, -1, dtype=np.int8)
@@ -326,10 +230,11 @@ def run_trial_batch(
             v = tableau.take(acc_idx, cursor[acc_idx])
             cursor[acc_idx] += 1
             if kind == "direct":
-                answers = bit * sp[admit] + v
+                answers = bit * sp[admitted] + v
             else:
-                m = sp[admit] / norm
-                u = _stream_cholesky_step(q, qc, s, acc_idx, m, v)
+                m = sp[admitted] / norm
+                u, q[acc_idx], qc[acc_idx], s[acc_idx] = stream_step(
+                    q[acc_idx], qc[acc_idx], s[acc_idx], m, v)
                 answers = m * w0[acc_idx] + u
             col_ans[acc_idx] = answers
             last_accepted[acc_idx] = answers

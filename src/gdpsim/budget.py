@@ -15,6 +15,10 @@ positive spend is admissible there, and the slack must not reopen a closed
 budget.  Zero spends are admissible at any time and leave the ledger
 untouched.
 
+:func:`admit` is the rule, written once for floats and for arrays of trial
+lanes (see ``gdpsim._numeric``); :func:`try_spend` applies it to one
+:class:`FilterState` and the vector engine to all its lanes at once.
+
 Refusal is per-query and never terminates an interaction; a later, smaller
 spend may still be admitted.  States are immutable values; operations return
 new states, so sharing across threads is safe.
@@ -69,6 +73,19 @@ def filter_new(mu0) -> FilterState:
     return FilterState(budget_sq=mu0 * mu0)
 
 
+def admit(spent_sq, comp, budget_sq, mu):
+    """The filter rule for a valid spend ``mu`` against a ledger, on floats
+    or on arrays of lanes alike (plain arithmetic, so no op set is needed).
+
+    Returns ``(admitted, total, comp)``: the decision and the ledger a
+    positive spend leaves behind.  Callers store that ledger only where a
+    positive spend is admitted; zero spends never move it.
+    """
+    total, new_comp = kahan_step(spent_sq, comp, mu * mu)
+    admitted = (mu == 0.0) | ((spent_sq < budget_sq) & (total <= budget_sq * (1.0 + REL_SLACK)))
+    return admitted, total, new_comp
+
+
 def try_spend(state: FilterState, mu) -> tuple[bool, FilterState]:
     """Admit or refuse a spend.
 
@@ -76,13 +93,9 @@ def try_spend(state: FilterState, mu) -> tuple[bool, FilterState]:
     refusal.  Refusal mutates nothing.
     """
     mu = check_spend(mu)
-    if mu == 0.0:
-        return True, state
-    if state.spent_sq >= state.budget_sq:
-        return False, state
-    total, comp = kahan_step(state.spent_sq, state.compensation, mu * mu)
-    if total > state.budget_sq * (1.0 + REL_SLACK):
-        return False, state
+    admitted, total, comp = admit(state.spent_sq, state.compensation, state.budget_sq, mu)
+    if not admitted or mu == 0.0:
+        return admitted, state
     return True, FilterState(state.budget_sq, total, comp)
 
 

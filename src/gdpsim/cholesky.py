@@ -21,8 +21,10 @@ round index) using the closed forms
     y_last = m / sqrt((1 - Q_i)(1 - Q_{i-1}))     (0 once Q_i = 1)
     s     <- s + y_last * V_i
 
-which follow from L_i y_i = m_i and ||y||^2 = Q/(1-Q).  The two modes must
-agree to 1e-9 per noise value; the verification suite enforces that.
+which follow from L_i y_i = m_i and ||y||^2 = Q/(1-Q).  :func:`stream_step`
+is that step, written once for a float state (the scalar session) and for
+arrays of trial lanes (the vector engine).  The two modes must agree to 1e-9
+per noise value; the verification suite enforces that.
 
 Degenerate cases.  At exact exhaustion (Q = 1) the factor gains its one
 all-zero column; afterwards only zero spends are admissible and each appends
@@ -40,11 +42,11 @@ that stops near exhaustion, but a caller insisting on slack-sized spends at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import kahan_step
+from ._numeric import kahan_step, ops
 from .errors import BudgetOverflowError, StateDesyncError
 
 # Radicands in [-CLAMP_BAND, 0) are rounding debris and clamp to zero; anything
@@ -101,32 +103,35 @@ def _check_m(m) -> float:
     return m
 
 
-def _q_step(q: float, q_comp: float, m: float):
-    """Advance ||m||^2 by m**2, policing the unit bound.
+def stream_step(q, q_comp, s, m, v):
+    """One streaming factor step, on floats or on arrays of lanes alike.
 
-    Returns None when the state was already exhausted (identity-block branch),
-    else the tuple (one_minus_prev, q_new, q_comp_new, one_minus_new) with the
-    new radicand already clamped.
+    ``(q, q_comp, s)`` is the streaming state, ``m`` the normalized spend
+    and ``v`` the fresh seed.  Returns ``(U, q, q_comp, s)``: the noise value
+    and the advanced state.  Q is Kahan-compensated and the new radicand
+    1 - Q is clamped at zero.  Exhausted lanes (Q already 1) keep their Q
+    and append the identity-block row (d = 1, y_last = 0): only (near-)zero
+    spends can be admitted there, spends inside the clamp band are rounding
+    debris from the filter slack, and anything larger is misuse.
     """
-    one_minus_prev = 1.0 - q
-    if one_minus_prev <= 0.0:
-        # Exhausted: only (near-)zero spends can be admitted here.  Spends
-        # inside the clamp band are rounding debris from the filter slack and
-        # degrade to the identity-block row; anything larger is misuse.
-        if m * m > CLAMP_BAND:
-            raise BudgetOverflowError(
-                f"spend {m!r} after exhaustion (||m||^2 = {q!r})"
-            )
-        return None
-    q_new, comp_new = kahan_step(q, q_comp, m * m)
-    if q_new - 1.0 > CLAMP_BAND:
+    o = ops(m)
+    one_prev = 1.0 - q
+    exhausted = one_prev <= 0.0
+    msq = m * m
+    total, comp = kahan_step(q, q_comp, msq)
+    # Exhausted lanes keep Q and take a unit radicand pair, so d = 1.
+    q_new, comp_new, rad_prev, rad_new = o.select(
+        exhausted, (q, q_comp, 1.0, 1.0),
+        (total, comp, one_prev, o.maximum(1.0 - total, 0.0)))
+    if o.any((exhausted & (msq > CLAMP_BAND)) | (q_new - 1.0 > CLAMP_BAND)):
         raise BudgetOverflowError(
-            f"||m||^2 = {q_new!r} exceeds the unit bound beyond tolerance"
+            f"spend {m!r} takes ||m||^2 = {q!r} past the unit bound beyond tolerance"
         )
-    one_minus_new = 1.0 - q_new
-    if one_minus_new < 0.0:
-        one_minus_new = 0.0
-    return one_minus_prev, q_new, comp_new, one_minus_new
+    # y_last = 0 where the true radicands' product is not positive (exhausted
+    # lanes and lanes that just reached Q = 1): they divide by inf.
+    prod = rad_new * one_prev
+    y_last = m / o.sqrt(o.where(prod > 0.0, prod, math.inf))
+    return -m * s + o.sqrt(rad_new / rad_prev) * v, q_new, comp_new, s + y_last * v
 
 
 def _forward_solve(rows: tuple, b: np.ndarray) -> np.ndarray:
@@ -146,24 +151,18 @@ def extend(state, m):
     """
     m = _check_m(m)
     if isinstance(state, StreamingCholesky):
-        step = _q_step(state.q, state.q_comp, m)
-        if step is None:
-            return replace(state, index=state.index + 1)
-        _, q_new, comp_new, _ = step
-        return StreamingCholesky(q_new, comp_new, state.s, state.index + 1)
+        _, q, q_comp, _ = stream_step(state.q, state.q_comp, state.s, m, 0.0)
+        return StreamingCholesky(q, q_comp, state.s, state.index + 1)
 
-    step = _q_step(state.q, state.q_comp, m)
+    # The diagonal entry d_i is the coefficient of the fresh seed: the
+    # streaming U at s = 0, V = 1.
+    d, q, q_comp, _ = stream_step(state.q, state.q_comp, 0.0, m, 1.0)
     k = len(state.rows)
-    if step is None:
-        row = np.zeros(k + 1)
-        row[k] = 1.0
-        return replace(state, rows=state.rows + (row,), spends=state.spends + (m,))
-    one_minus_prev, q_new, comp_new, one_minus_new = step
-    y = _forward_solve(state.rows, np.asarray(state.spends))
-    row = np.empty(k + 1)
-    row[:k] = -m * y
-    row[k] = math.sqrt(one_minus_new / one_minus_prev)
-    return DenseCholesky(state.rows + (row,), state.spends + (m,), q_new, comp_new)
+    row = np.zeros(k + 1)
+    if state.q < 1.0:   # after exhaustion the row is (0, ..., 0, 1)
+        row[:k] = -m * _forward_solve(state.rows, np.asarray(state.spends))
+    row[k] = d
+    return DenseCholesky(state.rows + (row,), state.spends + (m,), q, q_comp)
 
 
 def next_noise(state, m, fresh_seed, past_seeds=None):
@@ -178,21 +177,8 @@ def next_noise(state, m, fresh_seed, past_seeds=None):
     fresh_seed = float(fresh_seed)
 
     if isinstance(state, StreamingCholesky):
-        step = _q_step(state.q, state.q_comp, m)
-        if step is None:
-            u = -m * state.s + 1.0 * fresh_seed
-            return u, replace(state, index=state.index + 1)
-        one_minus_prev, q_new, comp_new, one_minus_new = step
-        d = math.sqrt(one_minus_new / one_minus_prev)
-        u = -m * state.s + d * fresh_seed
-        if one_minus_new > 0.0:
-            y_last = m / math.sqrt(one_minus_new * one_minus_prev)
-        else:
-            y_last = 0.0
-        new_state = StreamingCholesky(
-            q_new, comp_new, state.s + y_last * fresh_seed, state.index + 1
-        )
-        return u, new_state
+        u, q, q_comp, s = stream_step(state.q, state.q_comp, state.s, m, fresh_seed)
+        return u, StreamingCholesky(q, q_comp, s, state.index + 1)
 
     if past_seeds is None:
         raise StateDesyncError("dense mode needs the past seed vector")

@@ -26,12 +26,13 @@ independent streams may run in parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .budget import check_budget, filter_new, remaining_sq, try_spend
-from .cholesky import dense_state, next_noise, streaming_state
+from .cholesky import next_noise, streaming_state
 from .errors import SessionClosedError
 
 KINDS = ("direct", "simulated")
@@ -72,13 +73,11 @@ class Session:
     per admitted round).
     """
 
-    def __init__(self, kind: str, b: int, budget, rng, chol_mode: str = "streaming"):
+    def __init__(self, kind: str, b: int, budget, rng):
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         if b not in (0, 1):
             raise ValueError(f"secret bit must be 0 or 1, got {b!r}")
-        if chol_mode not in ("streaming", "dense"):
-            raise ValueError(f"unknown factor mode {chol_mode!r}")
         self.kind = kind
         self.b = int(b)
         self.mu0 = check_budget(budget)
@@ -89,16 +88,11 @@ class Session:
         self.closed = False
         self.w0 = None
         self.chol = None
-        self._seeds = None
         if kind == "simulated":
             self._norm = self.mu0 if self.mu0 > 0.0 else 1.0
             z0 = self._draw()
             self.w0 = self.b * self.mu0 + z0
-            if chol_mode == "streaming":
-                self.chol = streaming_state()
-            else:
-                self.chol = dense_state()
-                self._seeds = []
+            self.chol = streaming_state()
 
     def _draw(self) -> float:
         self.draws += 1
@@ -126,19 +120,14 @@ class Session:
             z = self._draw()
             return self.b * spend + z
         m = spend / self._norm
-        v = self._draw()
-        if self._seeds is None:
-            u, self.chol = next_noise(self.chol, m, v)
-        else:
-            u, self.chol = next_noise(self.chol, m, v, self._seeds)
-            self._seeds.append(v)
+        u, self.chol = next_noise(self.chol, m, self._draw())
         return m * self.w0 + u
 
     def close(self) -> None:
         self.closed = True
 
 
-def open_session(kind: str, b: int, budget, seed, *, chol_mode: str = "streaming") -> Session:
+def open_session(kind: str, b: int, budget, seed) -> Session:
     """Open a session; deterministic given (kind, b, budget, seed).
 
     ``seed`` may be an integer (seeds a PCG64 stream) or any object with a
@@ -148,24 +137,31 @@ def open_session(kind: str, b: int, budget, seed, *, chol_mode: str = "streaming
         rng = seed
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
-    return Session(kind, b, budget, rng, chol_mode=chol_mode)
+    return Session(kind, b, budget, rng)
 
 
-def run_interaction(session: Session, policy, *, max_rounds: int = DEFAULT_MAX_ROUNDS,
-                    policy_rng=None) -> Transcript:
+def run_interaction(session: Session, policy, *,
+                    max_rounds: int = DEFAULT_MAX_ROUNDS) -> Transcript:
     """Drive a session with an adversary policy until it stops or the round
     cap is hit; every decision, including refusals, is recorded.
 
-    If the cap fires while the policy would continue, the transcript carries
-    a truncation marker.
+    Calls the policy's ``spends`` kernel on floats, carrying the last
+    accepted answer and the previous spend as the vector engine does.  If
+    the cap fires while the policy would continue, the transcript carries a
+    truncation marker.
     """
     transcript = Transcript(budget=session.mu0)
+    spends = policy.spends
+    last = prev = math.nan
     for i in range(max_rounds):
-        spend = policy.next_spend(transcript.rounds, session.remaining_sq, policy_rng)
-        if spend is None:
+        spend, stop = spends(i, session.remaining_sq, last, prev)
+        if stop:
             return transcript
         answer = session.ask(spend)
         transcript.rounds.append(Round(i, float(spend), answer is not None, answer))
-    if policy.next_spend(transcript.rounds, session.remaining_sq, policy_rng) is not None:
-        transcript.truncated = True
+        if answer is not None:
+            last = answer
+        prev = spend
+    _, stop = spends(max_rounds, session.remaining_sq, last, prev)
+    transcript.truncated = not stop
     return transcript

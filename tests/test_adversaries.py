@@ -12,6 +12,7 @@ from gdpsim import (
     policy_overspend_prober,
     policy_sign_adaptive,
     run_interaction,
+    run_trial_batch,
 )
 from gdpsim.adversaries import STOP_TOL, policy_names
 from gdpsim.curator import Round
@@ -57,6 +58,17 @@ def test_sign_adaptive_spend_rules():
 def test_sign_adaptive_validates_bounds():
     with pytest.raises(ValueError):
         policy_sign_adaptive(hi=0.2, lo=0.5)
+
+
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+@pytest.mark.parametrize("name,params", [
+    ("sign_adaptive", {"hi": 0.2, "lo": 0.5}),
+    ("fixed", {"spends": [-0.5]}),
+    ("fixed", {"spends": [float("nan")]}),
+])
+def test_engines_reject_malformed_policy_parameters(name, params, engine):
+    with pytest.raises(ValueError):
+        run_trial_batch("direct", 0, 1.0, name, params, 3, 0, engine=engine)
 
 
 def test_sign_adaptive_never_refused():
