@@ -33,7 +33,6 @@ from .errors import (
     GdpSimError,
     NumericalIntegrityError,
     SessionClosedError,
-    StateDesyncError,
 )
 from .harness import (
     CholeskyVerification,
@@ -85,7 +84,6 @@ __all__ = [
     "Round",
     "Session",
     "SessionClosedError",
-    "StateDesyncError",
     "StreamingCholesky",
     "TestReport",
     "Transcript",

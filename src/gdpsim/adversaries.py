@@ -13,8 +13,9 @@ meaningless.  Policies are deterministic given those inputs and may
 deliberately emit inadmissible spends -- admissibility is the filter's job.
 ``next_spend(prefix, remaining_sq, rng)`` is the same rule in prefix form
 (the spend, or None to stop).  ``summary`` reduces a finished transcript to
-one scalar for two-sample testing; every built-in policy uses the sum of
-accepted answers.
+one scalar; every built-in policy uses the sum of accepted answers.  The
+harness's summary test runs on ``BatchResult.summaries()``, that same sum
+over whole arms, and never calls ``summary``.
 
 The built-in suite covers the four interaction shapes the harness needs:
 nonadaptive replay (``fixed``), answer-adaptive spending (``sign_adaptive``),

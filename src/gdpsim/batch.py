@@ -16,7 +16,8 @@ can grow without disturbing draws already consumed (numpy array draws are
 prefix-stable).  Refused rounds consume nothing.
 
 Both engines run registered policies only.  ``engine="scalar"`` replays
-each trial through a real session and ``run_interaction``; it is the
+each trial through a real session and ``run_interaction``, drawing from its
+tableau row and growing the tableau when the row runs out; it is the
 per-trial reference the vector engine is tested against, and produces the
 same BatchResult.
 """
@@ -33,7 +34,7 @@ from .budget import admit, check_budget
 from .cholesky import stream_step
 from .curator import DEFAULT_MAX_ROUNDS, Round, Session, Transcript, run_interaction
 from .errors import NumericalIntegrityError
-from .rng import ReplayNormals, derive_key, generator
+from .rng import derive_key, generator
 
 _INITIAL_WIDTH = 36
 
@@ -77,6 +78,25 @@ class DrawTableau:
     def row(self, t: int, width: int) -> np.ndarray:
         self.ensure(width)
         return self._data[t, :width]
+
+
+class _RowDraws:
+    """Draw source of one scalar session: trial ``t``'s tableau row, in
+    order, growing the tableau when the row runs out."""
+
+    def __init__(self, tableau: DrawTableau, t: int):
+        self._tableau = tableau
+        self._t = t
+        self._row = tableau.row(t, tableau.width)
+        self._taken = 0
+
+    def standard_normal(self) -> float:
+        if self._taken == self._row.size:
+            self._tableau.ensure(self._taken + 1)
+            self._row = self._tableau.row(self._t, self._tableau.width)
+        v = self._row[self._taken]
+        self._taken += 1
+        return v
 
 
 def make_vector_policy(name: str, params: dict):
@@ -201,9 +221,7 @@ def run_trial_batch(
             break
         rem = np.maximum(0.0, budget_sq - spent[idx])
         sp, stop = vec.spends(r, rem, last_accepted[idx], prev_spend[idx])
-        stopped = idx[stop]
-        active[stopped] = False
-        lengths[stopped] = r
+        active[idx[stop]] = False
         cont = idx[~stop]
         if cont.size == 0:
             continue
@@ -280,23 +298,12 @@ def _run_scalar(kind, bit, budget, policy_name, policy_params,
     transcripts = []
     w0s = np.empty(n_trials)
     draws = np.zeros(n_trials, dtype=np.int64)
-    max_draws = max_rounds + 2  # one per admitted round, plus W0
     for t in range(n_trials):
-        width = tableau.width or _INITIAL_WIDTH
-        while True:
-            source = ReplayNormals(tableau.row(t, width))
-            session = Session(kind, bit, mu0, source)
-            try:
-                tr = run_interaction(session, policy, max_rounds=max_rounds)
-            except IndexError:
-                if width >= max_draws:
-                    raise
-                width = min(width * 2, max_draws)
-                continue
-            break
+        session = Session(kind, bit, mu0, _RowDraws(tableau, t))
+        tr = run_interaction(session, policy, max_rounds=max_rounds)
         transcripts.append(tr)
         w0s[t] = session.w0 if session.w0 is not None else np.nan
-        draws[t] = source.taken
+        draws[t] = session.draws
 
     r_max = max((len(tr.rounds) for tr in transcripts), default=0)
     spends = np.full((n_trials, r_max), np.nan)

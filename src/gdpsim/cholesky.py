@@ -12,10 +12,11 @@ row appended for spend m is
     r   = -m * y_{i-1}
     d_i = sqrt((1 - Q_i) / (1 - Q_{i-1}))
 
-Dense mode stores the rows and recomputes y by an explicit forward solve --
-it is the slow, transparent reference.  Streaming mode carries only three
-scalars (Q, the inner product s = y . v against the noise seeds, and the
-round index) using the closed forms
+Dense mode stores the rows, the spends and the seeds it was fed, and
+recomputes y by an explicit forward solve -- it is the slow, transparent
+reference.  Streaming mode carries only three scalars (Q, its Kahan
+compensation, and the inner product s = y . v against the noise seeds) using
+the closed forms
 
     U_i    = -m * s + d_i * V_i            (last entry of L_i v_i)
     y_last = m / sqrt((1 - Q_i)(1 - Q_{i-1}))     (0 once Q_i = 1)
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import kahan_step, ops
-from .errors import BudgetOverflowError, StateDesyncError
+from .errors import BudgetOverflowError
 
 # Radicands in [-CLAMP_BAND, 0) are rounding debris and clamp to zero; anything
 # more negative means the caller fed an inadmissible spend vector.  The band is
@@ -62,12 +63,9 @@ class DenseCholesky:
 
     rows: tuple = ()      # row i is a float64 array of length i+1
     spends: tuple = ()    # normalized spends m_1..m_i
+    seeds: tuple = ()     # seeds V_1..V_i
     q: float = 0.0        # ||m||^2, Kahan-compensated
     q_comp: float = 0.0
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
 
     def matrix(self) -> np.ndarray:
         """Dense lower-triangular copy of the factor."""
@@ -85,7 +83,6 @@ class StreamingCholesky:
     q: float = 0.0
     q_comp: float = 0.0
     s: float = 0.0        # running inner product y . v
-    index: int = 0
 
 
 def dense_state() -> DenseCholesky:
@@ -144,15 +141,25 @@ def _forward_solve(rows: tuple, b: np.ndarray) -> np.ndarray:
 
 
 def extend(state, m):
-    """Grow the factor by one round with normalized spend ``m``.
+    """Grow the factor by one round with normalized spend ``m`` and a zero
+    seed: :func:`next_noise` without its noise value."""
+    return next_noise(state, m, 0.0)[1]
 
-    Dense mode appends the new row; streaming mode advances Q and the round
-    index (the inner product s is advanced by :func:`next_noise`).
+
+def next_noise(state, m, fresh_seed):
+    """Extend by ``m`` and return ``(U, new_state)`` where U is the last
+    entry of L_i v_i.
+
+    ``fresh_seed`` is this round's i.i.d. standard-normal seed V_i.  Dense
+    mode appends the new row and the seed and does Theta(i) work; streaming
+    mode advances its three scalars and does Theta(1).
     """
     m = _check_m(m)
+    fresh_seed = float(fresh_seed)
+
     if isinstance(state, StreamingCholesky):
-        _, q, q_comp, _ = stream_step(state.q, state.q_comp, state.s, m, 0.0)
-        return StreamingCholesky(q, q_comp, state.s, state.index + 1)
+        u, q, q_comp, s = stream_step(state.q, state.q_comp, state.s, m, fresh_seed)
+        return u, StreamingCholesky(q, q_comp, s)
 
     # The diagonal entry d_i is the coefficient of the fresh seed: the
     # streaming U at s = 0, V = 1.
@@ -162,32 +169,6 @@ def extend(state, m):
     if state.q < 1.0:   # after exhaustion the row is (0, ..., 0, 1)
         row[:k] = -m * _forward_solve(state.rows, np.asarray(state.spends))
     row[k] = d
-    return DenseCholesky(state.rows + (row,), state.spends + (m,), q, q_comp)
-
-
-def next_noise(state, m, fresh_seed, past_seeds=None):
-    """Extend by ``m`` and return ``(U, new_state)`` where U is the last
-    entry of L_i v_i.
-
-    ``fresh_seed`` is this round's i.i.d. standard-normal seed V_i.  Dense
-    mode needs ``past_seeds`` = (V_1, ..., V_{i-1}) and does Theta(i) work;
-    streaming mode ignores it and does Theta(1).
-    """
-    m = _check_m(m)
-    fresh_seed = float(fresh_seed)
-
-    if isinstance(state, StreamingCholesky):
-        u, q, q_comp, s = stream_step(state.q, state.q_comp, state.s, m, fresh_seed)
-        return u, StreamingCholesky(q, q_comp, s, state.index + 1)
-
-    if past_seeds is None:
-        raise StateDesyncError("dense mode needs the past seed vector")
-    v = np.asarray(past_seeds, dtype=float)
-    if v.shape != (len(state.rows),):
-        raise StateDesyncError(
-            f"expected {len(state.rows)} past seeds, got shape {v.shape}"
-        )
-    new_state = extend(state, m)
-    row = new_state.rows[-1]
-    u = float(row[:-1] @ v + row[-1] * fresh_seed)
-    return u, new_state
+    u = float(row[:k] @ np.asarray(state.seeds, dtype=float) + row[k] * fresh_seed)
+    return u, DenseCholesky(state.rows + (row,), state.spends + (m,),
+                            state.seeds + (fresh_seed,), q, q_comp)

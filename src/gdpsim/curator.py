@@ -127,17 +127,10 @@ class Session:
         self.closed = True
 
 
-def open_session(kind: str, b: int, budget, seed) -> Session:
-    """Open a session; deterministic given (kind, b, budget, seed).
-
-    ``seed`` may be an integer (seeds a PCG64 stream) or any object with a
-    ``standard_normal()`` method.
-    """
-    if hasattr(seed, "standard_normal"):
-        rng = seed
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-    return Session(kind, b, budget, rng)
+def open_session(kind: str, b: int, budget, seed: int) -> Session:
+    """Open a session drawing from ``PCG64(seed)`` for an integer ``seed``;
+    deterministic given (kind, b, budget, seed)."""
+    return Session(kind, b, budget, np.random.Generator(np.random.PCG64(seed)))
 
 
 def run_interaction(session: Session, policy, *,

@@ -13,10 +13,6 @@ class NumericalIntegrityError(GdpSimError):
     """A numerical invariant was violated beyond the tolerated clamp band."""
 
 
-class StateDesyncError(GdpSimError):
-    """Incremental state and caller-supplied history disagree."""
-
-
 class SessionClosedError(GdpSimError):
     """An operation was attempted on a closed session."""
 

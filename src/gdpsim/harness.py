@@ -69,6 +69,13 @@ _REPORT_SCHEMA = "gdpsim.report.v1"
 _MEAN_TOL_FACTOR = 6.7
 _COV_TOL_FACTOR = 9.0
 
+# verify_cholesky's bounds: |LL^T - (I - mm^T)| per entry, and the
+# streaming noise value against the dense one.
+_FACTOR_TOL = 1e-10
+_NOISE_TOL = 1e-9
+# Oracle pivots at or below this are zero (rank-deficient input).
+_PIVOT_ZERO_TOL = 1e-12
+
 
 # --- configuration ---------------------------------------------------------
 
@@ -95,6 +102,11 @@ def with_seed(config: ExperimentConfig, master_seed: int) -> ExperimentConfig:
     return replace(config, master_seed=int(master_seed))
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     """Validate a raw config mapping; unknown keys are errors (fail closed)."""
     if not isinstance(data, dict):
@@ -109,28 +121,31 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     def fail(field, msg):
         raise ConfigError(f"{source}: {field}: {msg}")
 
+    if isinstance(data["budget"], bool):
+        fail("budget", f"must be a number, got {data['budget']!r}")
     try:
         budget = check_budget(data["budget"])
     except (TypeError, ValueError) as exc:
         fail("budget", exc)
     n_trials = data["n_trials"]
-    if not isinstance(n_trials, int) or n_trials < 1:
+    if not _is_int(n_trials) or n_trials < 1:
         fail("n_trials", f"must be a positive integer, got {n_trials!r}")
     bits = data.get("bits", [0, 1])
-    if (not isinstance(bits, list) or not bits or len(set(bits)) != len(bits)
-            or any(b not in (0, 1) for b in bits)):
+    if (not isinstance(bits, list) or not bits
+            or any(not _is_int(b) or b not in (0, 1) for b in bits)
+            or len(set(bits)) != len(bits)):
         fail("bits", f"must be a nonempty subset of [0, 1], got {bits!r}")
     max_rounds = data.get("max_rounds", 256)
-    if not isinstance(max_rounds, int) or max_rounds < 1:
+    if not _is_int(max_rounds) or max_rounds < 1:
         fail("max_rounds", f"must be a positive integer, got {max_rounds!r}")
     master_seed = data.get("master_seed", 0)
-    if not isinstance(master_seed, int):
+    if not _is_int(master_seed):
         fail("master_seed", f"must be an integer, got {master_seed!r}")
     alpha = data.get("alpha", 0.001)
     if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
         fail("alpha", f"must lie in (0, 1), got {alpha!r}")
     min_test_samples = data.get("min_test_samples", 10000)
-    if not isinstance(min_test_samples, int) or min_test_samples < 2:
+    if not _is_int(min_test_samples) or min_test_samples < 2:
         fail("min_test_samples", f"must be an integer >= 2, got {min_test_samples!r}")
 
     policies = []
@@ -459,28 +474,18 @@ def run_experiment(config: ExperimentConfig, engine: str = "vector") -> Experime
     overall = True
     retry_seed = derive_key(config.master_seed, "retry")
 
-    for name, params in config.policies:
-        for bit in config.bits:
-            section = _policy_section(config, name, params, bit,
-                                      config.master_seed, engine)
-            if not section["passed"]:
-                retry = _policy_section(config, name, params, bit, retry_seed, engine)
-                section["retry"] = retry
-                section["passed_after_retry"] = retry["passed"]
-                overall &= retry["passed"]
-            results["policies"].append(section)
-
-    for name, mu, params in config.mechanisms:
-        for bit in config.bits:
-            section = _mechanism_section(config, name, mu, params, bit,
-                                         config.master_seed, engine)
-            if not section["passed"]:
-                retry = _mechanism_section(config, name, mu, params, bit,
-                                           retry_seed, engine)
-                section["retry"] = retry
-                section["passed_after_retry"] = retry["passed"]
-                overall &= retry["passed"]
-            results["mechanisms"].append(section)
+    arms = [("policies", _policy_section, (name, params, bit))
+            for name, params in config.policies for bit in config.bits]
+    arms += [("mechanisms", _mechanism_section, (name, mu, params, bit))
+             for name, mu, params in config.mechanisms for bit in config.bits]
+    for key, run_section, args in arms:
+        section = run_section(config, *args, config.master_seed, engine)
+        if not section["passed"]:
+            retry = run_section(config, *args, retry_seed, engine)
+            section["retry"] = retry
+            section["passed_after_retry"] = retry["passed"]
+            overall &= retry["passed"]
+        results[key].append(section)
 
     normality = normality_check(
         generator(config.master_seed, "normality").standard_normal(100000),
@@ -552,10 +557,10 @@ def report_table(results: dict) -> str:
 
 # --- factor verification ----------------------------------------------------
 
-def canonical_cholesky_oracle(sigma, zero_tol: float = 1e-12) -> np.ndarray:
+def canonical_cholesky_oracle(sigma) -> np.ndarray:
     """Canonical Cholesky factor of an explicit PSD matrix.
 
-    Right-looking factorization; pivots within zero_tol of zero produce an
+    Right-looking factorization; pivots within 1e-12 of zero produce an
     all-zero column, which is the canonical convention for rank-deficient
     input.  Independent of the incremental construction it is used to check.
     """
@@ -564,7 +569,7 @@ def canonical_cholesky_oracle(sigma, zero_tol: float = 1e-12) -> np.ndarray:
     L = np.zeros((n, n))
     for j in range(n):
         d2 = a[j, j] - L[j, :j] @ L[j, :j]
-        if d2 <= zero_tol:
+        if d2 <= _PIVOT_ZERO_TOL:
             if d2 < -1e-8:
                 raise NumericalIntegrityError(f"pivot {j} is negative: {d2}")
             continue
@@ -619,8 +624,8 @@ class CholeskyVerification:
     passed: bool
 
 
-def verify_cholesky(seed: int = 0, cases: int = 1000, max_len: int = 64,
-                    factor_tol: float = 1e-10, noise_tol: float = 1e-9) -> CholeskyVerification:
+def verify_cholesky(seed: int = 0, cases: int = 1000,
+                    max_len: int = 64) -> CholeskyVerification:
     """Random-suite check of the incremental factor against an explicit-matrix
     oracle, and of the streaming noise recurrences against dense mode.
 
@@ -650,12 +655,10 @@ def verify_cholesky(seed: int = 0, cases: int = 1000, max_len: int = 64,
         seeds = rng.standard_normal(m.size)
         dense = dense_state()
         stream = streaming_state()
-        past = []
-        for i, mi in enumerate(m):
-            u_dense, dense = next_noise(dense, float(mi), float(seeds[i]), past)
-            u_stream, stream = next_noise(stream, float(mi), float(seeds[i]))
+        for mi, vi in zip(m, seeds):
+            u_dense, dense = next_noise(dense, float(mi), float(vi))
+            u_stream, stream = next_noise(stream, float(mi), float(vi))
             max_stream = max(max_stream, abs(u_dense - u_stream))
-            past.append(float(seeds[i]))
         L = dense.matrix()
         sigma = np.eye(m.size) - np.outer(m, m)
         if m.size:
@@ -667,10 +670,10 @@ def verify_cholesky(seed: int = 0, cases: int = 1000, max_len: int = 64,
         expected_zero = 1 if (m.size and dense.q >= 1.0) else 0
         if not diag_ok or zero_cols != expected_zero:
             canon_failures += 1
-    factor_rep = TestReport("factor_identity", max_factor, None, factor_tol,
-                            max_factor <= factor_tol)
-    stream_rep = TestReport("streaming_vs_dense", max_stream, None, noise_tol,
-                            max_stream <= noise_tol)
+    factor_rep = TestReport("factor_identity", max_factor, None, _FACTOR_TOL,
+                            max_factor <= _FACTOR_TOL)
+    stream_rep = TestReport("streaming_vs_dense", max_stream, None, _NOISE_TOL,
+                            max_stream <= _NOISE_TOL)
     canonical_ok = canon_failures == 0 and max_canon <= 1e-8
     return CholeskyVerification(
         cases=cases,
@@ -746,8 +749,7 @@ def parse_transcripts(path) -> dict:
     return out
 
 
-def emit_transcripts(config: ExperimentConfig, path,
-                     kinds=("direct", "simulated"), engine: str = "vector"):
+def emit_transcripts(config: ExperimentConfig, path, kinds=("direct", "simulated")):
     """Run the configured arms and write every transcript to ``path``."""
     records = []
     for name, params in config.policies:
@@ -756,7 +758,7 @@ def emit_transcripts(config: ExperimentConfig, path,
             for kind in kinds:
                 res = run_trial_batch(
                     kind, bit, config.budget, name, params,
-                    config.n_trials, config.master_seed, config.max_rounds, engine,
+                    config.n_trials, config.master_seed, config.max_rounds,
                 )
                 for t, tr in enumerate(res.transcripts()):
                     records.append((label, bit, kind, t, tr))

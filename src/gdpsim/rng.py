@@ -44,21 +44,3 @@ def generator(*parts: int | str) -> np.random.Generator:
     """PCG64 generator keyed by ``derive_key(*parts)``."""
     return np.random.Generator(np.random.PCG64(derive_key(*parts)))
 
-
-class ReplayNormals:
-    """Draw source replaying a fixed sequence of standard normals.
-
-    Lets a scalar session consume exactly the draws of one tableau row, which
-    is how the test suite pins the vectorized engine to session semantics.
-    """
-
-    def __init__(self, values):
-        self._values = np.asarray(values, dtype=float)
-        self.taken = 0
-
-    def standard_normal(self) -> float:
-        if self.taken >= self._values.size:
-            raise IndexError("replay stream exhausted")
-        v = float(self._values[self.taken])
-        self.taken += 1
-        return v

@@ -13,6 +13,7 @@ POLICIES = [
     ("sign_adaptive", {"hi": 0.8, "lo": 0.2}),
     ("greedy_halving", {}),
     ("overspend_prober", {}),
+    ("fixed", {"spends": [0.05] * 120}),
 ]
 
 

@@ -61,6 +61,12 @@ def test_config_field_diagnostics():
         config_from_dict({"budget": 1.0, "n_trials": 0})
     with pytest.raises(ConfigError, match="alpha"):
         config_from_dict({"budget": 1.0, "n_trials": 1, "alpha": 1.5})
+    # JSON booleans are not integers or numbers
+    for key, value in [("bits", [True]), ("master_seed", True), ("n_trials", True),
+                       ("max_rounds", True), ("budget", True),
+                       ("min_test_samples", True)]:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"budget": 1.0, "n_trials": 1, key: value})
 
 
 def test_config_json_line_diagnostics(tmp_path):
