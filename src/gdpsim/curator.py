@@ -129,7 +129,13 @@ class Session:
 
 def open_session(kind: str, b: int, budget, seed: int) -> Session:
     """Open a session drawing from ``PCG64(seed)`` for an integer ``seed``;
-    deterministic given (kind, b, budget, seed)."""
+    deterministic given (kind, b, budget, seed).
+
+    ``seed`` must be a Python or NumPy integer: ``None`` would seed from OS
+    entropy, and a boolean or float is not a seed.
+    """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     return Session(kind, b, budget, np.random.Generator(np.random.PCG64(seed)))
 
 

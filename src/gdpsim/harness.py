@@ -107,6 +107,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _bool_param(entry: dict) -> str | None:
+    """The first key of a policy or mechanism entry whose value is, or
+    lists, a JSON boolean (which Python would take as 1 or 0)."""
+    for key, value in entry.items():
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, bool) for v in items):
+            return key
+    return None
+
+
 def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     """Validate a raw config mapping; unknown keys are errors (fail closed)."""
     if not isinstance(data, dict):
@@ -151,9 +161,12 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     policies = []
     for i, entry in enumerate(data.get("policies", [])):
         field = f"policies[{i}]"
-        if not isinstance(entry, dict) or "name" not in entry:
-            fail(field, "must be an object with a 'name' key")
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            fail(field, "must be an object with a string 'name'")
         params = {k: v for k, v in entry.items() if k != "name"}
+        key = _bool_param(entry)
+        if key is not None:
+            fail(field, f"{key} must be numeric, got {entry[key]!r}")
         try:
             make_policy(entry["name"], **params)
         except (TypeError, ValueError) as exc:
@@ -163,9 +176,13 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     mechanisms = []
     for i, entry in enumerate(data.get("mechanisms", [])):
         field = f"mechanisms[{i}]"
-        if not isinstance(entry, dict) or "name" not in entry or "mu" not in entry:
-            fail(field, "must be an object with 'name' and 'mu' keys")
+        if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
+                or "mu" not in entry):
+            fail(field, "must be an object with a string 'name' and a 'mu'")
         params = {k: v for k, v in entry.items() if k not in ("name", "mu")}
+        key = _bool_param(entry)
+        if key is not None:
+            fail(field, f"{key} must be numeric, got {entry[key]!r}")
         try:
             make_mechanism(entry["name"], entry["mu"], **params)
         except (TypeError, ValueError) as exc:
@@ -246,11 +263,27 @@ def _uniform_shape(res) -> bool:
 
 
 def _refusal_checksum(res, width: int) -> str:
+    """SHA-256 of the multiset of one arm's refusal rows.
+
+    The hashed bytes are pinned by ``_REPORT_SCHEMA``: the sorted unique
+    refusal patterns as 0/1 ``uint8`` rows zero-padded to ``width``, then
+    their int64 counts, then ``str(width)``.  Changing any part changes
+    every checksum and needs a schema bump.
+
+    Rows are packed big-endian into byte keys, so sorting the keys sorts
+    the rows lexicographically.  Keys are at least one byte long: at
+    width 0 every row is the same empty pattern, counted once per trial.
+    """
     rows = res.refusal_rows()
-    if rows.shape[1] < width:
-        pad = np.zeros((rows.shape[0], width - rows.shape[1]), dtype=bool)
-        rows = np.concatenate([rows, pad], axis=1)
-    patterns, counts = np.unique(rows.astype(np.uint8), axis=0, return_counts=True)
+    keys = np.zeros((rows.shape[0], max(1, -(-width // 8))), dtype=np.uint8)
+    packed = np.packbits(rows, axis=1)
+    keys[:, :packed.shape[1]] = packed
+    uniq, counts = np.unique(
+        keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), return_counts=True
+    )
+    patterns = np.unpackbits(
+        uniq.view(np.uint8).reshape(uniq.size, keys.shape[1]), axis=1, count=width
+    )
     h = hashlib.sha256()
     h.update(patterns.tobytes())
     h.update(counts.astype(np.int64).tobytes())
@@ -336,9 +369,8 @@ def _evaluate_pair(direct, sim, alpha: float, min_samples: int) -> dict:
     else:
         moments = "skipped (adaptive round shape)" if not uniform else "insufficient trials"
 
-    width = max(direct.refusal_rows().shape[1], sim.refusal_rows().shape[1])
-    ck_d = _refusal_checksum(direct, width)
-    ck_s = _refusal_checksum(sim, width)
+    ck_d = _refusal_checksum(direct, r_max)
+    ck_s = _refusal_checksum(sim, r_max)
     refusals = {
         "checksum_direct": ck_d,
         "checksum_simulated": ck_s,

@@ -120,6 +120,16 @@ def test_invalid_arguments():
         open_session("direct", 0, -1.0, 1)
 
 
+def test_seed_must_be_an_integer():
+    # None would seed from OS entropy and break determinism given the seed.
+    for seed in (None, True, False, 1.0, 1.5, "1"):
+        with pytest.raises(TypeError, match="seed"):
+            open_session("direct", 0, 1.0, seed)
+    for seed in (np.int64(7), np.uint32(7)):
+        assert open_session("direct", 1, 1.0, seed).ask(0.5) == \
+            open_session("direct", 1, 1.0, 7).ask(0.5)
+
+
 def test_constant_policy_exhausts_after_four_rounds():
     session = open_session("direct", 1, 1.0, 21)
     transcript = run_interaction(session, policy_fixed([0.5] * 6))

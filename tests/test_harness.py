@@ -1,8 +1,11 @@
 """Harness: config validation, experiment reports, transcript files, CLI."""
 
+import hashlib
 import json
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gdpsim import (
@@ -20,6 +23,7 @@ from gdpsim import (
 )
 from gdpsim.cli import main
 from gdpsim.curator import Round
+from gdpsim.harness import _refusal_checksum
 
 
 def small_config(**overrides):
@@ -67,6 +71,15 @@ def test_config_field_diagnostics():
                        ("min_test_samples", True)]:
         with pytest.raises(ConfigError, match=key):
             config_from_dict({"budget": 1.0, "n_trials": 1, key: value})
+    for key, entry in [
+        ("policies", {"name": "fixed", "spends": [True, 0.5]}),
+        ("policies", {"name": "sign_adaptive", "hi": True, "lo": False}),
+        ("mechanisms", {"name": "identity", "mu": True}),
+        ("policies", {"name": 5}),
+        ("mechanisms", {"name": True, "mu": 0.5}),
+    ]:
+        with pytest.raises(ConfigError, match=rf"{key}\[0\]"):
+            config_from_dict({"budget": 1.0, "n_trials": 1, key: [entry]})
 
 
 def test_config_json_line_diagnostics(tmp_path):
@@ -82,6 +95,35 @@ def test_config_load_and_seed_override(tmp_path):
     config = load_config(path)
     assert config.budget == 1.0 and config.master_seed == 0
     assert with_seed(config, 42).master_seed == 42
+
+
+# --- refusal checksum ----------------------------------------------------------
+
+def unique_rows_checksum(rows, width):
+    """Reference: np.unique over whole 0/1 rows padded to width."""
+    if rows.shape[1] < width:
+        pad = np.zeros((rows.shape[0], width - rows.shape[1]), dtype=bool)
+        rows = np.concatenate([rows, pad], axis=1)
+    patterns, counts = np.unique(rows.astype(np.uint8), axis=0, return_counts=True)
+    h = hashlib.sha256()
+    h.update(patterns.tobytes())
+    h.update(counts.astype(np.int64).tobytes())
+    h.update(str(width).encode())
+    return h.hexdigest()
+
+
+def test_refusal_checksum_equals_unique_rows_reference():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, 7, 300):
+        for width in (0, 1, 7, 8, 9, 63, 64, 65, 200, 256):
+            for pad in (0, 3, 11):
+                if pad > width:
+                    continue
+                for density in (0.0, 0.1, 0.5, 1.0):
+                    rows = rng.random((n, width - pad)) < density
+                    arm = SimpleNamespace(refusal_rows=lambda rows=rows: rows)
+                    assert _refusal_checksum(arm, width) == \
+                        unique_rows_checksum(rows, width), (n, width, pad, density)
 
 
 # --- verify-cholesky ---------------------------------------------------------

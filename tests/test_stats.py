@@ -1,6 +1,8 @@
 """Estimators and tests: closed-form examples checked exactly, then the
 distributional sanity runs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from gdpsim import (
     two_proportion_z,
 )
 from gdpsim.rng import generator
+from gdpsim.stats import TestReport as Report  # not a pytest class
 
 
 def normal_quantile(p: float) -> float:
@@ -123,6 +126,34 @@ def test_normality_exact_quantile_construction():
     sample = np.array([normal_quantile((i - 0.5) / n) for i in range(1, n + 1)])
     rep = normality_check(sample)
     assert rep.statistic <= 0.5 / n + 1e-9
+
+
+def per_value_normality_check(sample, alpha=0.001, name="normality"):
+    """Reference: the KS statistic with normal_cdf called once per value."""
+    z = np.sort(np.asarray(sample, dtype=float))
+    n = z.size
+    f = np.array([normal_cdf(v) for v in z])
+    grid = np.arange(1, n + 1) / n
+    d = max(float(np.max(grid - f)), float(np.max(f - (grid - 1.0 / n))))
+    p = kolmogorov_sf(d * (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)))
+    return Report(name, d, p, alpha, p > alpha)
+
+
+def test_normality_bitwise_equals_per_value_cdf():
+    rng = generator(6, "norm-ref")
+    samples = [
+        rng.standard_normal(100000),
+        np.round(rng.standard_normal(20000), 1),  # ties
+        np.concatenate([rng.standard_normal(5000), [-40.0, 40.0, -40.0]]),
+    ]
+    # One value: the statistic is max(F(x), 1 - F(x)), so each CDF bit shows.
+    samples += [[v] for v in rng.standard_normal(200)]
+    for sample in samples:
+        rep = normality_check(sample)
+        ref = per_value_normality_check(sample)
+        assert rep == ref
+        assert rep.statistic.hex() == ref.statistic.hex()
+        assert rep.p_value.hex() == ref.p_value.hex()
 
 
 def test_covariance_deviation_examples():
