@@ -9,11 +9,12 @@ behaviour is bitwise identical to a session fed the same draw row -- the
 test suite asserts this.  The single-box equivalent of fanning trials out
 across workers.
 
-Randomness: one arm key is derived from (master seed, kind, policy id, bit);
-trial t consumes the standard-normal draws of row t of the arm's tableau.
-The tableau is materialized in chunks keyed by (arm key, "chunk", k), so it
-can grow without disturbing draws already consumed (numpy array draws are
-prefix-stable).  Refused rounds consume nothing.
+Randomness: one arm key is derived from (master seed, kind, policy id, bit).
+Column j of the arm's tableau is ``generator(arm key, "col", j)
+.standard_normal(n_trials)``, drawn when a trial's cursor first reaches it;
+trial t consumes entry t of columns 0, 1, ... in order, so its draws do not
+depend on n_trials.  Refused rounds consume nothing.  Both engines return
+round-major (order "F") results; a row sum's last bit depends on memory order.
 
 Both engines run registered policies only.  ``engine="scalar"`` replays
 each trial through a real session and ``run_interaction``, drawing from its
@@ -36,8 +37,6 @@ from .curator import DEFAULT_MAX_ROUNDS, Round, Session, Transcript, run_interac
 from .errors import NumericalIntegrityError
 from .rng import derive_key, generator
 
-_INITIAL_WIDTH = 36
-
 
 def policy_stream_id(name: str, params: dict) -> str:
     """Canonical label mixed into an arm's stream key."""
@@ -47,37 +46,39 @@ def policy_stream_id(name: str, params: dict) -> str:
 
 
 class DrawTableau:
-    """Chunked (n_trials x width) matrix of standard normals for one arm."""
+    """Standard normals for one arm, column j drawn from its own stream on
+    first use and stored as row j of a (capacity x n_trials) array."""
 
-    def __init__(self, key: int, n_trials: int, initial_width: int = _INITIAL_WIDTH):
+    def __init__(self, key: int, n_trials: int):
         self._key = key
         self._n = n_trials
-        self._next_chunk = 0
-        self._chunk_width = initial_width
-        self._data = np.empty((n_trials, 0))
+        self._width = 0
+        self._data = np.empty((0, n_trials))
 
     @property
     def width(self) -> int:
-        return self._data.shape[1]
+        return self._width
 
     def ensure(self, width: int) -> None:
-        while self._data.shape[1] < width:
-            g = generator(self._key, "chunk", self._next_chunk)
-            block = g.standard_normal((self._n, self._chunk_width))
-            self._data = np.concatenate([self._data, block], axis=1)
-            self._next_chunk += 1
-            self._chunk_width *= 2
+        while self._width < width:
+            j = self._width
+            if j == len(self._data):
+                grown = np.empty((max(width, 2 * j), self._n))
+                grown[:j] = self._data
+                self._data = grown
+            generator(self._key, "col", j).standard_normal(out=self._data[j])
+            self._width = j + 1
 
     def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Gather one draw per (trial row, per-trial cursor)."""
         if rows.size == 0:
             return np.empty(0)
         self.ensure(int(cols.max()) + 1)
-        return self._data[rows, cols]
+        return self._data[cols, rows]
 
     def row(self, t: int, width: int) -> np.ndarray:
         self.ensure(width)
-        return self._data[t, :width]
+        return self._data[:width, t]
 
 
 class _RowDraws:
@@ -268,11 +269,6 @@ def run_trial_batch(
         _, stop = vec.spends(max_rounds, rem, last_accepted[idx], prev_spend[idx])
         truncated[idx[~stop]] = True
 
-    def _stack(cols, dtype):
-        if not cols:
-            return np.empty((n, 0), dtype=dtype)
-        return np.stack(cols, axis=1)
-
     return BatchResult(
         kind=kind,
         bit=bit,
@@ -280,9 +276,9 @@ def run_trial_batch(
         policy_name=policy_name,
         policy_params=policy_params,
         n_trials=n,
-        spends=_stack(spend_cols, float),
-        decisions=_stack(dec_cols, np.int8),
-        answers=_stack(ans_cols, float),
+        spends=np.array(spend_cols, dtype=float).reshape(-1, n).T,
+        decisions=np.array(dec_cols, dtype=np.int8).reshape(-1, n).T,
+        answers=np.array(ans_cols, dtype=float).reshape(-1, n).T,
         lengths=lengths,
         truncated=truncated,
         draws=cursor.copy(),
@@ -306,9 +302,9 @@ def _run_scalar(kind, bit, budget, policy_name, policy_params,
         draws[t] = session.draws
 
     r_max = max((len(tr.rounds) for tr in transcripts), default=0)
-    spends = np.full((n_trials, r_max), np.nan)
-    decisions = np.full((n_trials, r_max), -1, dtype=np.int8)
-    answers = np.full((n_trials, r_max), np.nan)
+    spends = np.full((n_trials, r_max), np.nan, order="F")
+    decisions = np.full((n_trials, r_max), -1, dtype=np.int8, order="F")
+    answers = np.full((n_trials, r_max), np.nan, order="F")
     lengths = np.zeros(n_trials, dtype=np.int64)
     truncated = np.zeros(n_trials, dtype=bool)
     for t, tr in enumerate(transcripts):

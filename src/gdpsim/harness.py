@@ -62,7 +62,7 @@ from .stats import (
     two_proportion_z,
 )
 
-_REPORT_SCHEMA = "gdpsim.report.v1"
+_REPORT_SCHEMA = "gdpsim.report.v2"
 
 # Bound checks on moments, in units of 1/sqrt(n_trials).  ~6.4 sigma and up:
 # effectively never false-failing, so they sit outside the alpha budget.
@@ -157,6 +157,10 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     min_test_samples = data.get("min_test_samples", 10000)
     if not _is_int(min_test_samples) or min_test_samples < 2:
         fail("min_test_samples", f"must be an integer >= 2, got {min_test_samples!r}")
+
+    for key in ("policies", "mechanisms"):
+        if not isinstance(data.get(key, []), list):
+            fail(key, f"must be a list, got {data[key]!r}")
 
     policies = []
     for i, entry in enumerate(data.get("policies", [])):

@@ -10,10 +10,10 @@ and string parts as ``b"s"`` plus the UTF-8 bytes plus ``b"\\x00"``.  The rule
 is platform-independent, so a (master seed, label, ...) tuple always denotes
 the same stream.
 
-The experiment harness derives one key per (component, policy, bit) arm and
-gives trial ``t`` the draws of row ``t`` of that arm's tableau (see
-``gdpsim.batch``).  Sessions opened with a plain integer seed use
-``PCG64(seed)`` directly.
+The experiment harness derives one key per (component, policy, bit) arm;
+column ``j`` of its tableau is ``generator(arm_key, "col", j)``, whose
+draw ``t`` goes to trial ``t`` (see ``gdpsim.batch``).  Sessions opened
+with a plain integer seed use ``PCG64(seed)`` directly.
 """
 
 from __future__ import annotations

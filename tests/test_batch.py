@@ -1,12 +1,23 @@
 """Vector engine against the scalar reference: bitwise equality is the
 contract, not approximation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from gdpsim import make_policy, run_trial_batch
+from gdpsim import batch
 from gdpsim.batch import DrawTableau, make_vector_policy, policy_stream_id
-from gdpsim.rng import derive_key
+from gdpsim.harness import _REPORT_SCHEMA
+from gdpsim.rng import derive_key, generator
+
+# SHA-256 of the little-endian float64 bytes of trials 0..7 x columns 0..3 of
+# DrawTableau(derive_key(1, "t"), 8), trial-major.  A change to the draw
+# streams must bump the report schema and add its digest here.
+TABLEAU_DIGEST = {
+    "gdpsim.report.v2": "fbfb8b14a78467b7f5fc8da7077fa6537c738a24d4fdad8e4907866ed18f7db6",
+}
 
 POLICIES = [
     ("fixed", {"spends": [0.6, 0.8, 0.1]}),
@@ -28,6 +39,10 @@ def assert_identical(a, b):
         assert b.w0 is None
     else:
         assert np.array_equal(a.w0, b.w0)
+    for m in ("spends", "decisions", "answers"):
+        assert getattr(a, m).flags.f_contiguous and getattr(b, m).flags.f_contiguous
+    assert np.array_equal(a.summaries(), b.summaries())
+    assert np.array_equal(a.refusal_rows(), b.refusal_rows())
 
 
 @pytest.mark.parametrize("name,params", POLICIES)
@@ -76,13 +91,66 @@ def test_truncation_matches_scalar():
 
 
 def test_tableau_growth_is_prefix_stable():
-    tab = DrawTableau(derive_key(1, "t"), 8, initial_width=4)
+    tab = DrawTableau(derive_key(1, "t"), 8)
     rows = np.arange(8)
     first = tab.take(rows, np.full(8, 3)).copy()
     tab.ensure(40)
     again = tab.take(rows, np.full(8, 3))
     assert np.array_equal(first, again)
-    assert tab.width >= 40
+    assert tab.width == 40
+
+
+def test_tableau_column_is_its_own_stream():
+    key = derive_key(1, "t")
+    tab = DrawTableau(key, 8)
+    tab.ensure(5)
+    for j in range(5):
+        col = tab.take(np.arange(8), np.full(8, j))
+        assert np.array_equal(col, generator(key, "col", j).standard_normal(8))
+        assert np.array_equal(tab.row(3, 5)[j], col[3])
+
+
+def test_tableau_draws_only_the_columns_read():
+    tab = DrawTableau(derive_key(1, "t"), 8)
+    assert tab.width == 0
+    tab.take(np.arange(3), np.array([0, 3, 1]))
+    assert tab.width == 4
+    tab.take(np.arange(2), np.array([2, 0]))
+    assert tab.width == 4
+
+
+def test_one_spend_simulated_arm_draws_two_columns(monkeypatch):
+    made = []
+
+    class Recording(DrawTableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(batch, "DrawTableau", Recording)
+    for engine in ("vector", "scalar"):
+        run_trial_batch("simulated", 1, 1.0, "fixed", {"spends": [0.5]}, 6, 3,
+                        engine=engine)
+        assert made.pop().width == 2
+
+
+def test_tableau_stream_digest_is_pinned_by_schema():
+    tab = DrawTableau(derive_key(1, "t"), 8)
+    block = np.array([tab.row(t, 4) for t in range(8)], dtype="<f8")
+    assert hashlib.sha256(block.tobytes()).hexdigest() == TABLEAU_DIGEST[_REPORT_SCHEMA]
+
+
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+def test_trial_transcript_does_not_depend_on_n_trials(engine):
+    args = ("simulated", 1, 1.0, "greedy_halving", {})
+    small = run_trial_batch(*args, 5, 21, engine=engine)
+    large = run_trial_batch(*args, 9, 21, engine=engine)
+    r = small.answers.shape[1]
+    assert np.array_equal(small.answers, large.answers[:5, :r], equal_nan=True)
+    assert np.array_equal(small.decisions, large.decisions[:5, :r])
+    assert np.all(large.decisions[:5, r:] == -1)
+    assert np.array_equal(small.draws, large.draws[:5])
+    assert np.array_equal(small.w0, large.w0[:5])
 
 
 def test_draw_rows_differ_across_trials_and_labels():

@@ -80,6 +80,11 @@ def test_config_field_diagnostics():
     ]:
         with pytest.raises(ConfigError, match=rf"{key}\[0\]"):
             config_from_dict({"budget": 1.0, "n_trials": 1, key: [entry]})
+    # policies and mechanisms must be lists, reported by field name
+    for key, value in [("policies", 5), ("mechanisms", None),
+                       ("policies", {"name": "fixed"}), ("mechanisms", "identity")]:
+        with pytest.raises(ConfigError, match=rf"{key}: must be a list"):
+            config_from_dict({"budget": 1.0, "n_trials": 1, key: value})
 
 
 def test_config_json_line_diagnostics(tmp_path):
@@ -201,7 +206,7 @@ def test_run_experiment_smoke_passes():
     report = run_experiment(small_config())
     assert report.passed
     res = report.results
-    assert res["schema"] == "gdpsim.report.v1"
+    assert res["schema"] == "gdpsim.report.v2"
     assert len(res["policies"]) == 2
     sec = res["policies"][0]
     assert sec["refusals"]["match"]
@@ -345,6 +350,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text("{nope")
     assert main(["run", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+    bad.write_text(json.dumps({"budget": 1.0, "n_trials": 1, "policies": 5}))
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "policies: must be a list" in capsys.readouterr().err
 
 
 def test_cli_math_error_exit_code(capsys):
