@@ -8,8 +8,9 @@ step through it -- floats get ``math.sqrt``, builtin ``min``/``max``,
 ``bool`` and a conditional; arrays get ``np.sqrt``, ``np.minimum``/
 ``np.maximum``, ``np.any`` and ``np.where``.  ``full`` gives a constant the
 argument's shape.  IEEE arithmetic and both square roots are correctly
-rounded, so every lane of an array call is bitwise equal to the float call
-on that lane's values.
+rounded and both forms of ``rint`` are NumPy's round-half-to-even, so every
+lane of an array call is bitwise equal to the float call on that lane's
+values.  The mechanism maps (``gdpsim.mechanisms``) use the same op sets.
 
 Two rules keep the float form valid: combine conditions with ``&``/``|``
 and comparisons, never ``~`` (on a bool it is integer negation); and make
@@ -32,6 +33,7 @@ def _pick(cond, a, b):
 # which keeps the per-trial scalar engine cheap.
 FLOAT_OPS = SimpleNamespace(
     sqrt=math.sqrt,
+    rint=lambda x: float(np.rint(x)),
     minimum=min,
     maximum=max,
     any=bool,
@@ -42,6 +44,7 @@ FLOAT_OPS = SimpleNamespace(
 
 ARRAY_OPS = SimpleNamespace(
     sqrt=np.sqrt,
+    rint=np.rint,
     minimum=np.minimum,
     maximum=np.maximum,
     any=np.any,

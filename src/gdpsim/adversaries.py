@@ -12,10 +12,9 @@ vector engine; lanes are independent, and the spend of a stopped lane is
 meaningless.  Policies are deterministic given those inputs and may
 deliberately emit inadmissible spends -- admissibility is the filter's job.
 ``next_spend(prefix, remaining_sq, rng)`` is the same rule in prefix form
-(the spend, or None to stop).  ``summary`` reduces a finished transcript to
-one scalar; every built-in policy uses the sum of accepted answers.  The
-harness's summary test runs on ``BatchResult.summaries()``, that same sum
-over whole arms, and never calls ``summary``.
+(the spend, or None to stop); only tests and the benchmark's tracer call
+it.  The harness summarizes a transcript by the sum of its accepted answers
+(``BatchResult.summaries()``), whatever the policy.
 
 The built-in suite covers the four interaction shapes the harness needs:
 nonadaptive replay (``fixed``), answer-adaptive spending (``sign_adaptive``),
@@ -37,10 +36,6 @@ from .budget import check_spend
 STOP_TOL = 1e-6
 
 
-def summary_sum_of_answers(transcript) -> float:
-    return float(sum(r.answer for r in transcript.rounds if r.accepted))
-
-
 def _next_spend(spends, prefix, remaining_sq, rng) -> Optional[float]:
     """Run the kernel ``spends`` on a transcript prefix."""
     last = next((r.answer for r in reversed(prefix) if r.accepted), math.nan)
@@ -56,8 +51,7 @@ class AdversaryPolicy:
 
     name: str
     spends: Callable      # (i, remaining_sq, last_accepted, prev_spend) -> (spend, stop)
-    summary: Callable = summary_sum_of_answers   # Transcript -> float
-    next_spend: Optional[Callable] = None        # (prefix, remaining_sq, rng) -> float | None
+    next_spend: Optional[Callable] = None   # (prefix, remaining_sq, rng) -> float | None
 
     def __post_init__(self):
         if self.next_spend is None:

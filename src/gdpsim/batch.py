@@ -33,7 +33,7 @@ import numpy as np
 from .adversaries import make_policy
 from .budget import admit, check_budget
 from .cholesky import stream_step
-from .curator import DEFAULT_MAX_ROUNDS, Round, Session, Transcript, run_interaction
+from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Session, Transcript, run_interaction
 from .errors import NumericalIntegrityError
 from .rng import derive_key, generator
 
@@ -178,7 +178,7 @@ def run_trial_batch(
     it to keep mechanism arms on streams disjoint from policy arms.
     """
     policy_params = dict(policy_params or {})
-    if kind not in ("direct", "simulated"):
+    if kind not in KINDS:
         raise ValueError(f"unknown session kind {kind!r}")
     if bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {bit!r}")
@@ -187,17 +187,22 @@ def run_trial_batch(
     label = stream_label or policy_stream_id(policy_name, policy_params)
     arm_key = derive_key(master_seed, kind, label, bit)
     tableau = DrawTableau(arm_key, n_trials)
-    if engine == "scalar":
-        return _run_scalar(kind, bit, budget, policy_name, policy_params,
-                           n_trials, max_rounds, tableau)
-    if engine != "vector":
+    if engine not in ("vector", "scalar"):
         raise ValueError(f"unknown engine {engine!r}")
-
-    vec = make_vector_policy(policy_name, policy_params)
     mu0 = check_budget(budget)
+    run = _run_vector if engine == "vector" else _run_scalar
+    return BatchResult(kind, bit, mu0, policy_name, policy_params, n_trials,
+                       *run(kind, bit, mu0, policy_name, policy_params,
+                            n_trials, max_rounds, tableau))
+
+
+def _run_vector(kind, bit, mu0, policy_name, policy_params,
+                n, max_rounds, tableau: DrawTableau):
+    """All trials round-synchronously, one array lane per trial.  Both
+    engines return the BatchResult fields from ``spends`` on, in order."""
+    vec = make_vector_policy(policy_name, policy_params)
     budget_sq = mu0 * mu0
     norm = mu0 if mu0 > 0.0 else 1.0
-    n = n_trials
     spent = np.zeros(n)
     comp = np.zeros(n)
     q = np.zeros(n)
@@ -269,27 +274,15 @@ def run_trial_batch(
         _, stop = vec.spends(max_rounds, rem, last_accepted[idx], prev_spend[idx])
         truncated[idx[~stop]] = True
 
-    return BatchResult(
-        kind=kind,
-        bit=bit,
-        budget=mu0,
-        policy_name=policy_name,
-        policy_params=policy_params,
-        n_trials=n,
-        spends=np.array(spend_cols, dtype=float).reshape(-1, n).T,
-        decisions=np.array(dec_cols, dtype=np.int8).reshape(-1, n).T,
-        answers=np.array(ans_cols, dtype=float).reshape(-1, n).T,
-        lengths=lengths,
-        truncated=truncated,
-        draws=cursor.copy(),
-        w0=w0,
-    )
+    return (np.array(spend_cols, dtype=float).reshape(-1, n).T,
+            np.array(dec_cols, dtype=np.int8).reshape(-1, n).T,
+            np.array(ans_cols, dtype=float).reshape(-1, n).T,
+            lengths, truncated, cursor.copy(), w0)
 
 
-def _run_scalar(kind, bit, budget, policy_name, policy_params,
-                n_trials, max_rounds, tableau: DrawTableau) -> BatchResult:
+def _run_scalar(kind, bit, mu0, policy_name, policy_params,
+                n_trials, max_rounds, tableau: DrawTableau):
     """Reference engine: real sessions, one trial at a time, same draw rows."""
-    mu0 = check_budget(budget)
     policy = make_policy(policy_name, **policy_params)
     transcripts = []
     w0s = np.empty(n_trials)
@@ -315,18 +308,5 @@ def _run_scalar(kind, bit, budget, policy_name, policy_params,
             decisions[t, rnd.index] = 1 if rnd.accepted else 0
             if rnd.accepted:
                 answers[t, rnd.index] = rnd.answer
-    return BatchResult(
-        kind=kind,
-        bit=bit,
-        budget=mu0,
-        policy_name=policy_name,
-        policy_params=policy_params,
-        n_trials=n_trials,
-        spends=spends,
-        decisions=decisions,
-        answers=answers,
-        lengths=lengths,
-        truncated=truncated,
-        draws=draws,
-        w0=w0s if kind == "simulated" else None,
-    )
+    return (spends, decisions, answers, lengths, truncated, draws,
+            w0s if kind == "simulated" else None)

@@ -85,14 +85,6 @@ class StreamingCholesky:
     s: float = 0.0        # running inner product y . v
 
 
-def dense_state() -> DenseCholesky:
-    return DenseCholesky()
-
-
-def streaming_state() -> StreamingCholesky:
-    return StreamingCholesky()
-
-
 def _check_m(m) -> float:
     m = float(m)
     if not math.isfinite(m):

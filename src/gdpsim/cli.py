@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from .budget import filter_new, remaining_sq, try_spend
+from .curator import KINDS
 from .errors import ConfigError, GdpSimError
 from .harness import (
     emit_transcripts,
@@ -66,7 +67,7 @@ def _cmd_emit_transcripts(args) -> int:
         config = with_seed(config, args.seed)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     for kind in kinds:
-        if kind not in ("direct", "simulated"):
+        if kind not in KINDS:
             raise ConfigError(f"unknown kind {kind!r} in --kinds")
     emit_transcripts(config, args.out, kinds=kinds)
     print(f"transcripts: {args.out}")
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--kinds", default="direct,simulated")
+    p.add_argument("--kinds", default=",".join(KINDS))
     p.set_defaults(func=_cmd_emit_transcripts)
 
     p = sub.add_parser("filter-demo", help="walk spends through the budget filter")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import check_budget, filter_new, remaining_sq, try_spend
-from .cholesky import next_noise, streaming_state
+from .cholesky import StreamingCholesky, next_noise
 from .errors import SessionClosedError
 
 KINDS = ("direct", "simulated")
@@ -92,7 +92,7 @@ class Session:
             self._norm = self.mu0 if self.mu0 > 0.0 else 1.0
             z0 = self._draw()
             self.w0 = self.b * self.mu0 + z0
-            self.chol = streaming_state()
+            self.chol = StreamingCholesky()
 
     def _draw(self) -> float:
         self.draws += 1

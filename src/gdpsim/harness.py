@@ -18,7 +18,8 @@ nesting; unknown keys are errors):
 For every (policy, bit), ``run_experiment`` runs n_trials direct and
 n_trials simulated interactions on disjoint derived streams (policy arms and
 mechanism arms are keyed separately; see gdpsim.rng for the splitting rule),
-then evaluates per-round marginal KS tests, the policy summary KS test,
+then evaluates per-round marginal KS tests, a KS test on each trial's sum
+of accepted answers,
 moment and covariance bounds where round shapes are uniform, and
 refusal-pattern checksums.  Rounds with fewer than min_test_samples values
 in either arm are reported as "insufficient sample" rather than tested,
@@ -40,7 +41,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -48,8 +49,8 @@ import numpy as np
 from .adversaries import make_policy
 from .batch import run_trial_batch, policy_stream_id
 from .budget import check_budget
-from .cholesky import dense_state, next_noise, streaming_state
-from .curator import Round, Transcript
+from .cholesky import DenseCholesky, StreamingCholesky, next_noise
+from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Transcript
 from .errors import ConfigError, NumericalIntegrityError
 from .mechanisms import make_mechanism
 from .rng import derive_key, generator
@@ -86,20 +87,21 @@ class ExperimentConfig:
     bits: tuple = (0, 1)
     policies: tuple = ()      # ((name, params dict), ...)
     mechanisms: tuple = ()    # ((name, mu, params dict), ...)
-    max_rounds: int = 256
+    max_rounds: int = DEFAULT_MAX_ROUNDS
     master_seed: int = 0
     alpha: float = 0.001
     min_test_samples: int = 10000
 
 
-_TOP_KEYS = {
-    "budget", "n_trials", "bits", "policies", "mechanisms",
-    "max_rounds", "master_seed", "alpha", "min_test_samples",
-}
+# The config file's keys are ExperimentConfig's fields; those without a
+# default are required.  Tuple defaults are JSON lists in a config file.
+_DEFAULTS = {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+             for f in fields(ExperimentConfig) if f.default is not MISSING}
+_REQUIRED = [f.name for f in fields(ExperimentConfig) if f.name not in _DEFAULTS]
 
-
-def with_seed(config: ExperimentConfig, master_seed: int) -> ExperimentConfig:
-    return replace(config, master_seed=int(master_seed))
+# The integers ``derive_key`` encodes (16 signed bytes).
+_SEED_RANGE = range(-2**127, 2**127)
+_SEED_RULE = "must be an integer in [-2**127, 2**127)"
 
 
 def _is_int(x) -> bool:
@@ -107,70 +109,85 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _bool_param(entry: dict) -> str | None:
-    """The first key of a policy or mechanism entry whose value is, or
-    lists, a JSON boolean (which Python would take as 1 or 0)."""
-    for key, value in entry.items():
-        items = value if isinstance(value, list) else [value]
-        if any(isinstance(v, bool) for v in items):
-            return key
-    return None
+def _is_number(x) -> bool:
+    """A finite JSON number: not a boolean, a string, NaN or infinity
+    (Python's json reads ``NaN`` and ``Infinity``)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _seed_ok(seed) -> bool:
+    return _is_int(seed) and seed in _SEED_RANGE
+
+
+def with_seed(config: ExperimentConfig, master_seed: int) -> ExperimentConfig:
+    master_seed = int(master_seed)
+    if not _seed_ok(master_seed):
+        raise ConfigError(f"master_seed: {_SEED_RULE}, got {master_seed!r}")
+    return replace(config, master_seed=master_seed)
 
 
 def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     """Validate a raw config mapping; unknown keys are errors (fail closed)."""
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: config root must be an object")
-    unknown = set(data) - _TOP_KEYS
+    unknown = set(data).difference(_DEFAULTS, _REQUIRED)
     if unknown:
         raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
-    for key in ("budget", "n_trials"):
+    for key in _REQUIRED:
         if key not in data:
             raise ConfigError(f"{source}: missing required key {key!r}")
+    data = {**_DEFAULTS, **data}
 
     def fail(field, msg):
         raise ConfigError(f"{source}: {field}: {msg}")
 
-    if isinstance(data["budget"], bool):
-        fail("budget", f"must be a number, got {data['budget']!r}")
+    def check_params(field, entry):
+        # Policy and mechanism parameters are finite numbers or lists of them.
+        for key, value in entry.items():
+            items = value if isinstance(value, list) else [value]
+            if key != "name" and not all(_is_number(v) for v in items):
+                fail(field, f"{key} must be a finite number or a list of them, "
+                            f"got {value!r}")
+
+    if not _is_number(data["budget"]):
+        fail("budget", f"must be a finite number, got {data['budget']!r}")
     try:
         budget = check_budget(data["budget"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         fail("budget", exc)
     n_trials = data["n_trials"]
     if not _is_int(n_trials) or n_trials < 1:
         fail("n_trials", f"must be a positive integer, got {n_trials!r}")
-    bits = data.get("bits", [0, 1])
+    bits = data["bits"]
     if (not isinstance(bits, list) or not bits
             or any(not _is_int(b) or b not in (0, 1) for b in bits)
             or len(set(bits)) != len(bits)):
         fail("bits", f"must be a nonempty subset of [0, 1], got {bits!r}")
-    max_rounds = data.get("max_rounds", 256)
+    max_rounds = data["max_rounds"]
     if not _is_int(max_rounds) or max_rounds < 1:
         fail("max_rounds", f"must be a positive integer, got {max_rounds!r}")
-    master_seed = data.get("master_seed", 0)
-    if not _is_int(master_seed):
-        fail("master_seed", f"must be an integer, got {master_seed!r}")
-    alpha = data.get("alpha", 0.001)
-    if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
+    master_seed = data["master_seed"]
+    if not _seed_ok(master_seed):
+        fail("master_seed", f"{_SEED_RULE}, got {master_seed!r}")
+    alpha = data["alpha"]
+    if not _is_number(alpha) or not 0.0 < alpha < 1.0:
         fail("alpha", f"must lie in (0, 1), got {alpha!r}")
-    min_test_samples = data.get("min_test_samples", 10000)
+    min_test_samples = data["min_test_samples"]
     if not _is_int(min_test_samples) or min_test_samples < 2:
         fail("min_test_samples", f"must be an integer >= 2, got {min_test_samples!r}")
 
     for key in ("policies", "mechanisms"):
-        if not isinstance(data.get(key, []), list):
+        if not isinstance(data[key], list):
             fail(key, f"must be a list, got {data[key]!r}")
 
     policies = []
-    for i, entry in enumerate(data.get("policies", [])):
+    for i, entry in enumerate(data["policies"]):
         field = f"policies[{i}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             fail(field, "must be an object with a string 'name'")
         params = {k: v for k, v in entry.items() if k != "name"}
-        key = _bool_param(entry)
-        if key is not None:
-            fail(field, f"{key} must be numeric, got {entry[key]!r}")
+        check_params(field, entry)
         try:
             make_policy(entry["name"], **params)
         except (TypeError, ValueError) as exc:
@@ -178,15 +195,13 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
         policies.append((entry["name"], params))
 
     mechanisms = []
-    for i, entry in enumerate(data.get("mechanisms", [])):
+    for i, entry in enumerate(data["mechanisms"]):
         field = f"mechanisms[{i}]"
         if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
                 or "mu" not in entry):
             fail(field, "must be an object with a string 'name' and a 'mu'")
         params = {k: v for k, v in entry.items() if k not in ("name", "mu")}
-        key = _bool_param(entry)
-        if key is not None:
-            fail(field, f"{key} must be numeric, got {entry[key]!r}")
+        check_params(field, entry)
         try:
             make_mechanism(entry["name"], entry["mu"], **params)
         except (TypeError, ValueError) as exc:
@@ -221,19 +236,13 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "budget": config.budget,
-        "n_trials": config.n_trials,
-        "bits": list(config.bits),
-        "policies": [{"name": n, "params": p} for n, p in config.policies],
-        "mechanisms": [
-            {"name": n, "mu": mu, "params": p} for n, mu, p in config.mechanisms
-        ],
-        "max_rounds": config.max_rounds,
-        "master_seed": config.master_seed,
-        "alpha": config.alpha,
-        "min_test_samples": config.min_test_samples,
-    }
+    echo = {f.name: getattr(config, f.name) for f in fields(config)}
+    echo.update(
+        bits=list(config.bits),
+        policies=[{"name": n, "params": p} for n, p in config.policies],
+        mechanisms=[{"name": n, "mu": mu, "params": p} for n, mu, p in config.mechanisms],
+    )
+    return echo
 
 
 # --- evaluation of one (policy, bit) pair ----------------------------------
@@ -399,13 +408,10 @@ def _evaluate_pair(direct, sim, alpha: float, min_samples: int) -> dict:
 
 
 def _policy_section(config, name, params, bit, seed, engine) -> dict:
-    direct = run_trial_batch(
-        "direct", bit, config.budget, name, params,
-        config.n_trials, seed, config.max_rounds, engine,
-    )
-    sim = run_trial_batch(
-        "simulated", bit, config.budget, name, params,
-        config.n_trials, seed, config.max_rounds, engine,
+    direct, sim = (
+        run_trial_batch(kind, bit, config.budget, name, params,
+                        config.n_trials, seed, config.max_rounds, engine)
+        for kind in KINDS
     )
     section = {"policy": name, "params": params, "bit": bit}
     section.update(_evaluate_pair(direct, sim, config.alpha, config.min_test_samples))
@@ -418,25 +424,20 @@ def _mechanism_outcomes(res, mech, post_rng) -> np.ndarray:
     if res.answers.shape[1] == 0:
         return np.empty(0)
     accepted = res.decisions[:, 0] == 1
-    core = res.answers[accepted, 0]
-    if mech.vector_post is not None:
-        return np.asarray(mech.vector_post(core, post_rng), dtype=float)
-    return np.array([mech.post(v, post_rng) for v in core], dtype=float)
+    return mech.post(res.answers[accepted, 0], post_rng)
 
 
 def _mechanism_section(config, name, mu, params, bit, seed, engine) -> dict:
     mech = make_mechanism(name, mu, **params)
     label = "mechanism:" + policy_stream_id(name, {"mu": mu, **params})
-    arms = {}
-    for kind in ("direct", "simulated"):
-        arms[kind] = run_trial_batch(
-            kind, bit, config.budget, "fixed", {"spends": [mu]},
-            config.n_trials, seed, config.max_rounds, engine, stream_label=label,
-        )
-    out_d = _mechanism_outcomes(arms["direct"], mech,
-                                generator(seed, "post", label, "direct", bit))
-    out_s = _mechanism_outcomes(arms["simulated"], mech,
-                                generator(seed, "post", label, "simulated", bit))
+    outcomes = []
+    for kind in KINDS:
+        res = run_trial_batch(kind, bit, config.budget, "fixed", {"spends": [mu]},
+                              config.n_trials, seed, config.max_rounds, engine,
+                              stream_label=label)
+        outcomes.append(_mechanism_outcomes(res, mech,
+                                            generator(seed, "post", label, kind, bit)))
+    out_d, out_s = outcomes
     refused_d = config.n_trials - out_d.size
     refused_s = config.n_trials - out_s.size
     section = {
@@ -671,6 +672,8 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
     """
     if cases < 1:
         raise ValueError("cases must be at least 1")
+    if not _seed_ok(seed):
+        raise ValueError(f"seed {_SEED_RULE}, got {seed!r}")
     max_factor = 0.0
     max_stream = 0.0
     max_canon = 0.0
@@ -689,8 +692,8 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
             m = random_admissible_spends(rng, exhaust, max_len)
         exhaust_count += int(exhaust)
         seeds = rng.standard_normal(m.size)
-        dense = dense_state()
-        stream = streaming_state()
+        dense = DenseCholesky()
+        stream = StreamingCholesky()
         for mi, vi in zip(m, seeds):
             u_dense, dense = next_noise(dense, float(mi), float(vi))
             u_stream, stream = next_noise(stream, float(mi), float(vi))
@@ -785,18 +788,24 @@ def parse_transcripts(path) -> dict:
     return out
 
 
-def emit_transcripts(config: ExperimentConfig, path, kinds=("direct", "simulated")):
-    """Run the configured arms and write every transcript to ``path``."""
-    records = []
-    for name, params in config.policies:
-        label = policy_stream_id(name, params)
-        for bit in config.bits:
-            for kind in kinds:
-                res = run_trial_batch(
-                    kind, bit, config.budget, name, params,
-                    config.n_trials, config.master_seed, config.max_rounds,
-                )
-                for t, tr in enumerate(res.transcripts()):
-                    records.append((label, bit, kind, t, tr))
-    write_transcripts(path, records)
+def emit_transcripts(config: ExperimentConfig, path, kinds=KINDS):
+    """Run the configured arms and write every transcript to ``path``.
+
+    Arms run one at a time as the writer asks for records, so only one
+    arm's transcripts are held at once.
+    """
+
+    def records():
+        for name, params in config.policies:
+            label = policy_stream_id(name, params)
+            for bit in config.bits:
+                for kind in kinds:
+                    res = run_trial_batch(
+                        kind, bit, config.budget, name, params,
+                        config.n_trials, config.master_seed, config.max_rounds,
+                    )
+                    for t, tr in enumerate(res.transcripts()):
+                        yield label, bit, kind, t, tr
+
+    write_transcripts(path, records())
     return path

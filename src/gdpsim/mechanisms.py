@@ -11,6 +11,11 @@ form; whether an arbitrary black-box mechanism admits such a representation
 is not this package's problem.  Randomized postprocessings draw from their
 own stream (``post_rng``), never from the session's, so distributional
 comparisons isolate the Gaussian core.
+
+Each registered map is written once over the ``gdpsim._numeric`` op sets:
+``sample`` and ``reduce_and_serve`` apply it to one float, the harness to
+the array of a whole arm's accepted answers, and every element of an array
+call is bitwise equal to the float call on that element.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._numeric import ops
 from .budget import check_spend
 
 
@@ -27,11 +31,14 @@ from .budget import check_spend
 class PostprocessedMechanism:
     """A spend plus an outcome map over the Gaussian core value.
 
-    ``post(x, rng)`` must be a pure function of x and its own rng.
-    ``vector_post``, when present, is the same map over a float array and is
-    what the batch harness applies.  ``binary`` marks mechanisms whose
-    outcome set has at most two values (compared by proportion test rather
-    than KS).
+    ``post(x, rng)`` must be a pure function of x and its own rng, and
+    take a float or a float array (the harness passes the array of an arm's
+    accepted answers).  ``binary`` marks mechanisms whose outcome set has
+    at most two values (compared by proportion test rather than KS).
+
+    ``vector_post`` is unused: nothing in the package sets or reads it.  It
+    stays because the benchmark's tracer (``perfbench/spans.py``) reads it
+    and passes it to ``dataclasses.replace``.
     """
 
     name: str
@@ -62,19 +69,15 @@ def reduce_and_serve(session, mech: PostprocessedMechanism, post_rng=None):
 
 
 def _identity(mu: float) -> PostprocessedMechanism:
-    return PostprocessedMechanism(
-        "identity", mu,
-        post=lambda x, rng: float(x),
-        vector_post=lambda x, rng: np.asarray(x, dtype=float),
-    )
+    # Multiplying by 1.0 copies x as floats and keeps every bit, -0.0 too.
+    return PostprocessedMechanism("identity", mu, post=lambda x, rng: x * 1.0)
 
 
 def _threshold(mu: float, tau: float) -> PostprocessedMechanism:
     tau = float(tau)
     return PostprocessedMechanism(
         "threshold", mu,
-        post=lambda x, rng: 1.0 if x > tau else 0.0,
-        vector_post=lambda x, rng: (np.asarray(x) > tau).astype(float),
+        post=lambda x, rng: ops(x).where(x > tau, 1.0, 0.0),
         binary=True,
     )
 
@@ -82,17 +85,14 @@ def _threshold(mu: float, tau: float) -> PostprocessedMechanism:
 def _sign(mu: float) -> PostprocessedMechanism:
     return PostprocessedMechanism(
         "sign", mu,
-        post=lambda x, rng: 1.0 if x > 0.0 else -1.0,
-        vector_post=lambda x, rng: np.where(np.asarray(x) > 0.0, 1.0, -1.0),
+        post=lambda x, rng: ops(x).where(x > 0.0, 1.0, -1.0),
         binary=True,
     )
 
 
 def _round_to_integer(mu: float) -> PostprocessedMechanism:
     return PostprocessedMechanism(
-        "round_to_integer", mu,
-        post=lambda x, rng: float(np.rint(x)),
-        vector_post=lambda x, rng: np.rint(np.asarray(x, dtype=float)),
+        "round_to_integer", mu, post=lambda x, rng: ops(x).rint(x),
     )
 
 

@@ -18,14 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdpsim import (
-    filter_new,
-    open_session,
-    run_trial_batch,
-    try_spend,
-    verify_cholesky,
-)
-from gdpsim.budget import REL_SLACK
+from gdpsim.batch import run_trial_batch
+from gdpsim.budget import REL_SLACK, filter_new, try_spend
+from gdpsim.curator import open_session
+from gdpsim.harness import verify_cholesky
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "acceptance.cfg"
@@ -40,7 +36,8 @@ def announce(name, ok, detail=""):
 
 
 def run_cli(out_path):
-    cmd = [sys.executable, "-m", "gdpsim", "run",
+    # The pytest filterwarnings rule does not reach the subprocess.
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "gdpsim", "run",
            "--config", str(CONFIG), "--seed", "42", "--out", str(out_path)]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")

@@ -4,18 +4,17 @@ import math
 
 import pytest
 
-from gdpsim import (
+from gdpsim.adversaries import (
+    STOP_TOL,
     make_policy,
-    open_session,
     policy_fixed,
     policy_greedy_halving,
+    policy_names,
     policy_overspend_prober,
     policy_sign_adaptive,
-    run_interaction,
-    run_trial_batch,
 )
-from gdpsim.adversaries import STOP_TOL, policy_names
-from gdpsim.curator import Round
+from gdpsim.batch import run_trial_batch
+from gdpsim.curator import Round, open_session, run_interaction
 
 
 def decisions_of(transcript):
@@ -151,10 +150,3 @@ def test_registry_coverage_and_aliases():
     with pytest.raises(ValueError):
         make_policy("nonesuch")
 
-
-def test_summary_is_sum_of_accepted_answers():
-    session = open_session("direct", 1, 1.0, 31)
-    pol = policy_fixed([0.5, 0.9, 0.5])
-    tr = run_interaction(session, pol)
-    expected = sum(r.answer for r in tr.rounds if r.accepted)
-    assert pol.summary(tr) == expected

@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gdpsim import FilterState, filter_new, remaining_sq, try_spend
-from gdpsim.budget import REL_SLACK
+from gdpsim.budget import REL_SLACK, FilterState, filter_new, remaining_sq, try_spend
 
 
 def spend_all(state, spends):

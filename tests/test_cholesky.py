@@ -9,21 +9,18 @@ import math
 import numpy as np
 import pytest
 
-from gdpsim import (
-    BudgetOverflowError,
+from gdpsim.cholesky import DenseCholesky, StreamingCholesky, extend, next_noise
+from gdpsim.errors import BudgetOverflowError
+from gdpsim.harness import (
     canonical_cholesky_oracle,
-    dense_state,
-    extend,
-    next_noise,
-    streaming_state,
+    random_admissible_spends,
     verify_cholesky,
 )
-from gdpsim.harness import random_admissible_spends
 from gdpsim.rng import generator
 
 
 def grow(spends, mode="dense"):
-    state = dense_state() if mode == "dense" else streaming_state()
+    state = DenseCholesky() if mode == "dense" else StreamingCholesky()
     for m in spends:
         state = extend(state, m)
     return state
@@ -78,33 +75,33 @@ def test_positive_spend_after_exhaustion_rejected():
 
 def test_precondition_overflow_rejected():
     with pytest.raises(BudgetOverflowError):
-        extend(dense_state(), 1.5)
+        extend(DenseCholesky(), 1.5)
     with pytest.raises(BudgetOverflowError):
         extend(grow([0.8]), 0.8)
 
 
 def test_non_finite_spend_rejected():
     with pytest.raises(ValueError):
-        extend(dense_state(), float("nan"))
+        extend(DenseCholesky(), float("nan"))
 
 
 def test_noise_full_spend_is_deterministic_zero():
-    u, _ = next_noise(dense_state(), 1.0, 2.345)
+    u, _ = next_noise(DenseCholesky(), 1.0, 2.345)
     assert u == 0.0
-    u, _ = next_noise(streaming_state(), 1.0, 2.345)
+    u, _ = next_noise(StreamingCholesky(), 1.0, 2.345)
     assert u == 0.0
 
 
 def test_noise_zero_spend_passes_seed_through():
-    u, _ = next_noise(dense_state(), 0.0, 1.7)
+    u, _ = next_noise(DenseCholesky(), 0.0, 1.7)
     assert u == 1.7
-    u, _ = next_noise(streaming_state(), 0.0, 1.7)
+    u, _ = next_noise(StreamingCholesky(), 0.0, 1.7)
     assert u == 1.7
 
 
 def test_noise_two_rounds_frozen_value():
     # rounds m=(0.6, 0.6), seeds v=(1.0, 1.0): row-times-vector oracle
-    _, state = next_noise(dense_state(), 0.6, 1.0)
+    _, state = next_noise(DenseCholesky(), 0.6, 1.0)
     u, _ = next_noise(state, 0.6, 1.0)
     assert abs(u - 0.2114378277661477) < 1e-15
 
@@ -113,7 +110,7 @@ def test_prefix_stability_against_oracle():
     rng = generator(314, "prefix")
     for case in range(20):
         m = random_admissible_spends(rng, exhaust=case % 5 == 0, max_len=24)
-        state = dense_state()
+        state = DenseCholesky()
         snapshots = []
         for mi in m:
             state = extend(state, float(mi))
@@ -137,7 +134,7 @@ def test_random_suite_factor_and_streaming():
 
 
 def test_streaming_state_is_constant_size():
-    state = streaming_state()
+    state = StreamingCholesky()
     for mi in [0.3, 0.2, 0.4, 0.1, 0.05]:
         state = extend(state, mi)
     assert 0.0 <= state.q <= 1.0 + 2 ** -40
@@ -151,7 +148,7 @@ def test_noise_moments_smoke():
     seeds = rng.standard_normal((n, len(m)))
     us = np.empty((n, len(m)))
     for t in range(n):
-        state = streaming_state()
+        state = StreamingCholesky()
         for i, mi in enumerate(m):
             us[t, i], state = next_noise(state, mi, float(seeds[t, i]))
     sigma = np.eye(3) - np.outer(m, m)

@@ -5,14 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from gdpsim import (
-    SessionClosedError,
-    open_session,
-    policy_fixed,
-    run_interaction,
-    run_trial_batch,
-    streaming_state,
-)
+from gdpsim.adversaries import policy_fixed
+from gdpsim.batch import run_trial_batch
+from gdpsim.cholesky import StreamingCholesky
+from gdpsim.curator import open_session, run_interaction
+from gdpsim.errors import SessionClosedError
 from gdpsim.cholesky import next_noise
 
 
@@ -163,7 +160,7 @@ def test_scaling_coherence_exact():
 
     gen = fresh_generator(seed)
     z0 = gen.standard_normal()
-    state = streaming_state()
+    state = StreamingCholesky()
     us = []
     for mu in spends:
         u, state = next_noise(state, mu / mu0, gen.standard_normal())
@@ -204,7 +201,7 @@ def test_conditional_law_at_fixed_prefixes():
 def test_simulated_law_matches_direct_small_sample():
     # cheap two-sample sanity at module scale; the acceptance suite runs the
     # full-power version
-    from gdpsim import ks_two_sample
+    from gdpsim.stats import ks_two_sample
     n = 20000
     d = run_trial_batch("direct", 1, 1.0, "fixed", {"spends": [0.6, 0.8]}, n, 5)
     s = run_trial_batch("simulated", 1, 1.0, "fixed", {"spends": [0.6, 0.8]}, n, 5)

@@ -8,9 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gdpsim import (
-    ConfigError,
-    Transcript,
+import gdpsim
+from gdpsim import harness
+from gdpsim.cli import main
+from gdpsim.curator import Round, Transcript
+from gdpsim.errors import ConfigError
+from gdpsim.harness import (
+    _refusal_checksum,
     config_from_dict,
     emit_transcripts,
     load_config,
@@ -21,9 +25,6 @@ from gdpsim import (
     with_seed,
     write_transcripts,
 )
-from gdpsim.cli import main
-from gdpsim.curator import Round
-from gdpsim.harness import _refusal_checksum
 
 
 def small_config(**overrides):
@@ -85,6 +86,35 @@ def test_config_field_diagnostics():
                        ("policies", {"name": "fixed"}), ("mechanisms", "identity")]:
         with pytest.raises(ConfigError, match=rf"{key}: must be a list"):
             config_from_dict({"budget": 1.0, "n_trials": 1, key: value})
+    # derive_key encodes seeds in 16 signed bytes
+    for seed in (2**127, 2**130, -2**127 - 1):
+        with pytest.raises(ConfigError, match="master_seed"):
+            config_from_dict({"budget": 1.0, "n_trials": 1, "master_seed": seed})
+    for seed in (2**127 - 1, -2**127):
+        assert config_from_dict({"budget": 1.0, "n_trials": 1,
+                                 "master_seed": seed}).master_seed == seed
+    # numbers only: no strings, NaN or infinities (Python's json reads both)
+    for key, value in [("budget", "1.0"), ("budget", float("nan")),
+                       ("budget", float("inf")), ("alpha", float("nan"))]:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"budget": 1.0, "n_trials": 1, key: value})
+    for key, param, entry in [
+        ("policies", "spends", {"name": "fixed", "spends": ["0.6", 0.8]}),
+        ("policies", "hi", {"name": "sign_adaptive", "hi": "0.8", "lo": 0.2}),
+        ("policies", "spends", {"name": "fixed", "spends": [0.6, float("nan")]}),
+        ("mechanisms", "tau", {"name": "threshold", "mu": 1.0, "tau": "0.5"}),
+        ("mechanisms", "tau", {"name": "threshold", "mu": 1.0, "tau": float("nan")}),
+        ("mechanisms", "tau", {"name": "threshold", "mu": 1.0, "tau": float("inf")}),
+        ("mechanisms", "tau", {"name": "threshold", "mu": 1.0, "tau": -float("inf")}),
+        ("mechanisms", "mu", {"name": "identity", "mu": "0.5"}),
+    ]:
+        with pytest.raises(ConfigError, match=rf"{key}\[0\]: {param} must be a finite number"):
+            config_from_dict({"budget": 1.0, "n_trials": 1, key: [entry]})
+
+
+def test_package_root_exports_only_the_documented_surface():
+    assert sorted(gdpsim.__all__) == ["__version__", "parse_transcripts"]
+    assert gdpsim.parse_transcripts is parse_transcripts
 
 
 def test_config_json_line_diagnostics(tmp_path):
@@ -190,6 +220,29 @@ def test_emit_transcripts_row_count(tmp_path):
     emit_transcripts(config, path, kinds=("simulated",))
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 3  # header + one row per (trial, round)
+
+
+def test_emit_transcripts_writes_each_arm_before_running_the_next(tmp_path, monkeypatch):
+    events = []
+    run_batch = harness.run_trial_batch
+
+    def logged_batch(kind, *args, **kwargs):
+        events.append(("batch", kind))
+        return run_batch(kind, *args, **kwargs)
+
+    def logged_writer(path, records):
+        for record in records:
+            events.append(("record", record[2]))
+
+    monkeypatch.setattr(harness, "run_trial_batch", logged_batch)
+    monkeypatch.setattr(harness, "write_transcripts", logged_writer)
+    config = config_from_dict({
+        "budget": 1.0, "n_trials": 3, "bits": [1],
+        "policies": [{"name": "fixed", "spends": [0.5]}],
+    })
+    emit_transcripts(config, tmp_path / "out.csv")
+    assert events == ([("batch", "direct")] + [("record", "direct")] * 3
+                      + [("batch", "simulated")] + [("record", "simulated")] * 3)
 
 
 def test_parse_rejects_malformed(tmp_path):
@@ -353,6 +406,23 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text(json.dumps({"budget": 1.0, "n_trials": 1, "policies": 5}))
     assert main(["run", "--config", str(bad)]) == 2
     assert "policies: must be a list" in capsys.readouterr().err
+    bad.write_text(json.dumps({"budget": 1.0, "n_trials": 1, "master_seed": 2**130}))
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    bad.write_text('{"budget": 1.0, "n_trials": 1, "mechanisms": '
+                   '[{"name": "threshold", "mu": 1.0, "tau": NaN}]}')
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "mechanisms[0]: tau" in capsys.readouterr().err
+    # --seed outside what derive_key encodes, on every command that takes one
+    config = write_cli_config(tmp_path)
+    out = tmp_path / "out"
+    for seed in (2**127, -2**127 - 1):
+        for argv in (["run", "--config", str(config)],
+                     ["emit-transcripts", "--config", str(config), "--out", str(out)],
+                     ["verify-cholesky", "--cases", "3"]):
+            assert main(argv + ["--seed", str(seed)]) == 2, argv
+            assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_math_error_exit_code(capsys):

@@ -10,18 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from gdpsim import (
+from gdpsim.batch import run_trial_batch
+from gdpsim.curator import open_session
+from gdpsim.mechanisms import (
     PostprocessedMechanism,
     make_mechanism,
-    normal_cdf,
-    open_session,
+    mechanism_names,
     reduce_and_serve,
-    run_trial_batch,
     sample,
-    two_proportion_z,
 )
-from gdpsim.mechanisms import mechanism_names
 from gdpsim.rng import generator
+from gdpsim.stats import normal_cdf, two_proportion_z
 
 P_HI = 0.6914624612740131
 P_LO = 0.3085375387259869
@@ -64,7 +63,7 @@ def test_threshold_direct_vs_simulated_two_proportion():
         counts = {}
         for kind in ("direct", "simulated"):
             res = run_trial_batch(kind, b, 1.0, "fixed", {"spends": [1.0]}, n, 77)
-            outs = mech.vector_post(res.round_answers(0), None)
+            outs = mech.post(res.round_answers(0), None)
             counts[kind] = int(outs.sum())
         rep = two_proportion_z(counts["direct"], n, counts["simulated"], n)
         assert rep.passed, rep
@@ -119,11 +118,18 @@ def test_randomized_post_uses_its_own_stream():
     assert out_a != out_b
 
 
-def test_vector_post_matches_scalar_post():
+def test_post_on_an_array_matches_post_on_each_float():
+    # One array call must equal the per-value float calls bit for bit,
+    # including signed zeros, the threshold itself and rint's half-to-even ties.
+    edges = [0.0, -0.0, 0.5, -0.5, 1.5, 2.5, -2.5, 1e-300, -1e300, 0.49999999999999994]
+    xs = np.concatenate([edges, generator(6, "postcheck").standard_normal(500)])
     for name, kwargs in [("identity", {}), ("threshold", {"tau": 0.5}),
                          ("sign", {}), ("round_to_integer", {})]:
         mech = make_mechanism(name, 0.5, **kwargs)
-        xs = generator(6, "postcheck").standard_normal(500)
-        vec = np.asarray(mech.vector_post(xs, None))
-        sca = np.array([mech.post(float(x), None) for x in xs])
-        assert np.array_equal(vec, sca)
+        whole = mech.post(xs, None)
+        assert isinstance(whole, np.ndarray) and whole.dtype == np.float64
+        assert whole.shape == xs.shape
+        for x, w in zip(xs, whole):
+            one = mech.post(float(x), None)
+            assert type(one) is float, (name, type(one))
+            assert w.tobytes() == np.float64(one).tobytes(), (name, x, w, one)

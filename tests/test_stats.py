@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gdpsim import (
+from gdpsim.rng import generator
+from gdpsim.stats import TestReport as Report  # not a pytest class
+from gdpsim.stats import (
     covariance_deviation,
     empirical_moments,
     kolmogorov_sf,
@@ -15,8 +17,6 @@ from gdpsim import (
     normality_check,
     two_proportion_z,
 )
-from gdpsim.rng import generator
-from gdpsim.stats import TestReport as Report  # not a pytest class
 
 
 def normal_quantile(p: float) -> float:
