@@ -26,6 +26,7 @@ same BatchResult.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,8 @@ class BatchResult:
     draws: np.ndarray
     w0: np.ndarray | None
 
-    def transcripts(self) -> list[Transcript]:
-        out = []
+    def transcripts(self) -> Iterator[Transcript]:
+        """Each trial's Transcript in turn, built when it is asked for."""
         for t in range(self.n_trials):
             rounds = []
             for i in range(int(self.lengths[t])):
@@ -141,8 +142,7 @@ class BatchResult:
                     bool(accepted),
                     float(self.answers[t, i]) if accepted else None,
                 ))
-            out.append(Transcript(self.budget, rounds, bool(self.truncated[t])))
-        return out
+            yield Transcript(self.budget, rounds, bool(self.truncated[t]))
 
     def round_answers(self, r: int) -> np.ndarray:
         """Accepted answers at round r across trials."""

@@ -12,11 +12,11 @@ row appended for spend m is
     r   = -m * y_{i-1}
     d_i = sqrt((1 - Q_i) / (1 - Q_{i-1}))
 
-Dense mode stores the rows, the spends and the seeds it was fed, and
-recomputes y by an explicit forward solve -- it is the slow, transparent
-reference.  Streaming mode carries only three scalars (Q, its Kahan
-compensation, and the inner product s = y . v against the noise seeds) using
-the closed forms
+Dense mode stores the rows, the seeds it was fed and the solved column y,
+which it extends by one forward-substitution step against its own new row
+each round -- it is the transparent reference.  Streaming mode carries only
+three scalars (Q, its Kahan compensation, and the inner product s = y . v
+against the noise seeds) using the closed forms
 
     U_i    = -m * s + d_i * V_i            (last entry of L_i v_i)
     y_last = m / sqrt((1 - Q_i)(1 - Q_{i-1}))     (0 once Q_i = 1)
@@ -62,7 +62,7 @@ class DenseCholesky:
     """Reference mode: the factor held row by row."""
 
     rows: tuple = ()      # row i is a float64 array of length i+1
-    spends: tuple = ()    # normalized spends m_1..m_i
+    solved: tuple = ()    # y = L^{-1} m, one entry per row until exhaustion
     seeds: tuple = ()     # seeds V_1..V_i
     q: float = 0.0        # ||m||^2, Kahan-compensated
     q_comp: float = 0.0
@@ -123,15 +123,6 @@ def stream_step(q, q_comp, s, m, v):
     return -m * s + o.sqrt(rad_new / rad_prev) * v, q_new, comp_new, s + y_last * v
 
 
-def _forward_solve(rows: tuple, b: np.ndarray) -> np.ndarray:
-    # Solve L y = b by forward substitution.  Callers only reach this while
-    # every diagonal entry is strictly positive (pre-exhaustion).
-    y = np.empty(len(b))
-    for j, row in enumerate(rows):
-        y[j] = (b[j] - row[:j] @ y[:j]) / row[j]
-    return y
-
-
 def extend(state, m):
     """Grow the factor by one round with normalized spend ``m`` and a zero
     seed: :func:`next_noise` without its noise value."""
@@ -143,8 +134,8 @@ def next_noise(state, m, fresh_seed):
     entry of L_i v_i.
 
     ``fresh_seed`` is this round's i.i.d. standard-normal seed V_i.  Dense
-    mode appends the new row and the seed and does Theta(i) work; streaming
-    mode advances its three scalars and does Theta(1).
+    mode appends the new row, the seed and one entry of y, Theta(i) work;
+    streaming mode advances its three scalars and does Theta(1).
     """
     m = _check_m(m)
     fresh_seed = float(fresh_seed)
@@ -158,9 +149,13 @@ def next_noise(state, m, fresh_seed):
     d, q, q_comp, _ = stream_step(state.q, state.q_comp, 0.0, m, 1.0)
     k = len(state.rows)
     row = np.zeros(k + 1)
+    solved = state.solved
     if state.q < 1.0:   # after exhaustion the row is (0, ..., 0, 1)
-        row[:k] = -m * _forward_solve(state.rows, np.asarray(state.spends))
+        y = np.asarray(solved, dtype=float)
+        row[:k] = -m * y
+        if q < 1.0:     # one forward-substitution step of L y = m
+            solved += (float((m - row[:k] @ y) / d),)
     row[k] = d
     u = float(row[:k] @ np.asarray(state.seeds, dtype=float) + row[k] * fresh_seed)
-    return u, DenseCholesky(state.rows + (row,), state.spends + (m,),
+    return u, DenseCholesky(state.rows + (row,), solved,
                             state.seeds + (fresh_seed,), q, q_comp)

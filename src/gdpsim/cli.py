@@ -18,6 +18,7 @@ from .budget import filter_new, remaining_sq, try_spend
 from .curator import KINDS
 from .errors import ConfigError, GdpSimError
 from .harness import (
+    _CANONICAL_TOL,
     emit_transcripts,
     load_config,
     report_table,
@@ -34,7 +35,8 @@ def _cmd_verify_cholesky(args) -> int:
           f"(tolerance {rep.factor.threshold:.1e})")
     print(f"max |U_streaming - U_dense|: {rep.max_streaming_deviation:.3e} "
           f"(tolerance {rep.streaming.threshold:.1e})")
-    print(f"max |L - oracle|: {rep.max_canonical_deviation:.3e}; "
+    print(f"max |L - oracle|: {rep.max_canonical_deviation:.3e} "
+          f"(tolerance {_CANONICAL_TOL:.1e}); "
           f"canonical-form failures: {rep.canonical_failures}")
     print("PASS" if rep.passed else "FAIL")
     return 0 if rep.passed else 1

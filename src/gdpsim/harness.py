@@ -70,12 +70,14 @@ _REPORT_SCHEMA = "gdpsim.report.v2"
 _MEAN_TOL_FACTOR = 6.7
 _COV_TOL_FACTOR = 9.0
 
-# verify_cholesky's bounds: |LL^T - (I - mm^T)| per entry, and the
-# streaming noise value against the dense one.
+# verify_cholesky's bounds: |LL^T - (I - mm^T)| per entry, the streaming
+# noise value against the dense one, and |L - oracle| per entry.
 _FACTOR_TOL = 1e-10
 _NOISE_TOL = 1e-9
-# Oracle pivots at or below this are zero (rank-deficient input).
+_CANONICAL_TOL = 1e-8
+# Oracle pivots in [-_PIVOT_NEGATIVE_TOL, _PIVOT_ZERO_TOL] are zero; below, not PSD.
 _PIVOT_ZERO_TOL = 1e-12
+_PIVOT_NEGATIVE_TOL = 1e-8
 
 
 # --- configuration ---------------------------------------------------------
@@ -532,6 +534,7 @@ def run_experiment(config: ExperimentConfig, engine: str = "vector") -> Experime
     overall &= normality.passed
     results["passed"] = bool(overall)
 
+    from . import __version__   # the package root imports this module
     checksum = _canonical_checksum(results)
     metadata = {
         "wall_time_seconds": time.perf_counter() - t0,
@@ -540,7 +543,7 @@ def run_experiment(config: ExperimentConfig, engine: str = "vector") -> Experime
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "gdpsim": "0.1.0",
+            "gdpsim": __version__,
         },
     }
     return ExperimentReport(bool(overall), results, metadata, checksum)
@@ -607,7 +610,7 @@ def canonical_cholesky_oracle(sigma) -> np.ndarray:
     for j in range(n):
         d2 = a[j, j] - L[j, :j] @ L[j, :j]
         if d2 <= _PIVOT_ZERO_TOL:
-            if d2 < -1e-8:
+            if d2 < -_PIVOT_NEGATIVE_TOL:
                 raise NumericalIntegrityError(f"pivot {j} is negative: {d2}")
             continue
         L[j, j] = math.sqrt(d2)
@@ -713,7 +716,7 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
                             max_factor <= _FACTOR_TOL)
     stream_rep = TestReport("streaming_vs_dense", max_stream, None, _NOISE_TOL,
                             max_stream <= _NOISE_TOL)
-    canonical_ok = canon_failures == 0 and max_canon <= 1e-8
+    canonical_ok = canon_failures == 0 and max_canon <= _CANONICAL_TOL
     return CholeskyVerification(
         cases=cases,
         exhaustion_cases=exhaust_count,
@@ -791,8 +794,8 @@ def parse_transcripts(path) -> dict:
 def emit_transcripts(config: ExperimentConfig, path, kinds=KINDS):
     """Run the configured arms and write every transcript to ``path``.
 
-    Arms run one at a time as the writer asks for records, so only one
-    arm's transcripts are held at once.
+    Arms run one at a time as the writer asks for records, and each arm's
+    transcripts are built one at a time from its result matrices.
     """
 
     def records():

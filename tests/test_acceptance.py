@@ -71,10 +71,12 @@ def test_criterion_1_factor_correctness(cholesky_suite):
     ok = (rep.cases == 1000
           and rep.exhaustion_cases >= 50
           and rep.max_factor_deviation <= 1e-10
+          and rep.max_canonical_deviation <= 1e-8
           and rep.canonical_failures == 0
           and elapsed <= 10.0)
     announce("criterion 1: cholesky factor correctness", ok,
              f"max dev {rep.max_factor_deviation:.2e}, "
+             f"max |L - oracle| {rep.max_canonical_deviation:.2e}, "
              f"{rep.exhaustion_cases} exhaustion cases, {elapsed:.1f}s")
 
 

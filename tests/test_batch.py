@@ -162,7 +162,9 @@ def test_draw_rows_differ_across_trials_and_labels():
 
 def test_transcripts_round_trip_matrix_form():
     res = run_trial_batch("simulated", 1, 1.0, "overspend_prober", {}, 6, 5)
-    for t, tr in enumerate(res.transcripts()):
+    transcripts = res.transcripts()
+    assert iter(transcripts) is transcripts   # built one at a time
+    for t, tr in enumerate(transcripts):
         assert len(tr.rounds) == res.lengths[t]
         for r in tr.rounds:
             assert r.accepted == (res.decisions[t, r.index] == 1)

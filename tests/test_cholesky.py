@@ -9,7 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from gdpsim.cholesky import DenseCholesky, StreamingCholesky, extend, next_noise
+from gdpsim.cholesky import (
+    DenseCholesky,
+    StreamingCholesky,
+    extend,
+    next_noise,
+    stream_step,
+)
 from gdpsim.errors import BudgetOverflowError
 from gdpsim.harness import (
     canonical_cholesky_oracle,
@@ -122,6 +128,51 @@ def test_prefix_stability_against_oracle():
             assert np.max(np.abs(snapshots[i - 1].matrix() - oracle)) < 1e-9
             # extending never rewrites the leading block
             assert np.array_equal(final[:i, :i], snapshots[i - 1].matrix())
+
+
+def forward_solve(rows, b):
+    """Solve L y = b by forward substitution over every stored row."""
+    y = np.empty(len(b))
+    for j, row in enumerate(rows):
+        y[j] = (b[j] - row[:j] @ y[:j]) / row[j]
+    return y
+
+
+def full_resolve_next_noise(state, m, v):
+    """Reference dense step that re-solves L y = m from scratch each round;
+    ``state`` is (rows, spends, seeds, q, q_comp)."""
+    rows, spends, seeds, q_prev, comp_prev = state
+    d, q, q_comp, _ = stream_step(q_prev, comp_prev, 0.0, m, 1.0)
+    k = len(rows)
+    row = np.zeros(k + 1)
+    if q_prev < 1.0:
+        row[:k] = -m * forward_solve(rows, np.asarray(spends))
+    row[k] = d
+    u = float(row[:k] @ np.asarray(seeds, dtype=float) + row[k] * v)
+    return u, (rows + (row,), spends + (m,), seeds + (v,), q, q_comp)
+
+
+def test_carried_solved_column_matches_full_resolve_bitwise():
+    # Compared in-process, so any BLAS rounding is the same on both sides.
+    rng = generator(27, "carried-solve")
+    steps = exhausted = tails = 0
+    for case in range(300):
+        m = random_admissible_spends(rng, exhaust=case % 5 == 0, max_len=48)
+        seeds = rng.standard_normal(m.size)
+        state, ref = DenseCholesky(), ((), (), (), 0.0, 0.0)
+        for mi, vi in zip(m, seeds):
+            u, state = next_noise(state, float(mi), float(vi))
+            u_ref, ref = full_resolve_next_noise(ref, float(mi), float(vi))
+            assert u == u_ref, (case, len(state.rows))
+            assert np.array_equal(state.rows[-1], ref[0][-1]), (case, len(state.rows))
+            steps += 1
+        assert len(state.rows) == m.size and state.q == ref[3]
+        if state.q < 1.0:
+            assert np.array_equal(np.asarray(state.solved), forward_solve(state.rows, m))
+        else:
+            exhausted += 1
+            tails += m[-1] == 0.0   # zero spends after exhaustion
+    assert exhausted == 60 and tails > 10 and steps > 5000
 
 
 def test_random_suite_factor_and_streaming():

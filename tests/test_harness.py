@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,6 +116,16 @@ def test_config_field_diagnostics():
 def test_package_root_exports_only_the_documented_surface():
     assert sorted(gdpsim.__all__) == ["__version__", "parse_transcripts"]
     assert gdpsim.parse_transcripts is parse_transcripts
+
+
+def test_version_is_written_once():
+    report = run_experiment(small_config(n_trials=20, min_test_samples=10,
+                                         bits=[1], mechanisms=[]))
+    assert report.metadata["versions"]["gdpsim"] == gdpsim.__version__
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == gdpsim.__version__
 
 
 def test_config_json_line_diagnostics(tmp_path):
@@ -380,7 +391,13 @@ def test_cli_run_writes_report_and_table(tmp_path, capsys):
 
 def test_cli_verify_cholesky(capsys):
     assert main(["verify-cholesky", "--cases", "30", "--seed", "3"]) == 0
-    assert "PASS" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "PASS"
+    # every maximum is printed with the tolerance it is checked against
+    for prefix, tol in [("max |LL^T", "1.0e-10"), ("max |U_streaming", "1.0e-09"),
+                        ("max |L - oracle|", "1.0e-08")]:
+        assert any(line.startswith(prefix) and f"(tolerance {tol})" in line
+                   for line in lines), prefix
 
 
 def test_cli_emit_transcripts(tmp_path):
