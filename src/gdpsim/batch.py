@@ -1,7 +1,10 @@
 """Vectorized Monte-Carlo trial engine.
 
 Runs n_trials independent curator interactions for one (kind, bit, policy)
-arm, round-synchronously across numpy arrays with one lane per trial.  The
+arm, round-synchronously across numpy arrays with one lane per live trial:
+a trial that stops leaves every per-lane array at once, so each round costs
+only its live lanes.  Each round keeps its live lanes' spends, decisions and
+answers, and each result matrix is built from them once, at the end.  The
 filter rule (``budget.admit``), the streaming factor step
 (``cholesky.stream_step``) and the policy's ``spends`` kernel are the same
 functions a scalar ``gdpsim.curator.Session`` runs on floats, so per-trial
@@ -131,18 +134,14 @@ class BatchResult:
     w0: np.ndarray | None
 
     def transcripts(self) -> Iterator[Transcript]:
-        """Each trial's Transcript in turn, built when it is asked for."""
-        for t in range(self.n_trials):
-            rounds = []
-            for i in range(int(self.lengths[t])):
-                accepted = self.decisions[t, i] == 1
-                rounds.append(Round(
-                    i,
-                    float(self.spends[t, i]),
-                    bool(accepted),
-                    float(self.answers[t, i]) if accepted else None,
-                ))
-            yield Transcript(self.budget, rounds, bool(self.truncated[t]))
+        """Each trial's Transcript in turn, built from its rows read once."""
+        for t, (k, truncated) in enumerate(zip(self.lengths.tolist(),
+                                               self.truncated.tolist())):
+            rows = zip(self.spends[t, :k].tolist(), self.decisions[t, :k].tolist(),
+                       self.answers[t, :k].tolist())
+            rounds = [Round(i, spend, dec == 1, answer if dec == 1 else None)
+                      for i, (spend, dec, answer) in enumerate(rows)]
+            yield Transcript(self.budget, rounds, truncated)
 
     def round_answers(self, r: int) -> np.ndarray:
         """Accepted answers at round r across trials."""
@@ -198,86 +197,86 @@ def run_trial_batch(
 
 def _run_vector(kind, bit, mu0, policy_name, policy_params,
                 n, max_rounds, tableau: DrawTableau):
-    """All trials round-synchronously, one array lane per trial.  Both
-    engines return the BatchResult fields from ``spends`` on, in order."""
+    """All trials round-synchronously, on arrays of the live lanes only, in
+    trial order (``lane`` names their trials).  Both engines return the
+    BatchResult fields from ``spends`` on, in order."""
     vec = make_vector_policy(policy_name, policy_params)
     budget_sq = mu0 * mu0
     norm = mu0 if mu0 > 0.0 else 1.0
-    spent = np.zeros(n)
-    comp = np.zeros(n)
-    q = np.zeros(n)
-    qc = np.zeros(n)
-    s = np.zeros(n)
+    lane = np.arange(n)
     cursor = np.zeros(n, dtype=np.int64)
-    w0 = None
+    w0 = live_w0 = q = qc = s = None
     if kind == "simulated":
-        z0 = tableau.take(np.arange(n), cursor)
+        w0 = live_w0 = bit * mu0 + tableau.take(lane, cursor)
         cursor += 1
-        w0 = bit * mu0 + z0
-    last_accepted = np.full(n, np.nan)
-    prev_spend = np.full(n, np.nan)
-    active = np.ones(n, dtype=bool)
-    lengths = np.zeros(n, dtype=np.int64)
+        q, qc, s = np.zeros(n), np.zeros(n), np.zeros(n)
+    spent, comp = np.zeros(n), np.zeros(n)
+    last = prev = np.full(n, np.nan)
+    lengths, draws = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     truncated = np.zeros(n, dtype=bool)
-    spend_cols, dec_cols, ans_cols = [], [], []
+    # Per round: its live lanes' trials, spends, decisions and answers.
+    lanes, spend_cols, dec_cols, ans_cols = [], [], [], []
 
     for r in range(max_rounds):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        rem = np.maximum(0.0, budget_sq - spent[idx])
-        sp, stop = vec.spends(r, rem, last_accepted[idx], prev_spend[idx])
-        active[idx[stop]] = False
-        cont = idx[~stop]
-        if cont.size == 0:
-            continue
-        sp = np.asarray(sp[~stop], dtype=float)
+        rem = np.maximum(0.0, budget_sq - spent)
+        sp, stop = vec.spends(r, rem, last, prev)
+        if stop.any():   # stopped lanes leave every per-lane array at once
+            gone, keep = lane[stop], ~stop
+            lengths[gone], draws[gone] = r, cursor[stop]
+            lane, cursor, spent, comp, last, sp, live_w0, q, qc, s = (
+                None if a is None else a[keep]
+                for a in (lane, cursor, spent, comp, last, sp, live_w0, q, qc, s))
+            if lane.size == 0:
+                break
+        sp = np.asarray(sp, dtype=float)
         if not np.all(np.isfinite(sp) & (sp >= 0.0)):
             raise NumericalIntegrityError(
-                f"policy {policy_name!r} emitted a malformed spend at round {r}"
-            )
+                f"policy {policy_name!r} emitted a malformed spend at round {r}")
 
-        admitted, total, new_comp = admit(spent[cont], comp[cont], budget_sq, sp)
+        admitted, total, new_comp = admit(spent, comp, budget_sq, sp)
         moved = admitted & (sp != 0.0)
-        spent[cont[moved]] = total[moved]
-        comp[cont[moved]] = new_comp[moved]
-        acc_idx = cont[admitted]
+        np.copyto(spent, total, where=moved)
+        np.copyto(comp, new_comp, where=moved)
+        whole = admitted.all()
+        acc = slice(None) if whole else np.flatnonzero(admitted)
+        v = tableau.take(lane[acc], cursor[acc])
+        cursor += admitted
+        if live_w0 is None:
+            ans = bit * sp[acc] + v
+        else:
+            m = sp[acc] / norm
+            u, q[acc], qc[acc], s[acc] = stream_step(q[acc], qc[acc], s[acc], m, v)
+            ans = m * live_w0[acc] + u
+        if not whole:
+            answers, ans = ans, np.full(lane.size, np.nan)
+            ans[acc] = answers
+        # Recorded columns may be these very arrays: rebind, never write.
+        last, prev = ans if whole else np.where(admitted, ans, last), sp
+        lanes.append(lane)
+        spend_cols.append(sp)
+        dec_cols.append(admitted)
+        ans_cols.append(ans)
 
-        col_spend = np.full(n, np.nan)
-        col_dec = np.full(n, -1, dtype=np.int8)
-        col_ans = np.full(n, np.nan)
-        col_spend[cont] = sp
-        col_dec[cont] = 0
-        col_dec[acc_idx] = 1
+    if lane.size:   # the lanes still live ran every round
+        lengths[lane], draws[lane] = len(lanes), cursor
+        rem = np.maximum(0.0, budget_sq - spent)
+        _, stop = vec.spends(max_rounds, rem, last, prev)
+        truncated[lane[~stop]] = True
+    return (_round_major(lanes, spend_cols, n, np.nan, float),
+            _round_major(lanes, dec_cols, n, -1, np.int8),
+            _round_major(lanes, ans_cols, n, np.nan, float),
+            lengths, truncated, draws, w0)
 
-        if acc_idx.size:
-            v = tableau.take(acc_idx, cursor[acc_idx])
-            cursor[acc_idx] += 1
-            if kind == "direct":
-                answers = bit * sp[admitted] + v
-            else:
-                m = sp[admitted] / norm
-                u, q[acc_idx], qc[acc_idx], s[acc_idx] = stream_step(
-                    q[acc_idx], qc[acc_idx], s[acc_idx], m, v)
-                answers = m * w0[acc_idx] + u
-            col_ans[acc_idx] = answers
-            last_accepted[acc_idx] = answers
-        prev_spend[cont] = sp
-        lengths[cont] = r + 1
-        spend_cols.append(col_spend)
-        dec_cols.append(col_dec)
-        ans_cols.append(col_ans)
 
-    idx = np.flatnonzero(active)
-    if idx.size:
-        rem = np.maximum(0.0, budget_sq - spent[idx])
-        _, stop = vec.spends(max_rounds, rem, last_accepted[idx], prev_spend[idx])
-        truncated[idx[~stop]] = True
-
-    return (np.array(spend_cols, dtype=float).reshape(-1, n).T,
-            np.array(dec_cols, dtype=np.int8).reshape(-1, n).T,
-            np.array(ans_cols, dtype=float).reshape(-1, n).T,
-            lengths, truncated, cursor.copy(), w0)
+def _round_major(lanes, cols, n, fill, dtype):
+    """The n x R matrix (order "F") with ``cols[r]`` at rows ``lanes[r]`` of
+    column r and ``fill`` elsewhere.  Empties ``cols`` as it fills, so the
+    next matrix is allocated only after this one's columns are freed."""
+    out = np.full((n, len(cols)), fill, dtype=dtype, order="F")
+    for r, trials in enumerate(lanes):
+        out[trials if trials.size < n else slice(None), r] = cols[r]
+        cols[r] = None
+    return out
 
 
 def _run_scalar(kind, bit, mu0, policy_name, policy_params,
@@ -298,15 +297,12 @@ def _run_scalar(kind, bit, mu0, policy_name, policy_params,
     spends = np.full((n_trials, r_max), np.nan, order="F")
     decisions = np.full((n_trials, r_max), -1, dtype=np.int8, order="F")
     answers = np.full((n_trials, r_max), np.nan, order="F")
-    lengths = np.zeros(n_trials, dtype=np.int64)
-    truncated = np.zeros(n_trials, dtype=bool)
     for t, tr in enumerate(transcripts):
-        lengths[t] = len(tr.rounds)
-        truncated[t] = tr.truncated
-        for rnd in tr.rounds:
-            spends[t, rnd.index] = rnd.spend
-            decisions[t, rnd.index] = 1 if rnd.accepted else 0
-            if rnd.accepted:
-                answers[t, rnd.index] = rnd.answer
+        k = len(tr.rounds)
+        spends[t, :k] = [rnd.spend for rnd in tr.rounds]
+        decisions[t, :k] = [rnd.accepted for rnd in tr.rounds]
+        answers[t, :k] = [np.nan if rnd.answer is None else rnd.answer for rnd in tr.rounds]
+    lengths = np.array([len(tr.rounds) for tr in transcripts], dtype=np.int64)
+    truncated = np.array([tr.truncated for tr in transcripts], dtype=bool)
     return (spends, decisions, answers, lengths, truncated, draws,
             w0s if kind == "simulated" else None)

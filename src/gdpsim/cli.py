@@ -68,9 +68,9 @@ def _cmd_emit_transcripts(args) -> int:
     if args.seed is not None:
         config = with_seed(config, args.seed)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ConfigError(f"unknown kind {kind!r} in --kinds")
+    if not kinds or not set(kinds) <= set(KINDS):
+        raise ConfigError(f"--kinds must name one or more of {', '.join(KINDS)}; "
+                          f"got {args.kinds!r}")
     emit_transcripts(config, args.out, kinds=kinds)
     print(f"transcripts: {args.out}")
     return 0

@@ -263,18 +263,11 @@ def _var_of(x: np.ndarray) -> float | None:
 
 
 def _uniform_shape(res) -> bool:
-    """True when all trials share the same rounds, spends and decisions."""
-    if res.answers.shape[1] == 0 or res.n_trials == 0:
-        return False
-    if int(res.lengths.min()) != int(res.lengths.max()):
-        return False
-    if np.any(res.decisions == -1):
-        return False
-    if np.any(res.decisions != res.decisions[0:1, :]):
-        return False
-    if np.any(res.spends != res.spends[0:1, :]):
-        return False
-    return True
+    """True when all trials share the same rounds, spends and decisions.
+    With no round absent anywhere, every trial ran every round."""
+    return (res.answers.shape[1] > 0 and not np.any(res.decisions == -1)
+            and not np.any(res.decisions != res.decisions[0:1, :])
+            and not np.any(res.spends != res.spends[0:1, :]))
 
 
 def _refusal_checksum(res, width: int) -> str:

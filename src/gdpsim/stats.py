@@ -78,18 +78,31 @@ def _ks_p_value(d: float, effective_n: float) -> float:
     return kolmogorov_sf(lam)
 
 
+def _finite_sorted(sample, what: str) -> np.ndarray:
+    a = np.sort(np.asarray(sample, dtype=float))
+    if a.size == 0:
+        raise ValueError(f"{what} must be nonempty")
+    # Sorting puts -inf first and +inf, then NaN, last.
+    if not (math.isfinite(a[0]) and math.isfinite(a[-1])):
+        raise ValueError(f"{what} contains non-finite values")
+    return a
+
+
 def ks_two_sample(x, y, alpha: float = 0.001, name: str = "ks_two_sample") -> TestReport:
-    """Two-sample KS test: exact statistic sup |F_x - F_y|, asymptotic p."""
-    x = np.sort(np.asarray(x, dtype=float))
-    y = np.sort(np.asarray(y, dtype=float))
-    if x.size == 0 or y.size == 0:
-        raise ValueError("both samples must be nonempty")
+    """Two-sample KS test: exact statistic sup |F_x - F_y|, asymptotic p.
+
+    A stable argsort of the sorted samples end to end merges the two runs;
+    the running count of x in it, read at the last key of each tie group,
+    gives both empirical CDFs at every data point."""
+    x, y = _finite_sorted(x, "x"), _finite_sorted(y, "y")
+    n, m = x.size, y.size
     data = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, data, side="right") / x.size
-    cdf_y = np.searchsorted(y, data, side="right") / y.size
-    d = float(np.max(np.abs(cdf_x - cdf_y)))
-    ne = math.sqrt(x.size * y.size / (x.size + y.size))
-    p = _ks_p_value(d, ne)
+    order = np.argsort(data, kind="stable")
+    merged = data[order]
+    ends = np.append(np.flatnonzero(merged[1:] != merged[:-1]), n + m - 1)
+    count_x = np.cumsum(order < n)[ends]
+    d = float(np.max(np.abs(count_x / n - (ends + 1 - count_x) / m)))
+    p = _ks_p_value(d, math.sqrt(n * m / (n + m)))
     return TestReport(name, d, p, alpha, p > alpha)
 
 
@@ -98,10 +111,8 @@ def normality_check(sample, alpha: float = 0.001, name: str = "normality") -> Te
 
     Intended for samples of at least 1e4 draws (asymptotic p-value).
     """
-    z = np.sort(np.asarray(sample, dtype=float))
+    z = _finite_sorted(sample, "sample")
     n = z.size
-    if n == 0:
-        raise ValueError("sample must be nonempty")
     # math.erfc mapped in C over normal_cdf's arguments, so f is bitwise
     # equal to the per-value form; fromiter holds one float at a time.
     f = 0.5 * np.fromiter(map(math.erfc, -z / _SQRT2), float, n)

@@ -21,10 +21,16 @@ import pytest
 from gdpsim.batch import run_trial_batch
 from gdpsim.budget import REL_SLACK, filter_new, try_spend
 from gdpsim.curator import open_session
-from gdpsim.harness import verify_cholesky
+from gdpsim.harness import _REPORT_SCHEMA, verify_cholesky
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "acceptance.cfg"
+
+# Checksum of the seed-42 report on configs/acceptance.cfg.  A change that
+# moves a byte of it must bump the report schema and add its checksum here.
+ACCEPTANCE_CHECKSUM = {
+    "gdpsim.report.v2": "4bf8cd60c7bd952bab4ca380de34a0ad1d54dc68ca7a07a691786e7d556e9b27",
+}
 
 P_LO = 0.3085375387259869  # 1 - Phi(0.5), from the normal CDF oracle
 P_HI = 0.6914624612740131
@@ -220,5 +226,7 @@ def test_criterion_8_reproducibility(acceptance_run, tmp_path):
     same_checksum = report1["checksum"] == report2["checksum"]
     same_results = (json.dumps(report1["results"], sort_keys=True)
                     == json.dumps(report2["results"], sort_keys=True))
-    announce("criterion 8: reproducibility", same_checksum and same_results,
-             f"checksum {report1['checksum'][:16]}...")
+    pinned = report1["checksum"] == ACCEPTANCE_CHECKSUM[_REPORT_SCHEMA]
+    announce("criterion 8: reproducibility", same_checksum and same_results and pinned,
+             f"checksum {report1['checksum'][:16]}..., "
+             f"pinned {ACCEPTANCE_CHECKSUM[_REPORT_SCHEMA][:16]}...")

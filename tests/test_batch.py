@@ -87,6 +87,16 @@ def test_truncation_matches_scalar():
     assert_identical(vec, sca)
     assert np.all(vec.truncated)
     assert vec.answers.shape[1] == 4
+    # lanes stop at rounds 3 and 4, and the cap truncates the rest
+    params = {"hi": 0.8, "lo": 0.2}
+    for kind in ("direct", "simulated"):
+        vec = run_trial_batch(kind, 1, 1.0, "sign_adaptive", params, 30, 3, 4, "vector")
+        sca = run_trial_batch(kind, 1, 1.0, "sign_adaptive", params, 30, 3, 4, "scalar")
+        assert_identical(vec, sca)
+        assert vec.answers.shape[1] == 4
+        assert np.all(vec.lengths[vec.truncated] == 4)
+        assert np.any(vec.truncated) and np.any(vec.lengths == 3)
+        assert np.any((vec.lengths == 4) & ~vec.truncated)
 
 
 def test_tableau_growth_is_prefix_stable():

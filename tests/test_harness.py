@@ -409,6 +409,16 @@ def test_cli_emit_transcripts(tmp_path):
     assert len(parse_transcripts(out)) == 300
 
 
+def test_cli_emit_transcripts_rejects_empty_kinds(tmp_path, capsys):
+    config = write_cli_config(tmp_path)
+    out = tmp_path / "t.csv"
+    for kinds in (",", "", " , ", "direct,nonesuch"):
+        assert main(["emit-transcripts", "--config", str(config), "--out", str(out),
+                     "--kinds", kinds]) == 2
+        assert "--kinds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_filter_demo(capsys):
     assert main(["filter-demo", "--budget", "1", "--spends", "0.6,0.8,0.1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -90,6 +90,62 @@ def test_ks_empty_sample_rejected():
         ks_two_sample([], [1.0])
 
 
+def searchsorted_ks_two_sample(x, y, alpha=0.001, name="ks_two_sample"):
+    """Reference: both empirical CDFs by binary search at every data point."""
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
+    data = np.concatenate([x, y])
+    cdf_x = np.searchsorted(x, data, side="right") / x.size
+    cdf_y = np.searchsorted(y, data, side="right") / y.size
+    d = float(np.max(np.abs(cdf_x - cdf_y)))
+    ne = math.sqrt(x.size * y.size / (x.size + y.size))
+    p = kolmogorov_sf(d * (ne + 0.12 + 0.11 / ne))
+    return Report(name, d, p, alpha, p > alpha)
+
+
+def test_ks_merge_bitwise_equals_searchsorted_reference():
+    rng = generator(7, "ks-ref")
+    x = rng.standard_normal(3000)
+    pairs = [
+        (np.rint(x), np.rint(rng.standard_normal(2000) * 1.5)),   # heavy ties
+        (np.rint(x[:7]), np.rint(x[7:400])),
+        (x, x.copy()),                                          # identical
+        (x[:500], x[:500][::-1]),
+        (x, x + 100.0),                                         # disjoint supports
+        (x + 100.0, x[:10]),
+        ([0.25], [0.25]),                                       # size 1
+        ([0.25], [-1.0]),
+        ([0.25], x),
+        (x[:5], x[5:3000]),                                     # unequal sizes
+        (rng.standard_normal(1), rng.standard_normal(1000)),
+        ([-0.0, 0.0, -0.0, 1.0], [0.0, 0.0, -1.0]),              # signed zeros tie
+        (np.full(4, -0.0), np.zeros(9)),
+    ]
+    pairs += [(rng.standard_normal(int(n)), rng.standard_normal(int(m)) + 0.1)
+              for n, m in rng.integers(1, 60, size=(40, 2))]
+    for a, b in pairs:
+        rep = ks_two_sample(a, b)
+        ref = searchsorted_ks_two_sample(a, b)
+        assert rep == ref
+        assert rep.statistic.hex() == ref.statistic.hex()
+        assert rep.p_value.hex() == ref.p_value.hex()
+
+
+def test_non_finite_samples_rejected():
+    # before the check, a NaN sorted last and read as a large value: p = 0.42
+    with pytest.raises(ValueError, match="non-finite"):
+        ks_two_sample([math.nan, 1.0, 2.0], [0.5, 1.5])
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            ks_two_sample([0.5, 1.5], [1.0, bad])
+        with pytest.raises(ValueError, match="non-finite"):
+            normality_check([0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        normality_check([0.1, math.nan])
+    with pytest.raises(ValueError):
+        normality_check([])
+
+
 def test_kolmogorov_sf_monotone_and_bounded():
     grid = np.linspace(0.01, 3.0, 400)
     vals = [kolmogorov_sf(v) for v in grid]
