@@ -116,14 +116,12 @@ def make_vector_policy(name: str, params: dict):
 class BatchResult:
     """Per-trial transcripts of one arm, in rectangular NaN-padded form.
 
-    decisions: int8 matrix, 1 = accepted, 0 = refused, -1 = round absent.
+    decisions: int8 matrix, 1 = accepted, 0 = refused, -1 = round absent;
+    a trial's refusal pattern is its row of ``decisions == 0``.
     """
 
-    kind: str
     bit: int
     budget: float
-    policy_name: str
-    policy_params: dict
     n_trials: int
     spends: np.ndarray
     decisions: np.ndarray
@@ -154,9 +152,6 @@ class BatchResult:
             return np.zeros(self.n_trials)
         vals = np.where(self.decisions == 1, self.answers, 0.0)
         return vals.sum(axis=1)
-
-    def refusal_rows(self) -> np.ndarray:
-        return self.decisions == 0
 
 
 def run_trial_batch(
@@ -190,9 +185,8 @@ def run_trial_batch(
         raise ValueError(f"unknown engine {engine!r}")
     mu0 = check_budget(budget)
     run = _run_vector if engine == "vector" else _run_scalar
-    return BatchResult(kind, bit, mu0, policy_name, policy_params, n_trials,
-                       *run(kind, bit, mu0, policy_name, policy_params,
-                            n_trials, max_rounds, tableau))
+    return BatchResult(bit, mu0, n_trials, *run(kind, bit, mu0, policy_name, policy_params,
+                                                n_trials, max_rounds, tableau))
 
 
 def _run_vector(kind, bit, mu0, policy_name, policy_params,

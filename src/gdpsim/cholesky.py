@@ -85,13 +85,6 @@ class StreamingCholesky:
     s: float = 0.0        # running inner product y . v
 
 
-def _check_m(m) -> float:
-    m = float(m)
-    if not math.isfinite(m):
-        raise ValueError(f"normalized spend must be finite, got {m!r}")
-    return m
-
-
 def stream_step(q, q_comp, s, m, v):
     """One streaming factor step, on floats or on arrays of lanes alike.
 
@@ -123,12 +116,6 @@ def stream_step(q, q_comp, s, m, v):
     return -m * s + o.sqrt(rad_new / rad_prev) * v, q_new, comp_new, s + y_last * v
 
 
-def extend(state, m):
-    """Grow the factor by one round with normalized spend ``m`` and a zero
-    seed: :func:`next_noise` without its noise value."""
-    return next_noise(state, m, 0.0)[1]
-
-
 def next_noise(state, m, fresh_seed):
     """Extend by ``m`` and return ``(U, new_state)`` where U is the last
     entry of L_i v_i.
@@ -137,8 +124,9 @@ def next_noise(state, m, fresh_seed):
     mode appends the new row, the seed and one entry of y, Theta(i) work;
     streaming mode advances its three scalars and does Theta(1).
     """
-    m = _check_m(m)
-    fresh_seed = float(fresh_seed)
+    m, fresh_seed = float(m), float(fresh_seed)
+    if not math.isfinite(m):
+        raise ValueError(f"normalized spend must be finite, got {m!r}")
 
     if isinstance(state, StreamingCholesky):
         u, q, q_comp, s = stream_step(state.q, state.q_comp, state.s, m, fresh_seed)

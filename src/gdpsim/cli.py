@@ -19,6 +19,8 @@ from .curator import KINDS
 from .errors import ConfigError, GdpSimError
 from .harness import (
     _CANONICAL_TOL,
+    _FACTOR_TOL,
+    _NOISE_TOL,
     emit_transcripts,
     load_config,
     report_table,
@@ -32,9 +34,9 @@ def _cmd_verify_cholesky(args) -> int:
     rep = verify_cholesky(seed=args.seed, cases=args.cases)
     print(f"cases: {rep.cases} (exhaustion: {rep.exhaustion_cases})")
     print(f"max |LL^T - (I - mm^T)|: {rep.max_factor_deviation:.3e} "
-          f"(tolerance {rep.factor.threshold:.1e})")
+          f"(tolerance {_FACTOR_TOL:.1e})")
     print(f"max |U_streaming - U_dense|: {rep.max_streaming_deviation:.3e} "
-          f"(tolerance {rep.streaming.threshold:.1e})")
+          f"(tolerance {_NOISE_TOL:.1e})")
     print(f"max |L - oracle|: {rep.max_canonical_deviation:.3e} "
           f"(tolerance {_CANONICAL_TOL:.1e}); "
           f"canonical-form failures: {rep.canonical_failures}")
@@ -68,9 +70,9 @@ def _cmd_emit_transcripts(args) -> int:
     if args.seed is not None:
         config = with_seed(config, args.seed)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    if not kinds or not set(kinds) <= set(KINDS):
-        raise ConfigError(f"--kinds must name one or more of {', '.join(KINDS)}; "
-                          f"got {args.kinds!r}")
+    if not kinds or not set(kinds) <= set(KINDS) or len(set(kinds)) < len(kinds):
+        raise ConfigError(f"--kinds must name one or more of {', '.join(KINDS)}, "
+                          f"each once; got {args.kinds!r}")
     emit_transcripts(config, args.out, kinds=kinds)
     print(f"transcripts: {args.out}")
     return 0

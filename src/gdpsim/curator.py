@@ -33,7 +33,6 @@ import numpy as np
 
 from .budget import check_budget, filter_new, remaining_sq, try_spend
 from .cholesky import StreamingCholesky, next_noise
-from .errors import SessionClosedError
 
 KINDS = ("direct", "simulated")
 
@@ -52,17 +51,12 @@ class Round:
 
 @dataclass
 class Transcript:
-    """Ordered record of one curator-analyst interaction."""
+    """Ordered record of one curator-analyst interaction; its answers and
+    refusal pattern are read off ``rounds``."""
 
     budget: float
     rounds: list[Round] = field(default_factory=list)
     truncated: bool = False
-
-    def answers(self) -> list[float]:
-        return [r.answer for r in self.rounds if r.accepted]
-
-    def refusal_pattern(self) -> tuple[int, ...]:
-        return tuple(r.index for r in self.rounds if not r.accepted)
 
 
 class Session:
@@ -70,7 +64,7 @@ class Session:
 
     ``rng`` is any object with a ``standard_normal()`` method; draws are
     consumed strictly in session order (simulated: Z0 first, then one seed
-    per admitted round).
+    per admitted round), and ``draws`` counts them.
     """
 
     def __init__(self, kind: str, b: int, budget, rng):
@@ -83,9 +77,7 @@ class Session:
         self.mu0 = check_budget(budget)
         self.filter_state = filter_new(self.mu0)
         self.rng = rng
-        self.round = 0
         self.draws = 0
-        self.closed = False
         self.w0 = None
         self.chol = None
         if kind == "simulated":
@@ -105,16 +97,12 @@ class Session:
     def ask(self, spend) -> float | None:
         """Answer an admitted spend, or return None on refusal.
 
-        Malformed spends raise ValueError; asking a closed session raises
-        SessionClosedError.  Refusals consume no randomness.
+        Malformed spends raise ValueError.  Refusals consume no randomness.
         """
-        if self.closed:
-            raise SessionClosedError("session is closed")
         accepted, new_state = try_spend(self.filter_state, spend)
         if not accepted:
             return None
         self.filter_state = new_state
-        self.round += 1
         spend = float(spend)
         if self.kind == "direct":
             z = self._draw()
@@ -122,9 +110,6 @@ class Session:
         m = spend / self._norm
         u, self.chol = next_noise(self.chol, m, self._draw())
         return m * self.w0 + u
-
-    def close(self) -> None:
-        self.closed = True
 
 
 def open_session(kind: str, b: int, budget, seed: int) -> Session:

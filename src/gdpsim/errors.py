@@ -13,9 +13,5 @@ class NumericalIntegrityError(GdpSimError):
     """A numerical invariant was violated beyond the tolerated clamp band."""
 
 
-class SessionClosedError(GdpSimError):
-    """An operation was attempted on a closed session."""
-
-
 class ConfigError(GdpSimError):
     """An experiment configuration failed to parse or validate."""

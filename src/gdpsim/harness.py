@@ -55,7 +55,6 @@ from .errors import ConfigError, NumericalIntegrityError
 from .mechanisms import make_mechanism
 from .rng import derive_key, generator
 from .stats import (
-    TestReport,
     empirical_moments,
     covariance_deviation,
     ks_two_sample,
@@ -182,6 +181,12 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     for key in ("policies", "mechanisms"):
         if not isinstance(data[key], list):
             fail(key, f"must be a list, got {data[key]!r}")
+    labels = set()
+
+    def check_unique(field, label):
+        if label in labels:
+            fail(field, f"repeats the stream label {label!r} of an earlier entry")
+        labels.add(label)
 
     policies = []
     for i, entry in enumerate(data["policies"]):
@@ -194,6 +199,7 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
             make_policy(entry["name"], **params)
         except (TypeError, ValueError) as exc:
             fail(field, exc)
+        check_unique(field, policy_stream_id(entry["name"], params))
         policies.append((entry["name"], params))
 
     mechanisms = []
@@ -209,6 +215,7 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             fail(field, exc)
         mechanisms.append((entry["name"], float(entry["mu"]), params))
+        check_unique(field, _mechanism_label(*mechanisms[-1]))
 
     return ExperimentConfig(
         budget=budget,
@@ -270,8 +277,8 @@ def _uniform_shape(res) -> bool:
             and not np.any(res.spends != res.spends[0:1, :]))
 
 
-def _refusal_checksum(res, width: int) -> str:
-    """SHA-256 of the multiset of one arm's refusal rows.
+def _refusal_checksum(decisions: np.ndarray, width: int) -> str:
+    """SHA-256 of the multiset of one arm's refusal rows (``decisions == 0``).
 
     The hashed bytes are pinned by ``_REPORT_SCHEMA``: the sorted unique
     refusal patterns as 0/1 ``uint8`` rows zero-padded to ``width``, then
@@ -282,7 +289,7 @@ def _refusal_checksum(res, width: int) -> str:
     the rows lexicographically.  Keys are at least one byte long: at
     width 0 every row is the same empty pattern, counted once per trial.
     """
-    rows = res.refusal_rows()
+    rows = decisions == 0
     keys = np.zeros((rows.shape[0], max(1, -(-width // 8))), dtype=np.uint8)
     packed = np.packbits(rows, axis=1)
     keys[:, :packed.shape[1]] = packed
@@ -377,8 +384,8 @@ def _evaluate_pair(direct, sim, alpha: float, min_samples: int) -> dict:
     else:
         moments = "skipped (adaptive round shape)" if not uniform else "insufficient trials"
 
-    ck_d = _refusal_checksum(direct, r_max)
-    ck_s = _refusal_checksum(sim, r_max)
+    ck_d = _refusal_checksum(direct.decisions, r_max)
+    ck_s = _refusal_checksum(sim.decisions, r_max)
     refusals = {
         "checksum_direct": ck_d,
         "checksum_simulated": ck_s,
@@ -422,9 +429,13 @@ def _mechanism_outcomes(res, mech, post_rng) -> np.ndarray:
     return mech.post(res.answers[accepted, 0], post_rng)
 
 
+def _mechanism_label(name, mu, params) -> str:
+    return "mechanism:" + policy_stream_id(name, {"mu": mu, **params})
+
+
 def _mechanism_section(config, name, mu, params, bit, seed, engine) -> dict:
     mech = make_mechanism(name, mu, **params)
-    label = "mechanism:" + policy_stream_id(name, {"mu": mu, **params})
+    label = _mechanism_label(name, mu, params)
     outcomes = []
     for kind in KINDS:
         res = run_trial_batch(kind, bit, config.budget, "fixed", {"spends": [mu]},
@@ -652,8 +663,6 @@ class CholeskyVerification:
     max_streaming_deviation: float
     max_canonical_deviation: float
     canonical_failures: int
-    factor: TestReport
-    streaming: TestReport
     passed: bool
 
 
@@ -705,11 +714,6 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
         expected_zero = 1 if (m.size and dense.q >= 1.0) else 0
         if not diag_ok or zero_cols != expected_zero:
             canon_failures += 1
-    factor_rep = TestReport("factor_identity", max_factor, None, _FACTOR_TOL,
-                            max_factor <= _FACTOR_TOL)
-    stream_rep = TestReport("streaming_vs_dense", max_stream, None, _NOISE_TOL,
-                            max_stream <= _NOISE_TOL)
-    canonical_ok = canon_failures == 0 and max_canon <= _CANONICAL_TOL
     return CholeskyVerification(
         cases=cases,
         exhaustion_cases=exhaust_count,
@@ -717,9 +721,8 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
         max_streaming_deviation=max_stream,
         max_canonical_deviation=max_canon,
         canonical_failures=canon_failures,
-        factor=factor_rep,
-        streaming=stream_rep,
-        passed=factor_rep.passed and stream_rep.passed and canonical_ok,
+        passed=(max_factor <= _FACTOR_TOL and max_stream <= _NOISE_TOL
+                and max_canon <= _CANONICAL_TOL and canon_failures == 0),
     )
 
 
@@ -741,20 +744,22 @@ def write_transcripts(path, records) -> None:
         writer = csv.writer(fh)
         writer.writerow(_TRANSCRIPT_COLUMNS)
         for policy, bit, kind, trial, tr in records:
+            budget = repr(tr.budget)
             for rnd in tr.rounds:
                 writer.writerow([
-                    policy, bit, kind, trial, repr(tr.budget), rnd.index,
-                    repr(rnd.spend),
+                    policy, bit, kind, trial, budget, rnd.index, repr(rnd.spend),
                     "accepted" if rnd.accepted else "refused",
                     "" if rnd.answer is None else repr(rnd.answer),
                 ])
             if tr.truncated:
-                writer.writerow([policy, bit, kind, trial, repr(tr.budget),
+                writer.writerow([policy, bit, kind, trial, budget,
                                  len(tr.rounds), "", "truncated", ""])
 
 
 def parse_transcripts(path) -> dict:
-    """Inverse of write_transcripts: {(policy, bit, kind, trial): Transcript}."""
+    """Inverse of write_transcripts: {(policy, bit, kind, trial): Transcript}.
+    A transcript's rows number its rounds 0, 1, ..., keep one budget and end
+    at its truncation marker, if any."""
     out: dict = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -769,6 +774,12 @@ def parse_transcripts(path) -> dict:
             tr = out.get(key)
             if tr is None:
                 tr = out[key] = Transcript(budget=float(budget))
+            if tr.truncated:
+                raise ValueError(f"{path}:{line}: row after the truncation marker")
+            if float(budget) != tr.budget:
+                raise ValueError(f"{path}:{line}: budget changes within a transcript")
+            if int(rnd) != len(tr.rounds):
+                raise ValueError(f"{path}:{line}: round {rnd} where {len(tr.rounds)} is next")
             if decision == "truncated":
                 tr.truncated = True
                 continue
@@ -778,7 +789,7 @@ def parse_transcripts(path) -> dict:
             if accepted == (answer == ""):
                 raise ValueError(f"{path}:{line}: answer presence contradicts decision")
             tr.rounds.append(Round(
-                int(rnd), float(spend), accepted,
+                len(tr.rounds), float(spend), accepted,
                 float(answer) if accepted else None,
             ))
     return out

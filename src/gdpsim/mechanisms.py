@@ -13,9 +13,11 @@ own stream (``post_rng``), never from the session's, so distributional
 comparisons isolate the Gaussian core.
 
 Each registered map is written once over the ``gdpsim._numeric`` op sets:
-``sample`` and ``reduce_and_serve`` apply it to one float, the harness to
-the array of a whole arm's accepted answers, and every element of an array
-call is bitwise equal to the float call on that element.
+``reduce_and_serve`` applies it to one session answer, the harness to the
+array of a whole arm's accepted answers, and every element of an array call
+is bitwise equal to the float call on that element.  Running a mechanism
+directly on the bit is ``post`` of ``b*mu + Z``, which is the harness's
+direct arm.
 """
 
 from __future__ import annotations
@@ -46,14 +48,6 @@ class PostprocessedMechanism:
     post: Callable
     vector_post: Optional[Callable] = None
     binary: bool = False
-
-
-def sample(mech: PostprocessedMechanism, b: int, rng, post_rng=None):
-    """One outcome of the mechanism run directly on the secret bit."""
-    if b not in (0, 1):
-        raise ValueError(f"secret bit must be 0 or 1, got {b!r}")
-    z = float(rng.standard_normal())
-    return mech.post(b * mech.mu + z, post_rng if post_rng is not None else rng)
 
 
 def reduce_and_serve(session, mech: PostprocessedMechanism, post_rng=None):

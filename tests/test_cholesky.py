@@ -12,7 +12,6 @@ import pytest
 from gdpsim.cholesky import (
     DenseCholesky,
     StreamingCholesky,
-    extend,
     next_noise,
     stream_step,
 )
@@ -23,6 +22,11 @@ from gdpsim.harness import (
     verify_cholesky,
 )
 from gdpsim.rng import generator
+
+
+def extend(state, m):
+    """Grow the factor by one round with a zero seed."""
+    return next_noise(state, m, 0.0)[1]
 
 
 def grow(spends, mode="dense"):

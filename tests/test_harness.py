@@ -3,8 +3,8 @@
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,6 +113,29 @@ def test_config_field_diagnostics():
             config_from_dict({"budget": 1.0, "n_trials": 1, key: [entry]})
 
 
+def test_config_rejects_repeated_entries():
+    # Entries with one stream label would run and test the same arms twice.
+    base = {"budget": 1.0, "n_trials": 1}
+    fixed = {"name": "fixed", "spends": [0.5]}
+    for key, entries in [
+        ("policies", [fixed, {"name": "greedy_halving"}, dict(fixed)]),
+        ("policies", [{"name": "greedy_halving"}, {"name": "greedy_halving"}]),
+        ("mechanisms", [{"name": "identity", "mu": 0.5}, {"name": "identity", "mu": 0.5}]),
+        ("mechanisms", [{"name": "sign", "mu": 1}, {"name": "sign", "mu": 1.0}]),
+        ("mechanisms", [{"name": "threshold", "mu": 1.0, "tau": 0.5},
+                        {"name": "threshold", "tau": 0.5, "mu": 1.0}]),
+    ]:
+        with pytest.raises(ConfigError, match=rf"{key}\[{len(entries) - 1}\]: repeats"):
+            config_from_dict({**base, key: entries})
+    config = config_from_dict({
+        **base,
+        "policies": [fixed, {"name": "fixed", "spends": [0.6]}],
+        "mechanisms": [{"name": "identity", "mu": 0.5}, {"name": "identity", "mu": 0.6},
+                       {"name": "sign", "mu": 0.5}],
+    })
+    assert len(config.policies) == 2 and len(config.mechanisms) == 3
+
+
 def test_package_root_exports_only_the_documented_surface():
     assert sorted(gdpsim.__all__) == ["__version__", "parse_transcripts"]
     assert gdpsim.parse_transcripts is parse_transcripts
@@ -167,8 +190,9 @@ def test_refusal_checksum_equals_unique_rows_reference():
                     continue
                 for density in (0.0, 0.1, 0.5, 1.0):
                     rows = rng.random((n, width - pad)) < density
-                    arm = SimpleNamespace(refusal_rows=lambda rows=rows: rows)
-                    assert _refusal_checksum(arm, width) == \
+                    # accepted (1) and absent (-1) rounds are not refusals
+                    decisions = np.where(rows, 0, rng.choice([1, -1], size=rows.shape))
+                    assert _refusal_checksum(decisions.astype(np.int8), width) == \
                         unique_rows_checksum(rows, width), (n, width, pad, density)
 
 
@@ -178,9 +202,16 @@ def test_verify_cholesky_small_suite():
     rep = verify_cholesky(seed=5, cases=50, max_len=24)
     assert rep.passed
     assert rep.exhaustion_cases == 5
-    assert rep.factor.passed and rep.streaming.passed
-    assert rep.factor.threshold == 1e-10
-    assert rep.streaming.threshold == 1e-9
+    assert (harness._FACTOR_TOL, harness._NOISE_TOL) == (1e-10, 1e-9)
+    assert rep.max_factor_deviation <= harness._FACTOR_TOL
+    assert rep.max_streaming_deviation <= harness._NOISE_TOL
+
+
+def test_verify_cholesky_passes_only_within_every_tolerance(monkeypatch):
+    for name in ("_FACTOR_TOL", "_NOISE_TOL", "_CANONICAL_TOL"):
+        with monkeypatch.context() as m:
+            m.setattr(harness, name, 0.0)
+            assert not verify_cholesky(seed=5, cases=10, max_len=24).passed, name
 
 
 # --- transcript files --------------------------------------------------------
@@ -262,6 +293,41 @@ def test_parse_rejects_malformed(tmp_path):
                     "p,0,direct,0,1.0,0,0.5,accepted,\n")
     with pytest.raises(ValueError, match="contradicts decision"):
         parse_transcripts(path)
+
+
+def test_parse_rejects_broken_transcript_structure(tmp_path):
+    # Every arm written twice: the second copy of each transcript restarts
+    # at round 0, which must not merge into rounds [0, 1, 0, 1].
+    config = config_from_dict({
+        "budget": 1.0, "n_trials": 3, "bits": [1],
+        "policies": [{"name": "fixed", "spends": [0.6, 0.8]}],
+    })
+    path = tmp_path / "twice.csv"
+    emit_transcripts(config, path, kinds=("direct", "direct"))
+    # header, 3 trials x 2 rounds, then the copy of trial 0's round 0
+    with pytest.raises(ValueError, match=re.escape(f"{path}:8: round 0 where 2 is next")):
+        parse_transcripts(path)
+
+    header = "policy,bit,kind,trial,budget,round,spend,decision,answer\n"
+    for rows, message in [
+        ("p,0,direct,0,1.0,1,0.5,refused,\n", ":2: round 1 where 0 is next"),
+        ("p,0,direct,0,1.0,0,0.5,refused,\n"
+         "p,0,direct,0,1.0,2,0.5,refused,\n", ":3: round 2 where 1 is next"),
+        ("p,0,direct,0,1.0,0,0.5,refused,\n"
+         "p,0,direct,0,1.0,1,,truncated,\n"
+         "p,0,direct,0,1.0,1,0.5,refused,\n", ":4: row after the truncation marker"),
+        ("p,0,direct,0,1.0,0,,truncated,\n"
+         "p,0,direct,0,1.0,0,,truncated,\n", ":3: row after the truncation marker"),
+        ("p,0,direct,0,1.0,0,0.5,refused,\n"
+         "p,0,direct,0,2.0,1,0.5,refused,\n", ":3: budget changes"),
+    ]:
+        path.write_text(header + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            parse_transcripts(path)
+    # the same rows under another key start their own transcript
+    path.write_text(header + "p,0,direct,0,1.0,0,0.5,refused,\n"
+                             "p,0,direct,1,2.0,0,0.5,refused,\n")
+    assert len(parse_transcripts(path)) == 2
 
 
 # --- run_experiment ----------------------------------------------------------
@@ -412,7 +478,9 @@ def test_cli_emit_transcripts(tmp_path):
 def test_cli_emit_transcripts_rejects_empty_kinds(tmp_path, capsys):
     config = write_cli_config(tmp_path)
     out = tmp_path / "t.csv"
-    for kinds in (",", "", " , ", "direct,nonesuch"):
+    # a repeated kind would write every arm twice
+    for kinds in (",", "", " , ", "direct,nonesuch", "direct,direct",
+                  "simulated, simulated", "direct,simulated,direct"):
         assert main(["emit-transcripts", "--config", str(config), "--out", str(out),
                      "--kinds", kinds]) == 2
         assert "--kinds" in capsys.readouterr().err
@@ -440,6 +508,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                    '[{"name": "threshold", "mu": 1.0, "tau": NaN}]}')
     assert main(["run", "--config", str(bad)]) == 2
     assert "mechanisms[0]: tau" in capsys.readouterr().err
+    bad.write_text(json.dumps({"budget": 1.0, "n_trials": 1, "policies": [
+        {"name": "fixed", "spends": [0.5]}, {"name": "fixed", "spends": [0.5]}]}))
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "policies[1]: repeats" in capsys.readouterr().err
     # --seed outside what derive_key encodes, on every command that takes one
     config = write_cli_config(tmp_path)
     out = tmp_path / "out"
