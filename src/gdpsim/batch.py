@@ -87,18 +87,19 @@ class DrawTableau:
 
 class _RowDraws:
     """Draw source of one scalar session: trial ``t``'s tableau row, in
-    order, growing the tableau when the row runs out."""
+    order, growing the tableau when the row runs out.  The row is read once
+    into a list (and again after a growth), so each draw is a Python float."""
 
     def __init__(self, tableau: DrawTableau, t: int):
         self._tableau = tableau
         self._t = t
-        self._row = tableau.row(t, tableau.width)
+        self._row = tableau.row(t, tableau.width).tolist()
         self._taken = 0
 
     def standard_normal(self) -> float:
-        if self._taken == self._row.size:
+        if self._taken == len(self._row):
             self._tableau.ensure(self._taken + 1)
-            self._row = self._tableau.row(self._t, self._tableau.width)
+            self._row = self._tableau.row(self._t, self._tableau.width).tolist()
         v = self._row[self._taken]
         self._taken += 1
         return v
@@ -277,26 +278,23 @@ def _run_scalar(kind, bit, mu0, policy_name, policy_params,
                 n_trials, max_rounds, tableau: DrawTableau):
     """Reference engine: real sessions, one trial at a time, same draw rows."""
     policy = make_policy(policy_name, **policy_params)
-    transcripts = []
-    w0s = np.empty(n_trials)
-    draws = np.zeros(n_trials, dtype=np.int64)
+    transcripts, draws, w0s = [], [], []
     for t in range(n_trials):
         session = Session(kind, bit, mu0, _RowDraws(tableau, t))
-        tr = run_interaction(session, policy, max_rounds=max_rounds)
-        transcripts.append(tr)
-        w0s[t] = session.w0 if session.w0 is not None else np.nan
-        draws[t] = session.draws
+        transcripts.append(run_interaction(session, policy, max_rounds=max_rounds))
+        draws.append(session.draws)
+        w0s.append(session.w0)
 
-    r_max = max((len(tr.rounds) for tr in transcripts), default=0)
+    lengths = np.array([len(tr.rounds) for tr in transcripts], dtype=np.int64)
+    r_max = int(lengths.max())
     spends = np.full((n_trials, r_max), np.nan, order="F")
     decisions = np.full((n_trials, r_max), -1, dtype=np.int8, order="F")
     answers = np.full((n_trials, r_max), np.nan, order="F")
     for t, tr in enumerate(transcripts):
-        k = len(tr.rounds)
-        spends[t, :k] = [rnd.spend for rnd in tr.rounds]
-        decisions[t, :k] = [rnd.accepted for rnd in tr.rounds]
-        answers[t, :k] = [np.nan if rnd.answer is None else rnd.answer for rnd in tr.rounds]
-    lengths = np.array([len(tr.rounds) for tr in transcripts], dtype=np.int64)
+        if tr.rounds:   # a refused round's None answer reads as NaN
+            _, spend, accepted, answer = zip(*tr.rounds)
+            k = len(spend)
+            spends[t, :k], decisions[t, :k], answers[t, :k] = spend, accepted, answer
     truncated = np.array([tr.truncated for tr in transcripts], dtype=bool)
-    return (spends, decisions, answers, lengths, truncated, draws,
-            w0s if kind == "simulated" else None)
+    return (spends, decisions, answers, lengths, truncated, np.array(draws, dtype=np.int64),
+            np.array(w0s, dtype=float) if kind == "simulated" else None)

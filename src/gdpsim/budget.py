@@ -20,14 +20,16 @@ lanes (see ``gdpsim._numeric``); :func:`try_spend` applies it to one
 :class:`FilterState` and the vector engine to all its lanes at once.
 
 Refusal is per-query and never terminates an interaction; a later, smaller
-spend may still be admitted.  States are immutable values; operations return
-new states, so sharing across threads is safe.
+spend may still be admitted.  States are immutable values (a
+:class:`FilterState` is a ``NamedTuple``, built anew for each admitted
+positive spend); operations return new states, so sharing across threads is
+safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numeric import kahan_step
 
@@ -36,8 +38,7 @@ from ._numeric import kahan_step
 REL_SLACK = 2.0 ** -40
 
 
-@dataclass(frozen=True)
-class FilterState:
+class FilterState(NamedTuple):
     """Running squared-spend ledger against a fixed squared budget."""
 
     budget_sq: float
@@ -93,10 +94,11 @@ def try_spend(state: FilterState, mu) -> tuple[bool, FilterState]:
     refusal.  Refusal mutates nothing.
     """
     mu = check_spend(mu)
-    admitted, total, comp = admit(state.spent_sq, state.compensation, state.budget_sq, mu)
+    budget_sq, spent_sq, comp = state
+    admitted, total, comp = admit(spent_sq, comp, budget_sq, mu)
     if not admitted or mu == 0.0:
         return admitted, state
-    return True, FilterState(state.budget_sq, total, comp)
+    return True, FilterState(budget_sq, total, comp)
 
 
 def remaining_sq(state: FilterState) -> float:

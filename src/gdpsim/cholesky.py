@@ -16,7 +16,8 @@ Dense mode stores the rows, the seeds it was fed and the solved column y,
 which it extends by one forward-substitution step against its own new row
 each round -- it is the transparent reference.  Streaming mode carries only
 three scalars (Q, its Kahan compensation, and the inner product s = y . v
-against the noise seeds) using the closed forms
+against the noise seeds), as an immutable ``NamedTuple`` rebuilt each
+round, using the closed forms
 
     U_i    = -m * s + d_i * V_i            (last entry of L_i v_i)
     y_last = m / sqrt((1 - Q_i)(1 - Q_{i-1}))     (0 once Q_i = 1)
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +78,7 @@ class DenseCholesky:
         return out
 
 
-@dataclass(frozen=True)
-class StreamingCholesky:
+class StreamingCholesky(NamedTuple):
     """Constant-memory mode: scalar summaries only."""
 
     q: float = 0.0
@@ -129,7 +130,7 @@ def next_noise(state, m, fresh_seed):
         raise ValueError(f"normalized spend must be finite, got {m!r}")
 
     if isinstance(state, StreamingCholesky):
-        u, q, q_comp, s = stream_step(state.q, state.q_comp, state.s, m, fresh_seed)
+        u, q, q_comp, s = stream_step(*state, m, fresh_seed)
         return u, StreamingCholesky(q, q_comp, s)
 
     # The diagonal entry d_i is the coefficient of the fresh seed: the

@@ -21,17 +21,21 @@ interaction at budget 1 with pre-normalized spends consumes identical noise
 values (the scaling-coherence tests assert this exactly).
 
 Sessions are single-threaded state machines.  Distinct sessions with
-independent streams may run in parallel.
+independent streams may run in parallel.  A session's filter and factor
+states and each recorded :class:`Round` are immutable ``NamedTuple``
+values: the per-trial reference engine builds up to three of them every
+round, and a ``NamedTuple`` is the cheapest immutable record to build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .budget import check_budget, filter_new, remaining_sq, try_spend
+from .budget import FilterState, check_budget, remaining_sq, try_spend
 from .cholesky import StreamingCholesky, next_noise
 
 KINDS = ("direct", "simulated")
@@ -39,8 +43,7 @@ KINDS = ("direct", "simulated")
 DEFAULT_MAX_ROUNDS = 256
 
 
-@dataclass(frozen=True)
-class Round:
+class Round(NamedTuple):
     """One query: spend, admission decision, and the answer if admitted."""
 
     index: int
@@ -62,8 +65,8 @@ class Transcript:
 class Session:
     """One curator endpoint holding the secret bit.
 
-    ``rng`` is any object with a ``standard_normal()`` method; draws are
-    consumed strictly in session order (simulated: Z0 first, then one seed
+    ``rng`` is any object whose ``standard_normal()`` returns a float; draws
+    are consumed strictly in session order (simulated: Z0 first, then one seed
     per admitted round), and ``draws`` counts them.
     """
 
@@ -75,7 +78,7 @@ class Session:
         self.kind = kind
         self.b = int(b)
         self.mu0 = check_budget(budget)
-        self.filter_state = filter_new(self.mu0)
+        self.filter_state = FilterState(self.mu0 * self.mu0)
         self.rng = rng
         self.draws = 0
         self.w0 = None
@@ -88,7 +91,7 @@ class Session:
 
     def _draw(self) -> float:
         self.draws += 1
-        return float(self.rng.standard_normal())
+        return self.rng.standard_normal()
 
     @property
     def remaining_sq(self) -> float:
@@ -105,8 +108,7 @@ class Session:
         self.filter_state = new_state
         spend = float(spend)
         if self.kind == "direct":
-            z = self._draw()
-            return self.b * spend + z
+            return self.b * spend + self._draw()
         m = spend / self._norm
         u, self.chol = next_noise(self.chol, m, self._draw())
         return m * self.w0 + u
@@ -135,17 +137,18 @@ def run_interaction(session: Session, policy, *,
     truncation marker.
     """
     transcript = Transcript(budget=session.mu0)
-    spends = policy.spends
+    record = transcript.rounds.append
+    spends, ask = policy.spends, session.ask
     last = prev = math.nan
     for i in range(max_rounds):
-        spend, stop = spends(i, session.remaining_sq, last, prev)
+        spend, stop = spends(i, remaining_sq(session.filter_state), last, prev)
         if stop:
             return transcript
-        answer = session.ask(spend)
-        transcript.rounds.append(Round(i, float(spend), answer is not None, answer))
+        answer = ask(spend)
+        record(Round(i, float(spend), answer is not None, answer))
         if answer is not None:
             last = answer
         prev = spend
-    _, stop = spends(max_rounds, session.remaining_sq, last, prev)
+    _, stop = spends(max_rounds, remaining_sq(session.filter_state), last, prev)
     transcript.truncated = not stop
     return transcript

@@ -181,12 +181,17 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     for key in ("policies", "mechanisms"):
         if not isinstance(data[key], list):
             fail(key, f"must be a list, got {data[key]!r}")
-    labels = set()
+    seen = set()
 
-    def check_unique(field, label):
-        if label in labels:
-            fail(field, f"repeats the stream label {label!r} of an earlier entry")
-        labels.add(label)
+    def check_unique(field, name, params):
+        # One entry, whatever its stream label: hyphens and underscores name
+        # the same policy or mechanism, and 1 and 1.0 are the same value.
+        key = (field.partition("[")[0], name.replace("-", "_"), tuple(sorted(
+            (k, tuple(map(float, v)) if isinstance(v, list) else float(v))
+            for k, v in params.items())))
+        if key in seen:
+            fail(field, "repeats an earlier entry (same name and parameter values)")
+        seen.add(key)
 
     policies = []
     for i, entry in enumerate(data["policies"]):
@@ -199,7 +204,7 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
             make_policy(entry["name"], **params)
         except (TypeError, ValueError) as exc:
             fail(field, exc)
-        check_unique(field, policy_stream_id(entry["name"], params))
+        check_unique(field, entry["name"], params)
         policies.append((entry["name"], params))
 
     mechanisms = []
@@ -214,8 +219,8 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
             make_mechanism(entry["name"], entry["mu"], **params)
         except (TypeError, ValueError) as exc:
             fail(field, exc)
+        check_unique(field, entry["name"], {"mu": entry["mu"], **params})
         mechanisms.append((entry["name"], float(entry["mu"]), params))
-        check_unique(field, _mechanism_label(*mechanisms[-1]))
 
     return ExperimentConfig(
         budget=budget,

@@ -17,12 +17,15 @@ is declared.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# Values per list read out by normality_check.
+_CDF_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,8 @@ class TestReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"name": self.name, "statistic": self.statistic, "p_value": self.p_value,
+                "threshold": self.threshold, "passed": self.passed}
 
 
 def normal_cdf(x: float) -> float:
@@ -113,9 +117,12 @@ def normality_check(sample, alpha: float = 0.001, name: str = "normality") -> Te
     """
     z = _finite_sorted(sample, "sample")
     n = z.size
-    # math.erfc mapped in C over normal_cdf's arguments, so f is bitwise
-    # equal to the per-value form; fromiter holds one float at a time.
-    f = 0.5 * np.fromiter(map(math.erfc, -z / _SQRT2), float, n)
+    # math.erfc mapped in C over normal_cdf's arguments, read out as Python
+    # floats one chunk at a time, so f is bitwise equal to the per-value
+    # form and only one chunk's float objects are alive at once.
+    f = 0.5 * np.fromiter(chain.from_iterable(
+        map(math.erfc, (-z[i:i + _CDF_CHUNK] / _SQRT2).tolist())
+        for i in range(0, n, _CDF_CHUNK)), float, n)
     grid = np.arange(1, n + 1) / n
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / n)))

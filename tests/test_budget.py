@@ -32,6 +32,16 @@ def rational_decisions(mu0: Fraction, spends):
     return decisions, margins
 
 
+def test_filter_state_is_an_immutable_record():
+    state = FilterState(1.0, 0.25, 1e-17)
+    assert FilterState._fields == ("budget_sq", "spent_sq", "compensation")
+    assert tuple(state) == (state.budget_sq, state.spent_sq, state.compensation)
+    assert tuple(FilterState(2.0)) == (2.0, 0.0, 0.0)
+    with pytest.raises(AttributeError):
+        state.spent_sq = 0.0
+    assert try_spend(state, 0.5)[1].spent_sq == 0.5
+
+
 def test_new_filter_examples():
     assert filter_new(1.0) == FilterState(budget_sq=1.0)
     assert filter_new(0.0) == FilterState(budget_sq=0.0)

@@ -29,6 +29,16 @@ def extend(state, m):
     return next_noise(state, m, 0.0)[1]
 
 
+def test_streaming_state_is_an_immutable_record():
+    state = StreamingCholesky(0.36, 1e-18, 0.5)
+    assert StreamingCholesky._fields == ("q", "q_comp", "s")
+    assert tuple(state) == (state.q, state.q_comp, state.s)
+    assert tuple(StreamingCholesky()) == (0.0, 0.0, 0.0)
+    with pytest.raises(AttributeError):
+        state.q = 0.0
+    assert isinstance(extend(state, 0.8), StreamingCholesky)
+
+
 def grow(spends, mode="dense"):
     state = DenseCholesky() if mode == "dense" else StreamingCholesky()
     for m in spends:

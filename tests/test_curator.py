@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gdpsim.adversaries import policy_fixed
-from gdpsim.batch import run_trial_batch
+from gdpsim.batch import DrawTableau, _RowDraws, run_trial_batch
 from gdpsim.cholesky import StreamingCholesky
-from gdpsim.curator import open_session, run_interaction
+from gdpsim.curator import Round, Session, open_session, run_interaction
 from gdpsim.cholesky import next_noise
 
 
@@ -116,6 +116,28 @@ def test_seed_must_be_an_integer():
     for seed in (np.int64(7), np.uint32(7)):
         assert open_session("direct", 1, 1.0, seed).ask(0.5) == \
             open_session("direct", 1, 1.0, 7).ask(0.5)
+
+
+def test_round_is_an_immutable_record():
+    rnd = Round(3, 0.5, False, None)
+    assert Round._fields == ("index", "spend", "accepted", "answer")
+    index, spend, accepted, answer = rnd
+    assert (index, spend, accepted, answer) == (3, 0.5, False, None)
+    assert (rnd.index, rnd.spend, rnd.accepted, rnd.answer) == tuple(rnd)
+    with pytest.raises(AttributeError):
+        rnd.answer = 1.0
+
+
+def test_scalar_engine_sessions_hold_plain_floats():
+    # A tableau row read as NumPy scalars would leak np.float64 into every
+    # answer and state; the row is read as Python floats, also after growth.
+    for kind in ("direct", "simulated"):
+        session = Session(kind, 1, 1.0, _RowDraws(DrawTableau(5, 2), 1))
+        tr = run_interaction(session, policy_fixed([0.6, 2.0, 0.8]))
+        assert [type(r.answer) for r in tr.rounds] == [float, type(None), float]
+        assert all(type(v) is float for v in session.filter_state)
+        if kind == "simulated":
+            assert all(type(v) is float for v in session.chol)
 
 
 def test_constant_policy_exhausts_after_four_rounds():

@@ -114,26 +114,43 @@ def test_config_field_diagnostics():
 
 
 def test_config_rejects_repeated_entries():
-    # Entries with one stream label would run and test the same arms twice.
+    # Entries naming one policy or mechanism with equal parameter values
+    # would run and test the same arms twice, even under different stream
+    # labels (a hyphenated name, an integer-valued number).
     base = {"budget": 1.0, "n_trials": 1}
     fixed = {"name": "fixed", "spends": [0.5]}
     for key, entries in [
         ("policies", [fixed, {"name": "greedy_halving"}, dict(fixed)]),
         ("policies", [{"name": "greedy_halving"}, {"name": "greedy_halving"}]),
+        ("policies", [{"name": "fixed", "spends": [1]}, {"name": "fixed", "spends": [1.0]}]),
+        ("policies", [{"name": "greedy_halving"}, {"name": "greedy-halving"}]),
+        ("policies", [{"name": "sign_adaptive", "hi": 1, "lo": 0},
+                      {"name": "sign-adaptive", "lo": 0.0, "hi": 1.0}]),
         ("mechanisms", [{"name": "identity", "mu": 0.5}, {"name": "identity", "mu": 0.5}]),
         ("mechanisms", [{"name": "sign", "mu": 1}, {"name": "sign", "mu": 1.0}]),
         ("mechanisms", [{"name": "threshold", "mu": 1.0, "tau": 0.5},
                         {"name": "threshold", "tau": 0.5, "mu": 1.0}]),
+        ("mechanisms", [{"name": "threshold", "mu": 1.0, "tau": 0},
+                        {"name": "threshold", "mu": 1.0, "tau": 0.0}]),
+        ("mechanisms", [{"name": "round_to_integer", "mu": 0.6},
+                        {"name": "round-to-integer", "mu": 0.6}]),
     ]:
         with pytest.raises(ConfigError, match=rf"{key}\[{len(entries) - 1}\]: repeats"):
             config_from_dict({**base, key: entries})
     config = config_from_dict({
         **base,
-        "policies": [fixed, {"name": "fixed", "spends": [0.6]}],
+        "policies": [fixed, {"name": "fixed", "spends": [0.6]},
+                     {"name": "fixed", "spends": [0.5, 0.5]}],
         "mechanisms": [{"name": "identity", "mu": 0.5}, {"name": "identity", "mu": 0.6},
-                       {"name": "sign", "mu": 0.5}],
+                       {"name": "sign", "mu": 0.5},
+                       {"name": "threshold", "mu": 1.0, "tau": 0},
+                       {"name": "threshold", "mu": 1.0, "tau": -0.5}],
     })
-    assert len(config.policies) == 2 and len(config.mechanisms) == 3
+    assert len(config.policies) == 3 and len(config.mechanisms) == 5
+    # Accepted entries keep their names and values as written: stream labels
+    # and reports are unchanged.
+    assert config.policies[0] == ("fixed", {"spends": [0.5]})
+    assert config.mechanisms[3] == ("threshold", 1.0, {"tau": 0})
 
 
 def test_package_root_exports_only_the_documented_surface():
@@ -361,6 +378,21 @@ def test_scalar_engine_yields_identical_report():
     vec = run_experiment(cfg, engine="vector")
     sca = run_experiment(cfg, engine="scalar")
     assert vec.checksum == sca.checksum
+
+
+def test_engines_agree_on_the_full_acceptance_mix():
+    # All four policies, all four mechanisms and both bits, small enough for
+    # the scalar engine; min_test_samples low enough that the tests run.
+    data = json.loads((Path(__file__).resolve().parents[1]
+                       / "configs" / "acceptance.cfg").read_text())
+    cfg = config_from_dict({**data, "n_trials": 40, "min_test_samples": 10})
+    assert len(cfg.policies) == 4 and len(cfg.mechanisms) == 4 and cfg.bits == (0, 1)
+    vec = run_experiment(cfg, engine="vector")
+    sca = run_experiment(cfg, engine="scalar")
+    assert vec.checksum == sca.checksum
+    dump = lambda r: json.dumps(r.results, sort_keys=True, allow_nan=False)
+    assert dump(vec) == dump(sca)
+    assert sum(sec["tests_run"] for sec in vec.results["policies"]) > 0
 
 
 def test_single_trial_marks_insufficient_sample():

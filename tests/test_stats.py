@@ -1,6 +1,7 @@
 """Estimators and tests: closed-form examples checked exactly, then the
 distributional sanity runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -193,6 +194,13 @@ def per_value_normality_check(sample, alpha=0.001, name="normality"):
     d = max(float(np.max(grid - f)), float(np.max(f - (grid - 1.0 / n))))
     p = kolmogorov_sf(d * (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)))
     return Report(name, d, p, alpha, p > alpha)
+
+
+def test_report_dict_lists_every_field():
+    for rep in (ks_two_sample([0.0, 1.0], [0.5, 2.0]), two_proportion_z(3, 10, 4, 10),
+                Report("bound", 0.25, None, 0.5, True)):
+        assert rep.to_dict() == dataclasses.asdict(rep)
+        assert list(rep.to_dict()) == [f.name for f in dataclasses.fields(rep)]
 
 
 def test_normality_bitwise_equals_per_value_cdf():
