@@ -3,9 +3,10 @@
 Runs n_trials independent curator interactions for one (kind, bit, policy)
 arm, round-synchronously across numpy arrays with one lane per live trial:
 a trial that stops leaves every per-lane array at once, so each round costs
-only its live lanes.  Each round keeps its live lanes' spends, decisions and
-answers, and each result matrix is built from them once, at the end.  The
-filter rule (``budget.admit``), the streaming factor step
+only its live lanes.  Each round writes its spends, decisions and answers
+straight into column r of the round-major result matrices, which start at
+16 columns and double when full; never-written capacity is never touched.
+The filter rule (``budget.admit``), the streaming factor step
 (``cholesky.stream_step``) and the policy's ``spends`` kernel are the same
 functions a scalar ``gdpsim.curator.Session`` runs on floats, so per-trial
 behaviour is bitwise identical to a session fed the same draw row -- the
@@ -16,14 +17,19 @@ Randomness: one arm key is derived from (master seed, kind, policy id, bit).
 Column j of the arm's tableau is ``generator(arm key, "col", j)
 .standard_normal(n_trials)``, drawn when a trial's cursor first reaches it;
 trial t consumes entry t of columns 0, 1, ... in order, so its draws do not
-depend on n_trials.  Refused rounds consume nothing.  Both engines return
-round-major (order "F") results; a row sum's last bit depends on memory order.
+depend on n_trials.  Refused rounds consume nothing.  The vector engine
+releases the columns below every live trial's cursor (refused trials
+included, since they read theirs later) when the tableau would otherwise
+grow, so a lockstep arm holds a few columns however long it runs.  Both
+engines return round-major (order "F") results; a row sum's last bit depends
+on memory order.
 
 Both engines run registered policies only.  ``engine="scalar"`` replays
 each trial through a real session and ``run_interaction``, drawing from its
-tableau row and growing the tableau when the row runs out; it is the
-per-trial reference the vector engine is tested against, and produces the
-same BatchResult.
+tableau row and growing the tableau when the row runs out (it never
+releases columns); it is the per-trial reference the vector engine is tested
+against, and produces the same BatchResult.  It writes each finished trial
+into its result matrices and drops the transcript.
 """
 
 from __future__ import annotations
@@ -51,11 +57,17 @@ def policy_stream_id(name: str, params: dict) -> str:
 
 class DrawTableau:
     """Standard normals for one arm, column j drawn from its own stream on
-    first use and stored as row j of a (capacity x n_trials) array."""
+    first use.  The columns still held, ``[base, width)``, are rows of a ring
+    whose capacity is a power of two: column j is row ``j % capacity``.  The
+    ring doubles only when the held window outgrows it.  ``release`` drops
+    the columns below a floor; reading one of them raises rather than return
+    a wrapped row.  Until the first release the ring never wraps, so column
+    j is row j and ``row`` is a plain slice."""
 
     def __init__(self, key: int, n_trials: int):
         self._key = key
         self._n = n_trials
+        self._base = 0
         self._width = 0
         self._data = np.empty((0, n_trials))
 
@@ -66,21 +78,46 @@ class DrawTableau:
     def ensure(self, width: int) -> None:
         while self._width < width:
             j = self._width
-            if j == len(self._data):
-                grown = np.empty((max(width, 2 * j), self._n))
-                grown[:j] = self._data
-                self._data = grown
-            generator(self._key, "col", j).standard_normal(out=self._data[j])
+            if j - self._base == len(self._data):
+                self._grow(width - self._base)
+            generator(self._key, "col", j).standard_normal(
+                out=self._data[j & (len(self._data) - 1)])
             self._width = j + 1
 
-    def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Gather one draw per (trial row, per-trial cursor)."""
+    def _grow(self, need: int) -> None:
+        cap = max(1, 2 * len(self._data))
+        while cap < need:
+            cap *= 2
+        grown = np.empty((cap, self._n))
+        held = np.arange(self._base, self._width)
+        grown[held & (cap - 1)] = self._data[held & (len(self._data) - 1)]
+        self._data = grown
+
+    def release(self, floor: int) -> None:
+        """Drop the drawn columns below ``floor``; no read may reach them."""
+        self._base = max(self._base, min(floor, self._width))
+
+    def take(self, rows: np.ndarray, cols: np.ndarray,
+             live: np.ndarray | None = None) -> np.ndarray:
+        """Gather one draw per (trial row, per-trial cursor).  ``live``, the
+        cursors of every trial still running, lets a full ring release the
+        columns below all of them instead of growing."""
         if rows.size == 0:
             return np.empty(0)
-        self.ensure(int(cols.max()) + 1)
+        top = int(cols.max()) + 1
+        if live is not None and top - self._base > len(self._data):
+            self.release(int(live.min()))
+        self.ensure(top)
+        if self._base:
+            low = int(cols.min())
+            if low < self._base:
+                raise IndexError(f"tableau column {low} was released")
+            cols = cols & (len(self._data) - 1)
         return self._data[cols, rows]
 
     def row(self, t: int, width: int) -> np.ndarray:
+        if self._base:
+            raise IndexError("tableau columns were released; rows are incomplete")
         self.ensure(width)
         return self._data[:width, t]
 
@@ -148,11 +185,13 @@ class BatchResult:
         return col[self.decisions[:, r] == 1]
 
     def summaries(self) -> np.ndarray:
-        """Sum of accepted answers per trial (the built-in policy summary)."""
-        if self.answers.shape[1] == 0:
-            return np.zeros(self.n_trials)
-        vals = np.where(self.decisions == 1, self.answers, 0.0)
-        return vals.sum(axis=1)
+        """Sum of accepted answers per trial (the built-in policy summary).
+        Added one round at a time, with no trials x rounds temporary, in the
+        order a row sum of the round-major matrices adds them."""
+        total = np.zeros(self.n_trials)
+        for r in range(self.answers.shape[1]):
+            total += np.where(self.decisions[:, r] == 1, self.answers[:, r], 0.0)
+        return total
 
 
 def run_trial_batch(
@@ -209,8 +248,10 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
     last = prev = np.full(n, np.nan)
     lengths, draws = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     truncated = np.zeros(n, dtype=bool)
-    # Per round: its live lanes' trials, spends, decisions and answers.
-    lanes, spend_cols, dec_cols, ans_cols = [], [], [], []
+    # Spends, decisions and answers; round r is column r, written whole.
+    # They start at 16 columns, so short arms never regrow them.
+    out = _result_matrices(n, min(max_rounds, 16))
+    rounds = 0
 
     for r in range(max_rounds):
         rem = np.maximum(0.0, budget_sq - spent)
@@ -234,7 +275,7 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
         np.copyto(comp, new_comp, where=moved)
         whole = admitted.all()
         acc = slice(None) if whole else np.flatnonzero(admitted)
-        v = tableau.take(lane[acc], cursor[acc])
+        v = tableau.take(lane[acc], cursor[acc], cursor)
         cursor += admitted
         if live_w0 is None:
             ans = bit * sp[acc] + v
@@ -245,56 +286,70 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
         if not whole:
             answers, ans = ans, np.full(lane.size, np.nan)
             ans[acc] = answers
-        # Recorded columns may be these very arrays: rebind, never write.
         last, prev = ans if whole else np.where(admitted, ans, last), sp
-        lanes.append(lane)
-        spend_cols.append(sp)
-        dec_cols.append(admitted)
-        ans_cols.append(ans)
+        if r == out[0].shape[1]:
+            _widen(out, min(max_rounds, 2 * r), filled=False)
+        for mat, vals, fill in zip(out, (sp, admitted, ans), _FILLS):
+            if lane.size == n:
+                mat[:, r] = vals
+            else:
+                col = mat[:, r]
+                col.fill(fill)
+                col[lane] = vals
+        rounds = r + 1
 
     if lane.size:   # the lanes still live ran every round
-        lengths[lane], draws[lane] = len(lanes), cursor
+        lengths[lane], draws[lane] = rounds, cursor
         rem = np.maximum(0.0, budget_sq - spent)
         _, stop = vec.spends(max_rounds, rem, last, prev)
         truncated[lane[~stop]] = True
-    return (_round_major(lanes, spend_cols, n, np.nan, float),
-            _round_major(lanes, dec_cols, n, -1, np.int8),
-            _round_major(lanes, ans_cols, n, np.nan, float),
-            lengths, truncated, draws, w0)
+    return (*(mat[:, :rounds] for mat in out), lengths, truncated, draws, w0)
 
 
-def _round_major(lanes, cols, n, fill, dtype):
-    """The n x R matrix (order "F") with ``cols[r]`` at rows ``lanes[r]`` of
-    column r and ``fill`` elsewhere.  Empties ``cols`` as it fills, so the
-    next matrix is allocated only after this one's columns are freed."""
-    out = np.full((n, len(cols)), fill, dtype=dtype, order="F")
-    for r, trials in enumerate(lanes):
-        out[trials if trials.size < n else slice(None), r] = cols[r]
-        cols[r] = None
-    return out
+# Fill value and dtype of the spends, decisions and answers matrices.
+_FILLS = (np.nan, -1, np.nan)
+_DTYPES = (float, np.int8, float)
+
+
+def _result_matrices(n, cap):
+    """The unwritten n x cap spends, decisions and answers matrices
+    (order "F")."""
+    return [np.empty((n, cap), dtype=dtype, order="F") for dtype in _DTYPES]
+
+
+def _widen(out, cap, filled):
+    """Regrow each matrix of ``out`` to ``cap`` columns, one at a time, so
+    only one old matrix is alive beside its copy.  New columns hold their
+    fill values if ``filled``, else are left unwritten."""
+    for i, fill in enumerate(_FILLS):
+        old = out[i]
+        out[i] = np.empty((old.shape[0], cap), dtype=old.dtype, order="F")
+        out[i][:, :old.shape[1]] = old
+        if filled:
+            out[i][:, old.shape[1]:] = fill
 
 
 def _run_scalar(kind, bit, mu0, policy_name, policy_params,
                 n_trials, max_rounds, tableau: DrawTableau):
-    """Reference engine: real sessions, one trial at a time, same draw rows."""
+    """Reference engine: real sessions, one trial at a time, same draw rows.
+    Each finished trial is written into the result matrices and dropped."""
     policy = make_policy(policy_name, **policy_params)
-    transcripts, draws, w0s = [], [], []
+    out = _result_matrices(n_trials, 0)
+    lengths, truncated, draws, w0s = [], [], [], []
     for t in range(n_trials):
         session = Session(kind, bit, mu0, _RowDraws(tableau, t))
-        transcripts.append(run_interaction(session, policy, max_rounds=max_rounds))
+        tr = run_interaction(session, policy, max_rounds=max_rounds)
+        k = len(tr.rounds)
+        if k > out[0].shape[1]:
+            _widen(out, min(max_rounds, max(k, 2 * out[0].shape[1])), filled=True)
+        if k:   # a refused round's None answer reads as NaN
+            _, spend, accepted, answer = zip(*tr.rounds)
+            out[0][t, :k], out[1][t, :k], out[2][t, :k] = spend, accepted, answer
+        lengths.append(k)
+        truncated.append(tr.truncated)
         draws.append(session.draws)
         w0s.append(session.w0)
-
-    lengths = np.array([len(tr.rounds) for tr in transcripts], dtype=np.int64)
-    r_max = int(lengths.max())
-    spends = np.full((n_trials, r_max), np.nan, order="F")
-    decisions = np.full((n_trials, r_max), -1, dtype=np.int8, order="F")
-    answers = np.full((n_trials, r_max), np.nan, order="F")
-    for t, tr in enumerate(transcripts):
-        if tr.rounds:   # a refused round's None answer reads as NaN
-            _, spend, accepted, answer = zip(*tr.rounds)
-            k = len(spend)
-            spends[t, :k], decisions[t, :k], answers[t, :k] = spend, accepted, answer
-    truncated = np.array([tr.truncated for tr in transcripts], dtype=bool)
-    return (spends, decisions, answers, lengths, truncated, np.array(draws, dtype=np.int64),
+    r_max = max(lengths)
+    return (*(mat[:, :r_max] for mat in out), np.array(lengths, dtype=np.int64),
+            np.array(truncated, dtype=bool), np.array(draws, dtype=np.int64),
             np.array(w0s, dtype=float) if kind == "simulated" else None)

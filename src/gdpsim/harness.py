@@ -43,6 +43,7 @@ import sys
 import time
 from dataclasses import MISSING, dataclass, fields, replace
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -274,6 +275,35 @@ def _var_of(x: np.ndarray) -> float | None:
     return _finite_or_none(x.var(ddof=1)) if x.size >= 2 else None
 
 
+class _Arm(NamedTuple):
+    """One arm as evaluation reads it: its spends matrix is not kept."""
+
+    bit: int
+    answers: np.ndarray
+    decisions: np.ndarray
+    first_spends: np.ndarray   # row 0 of spends
+    uniform: bool              # _uniform_shape of the whole result
+    summaries: np.ndarray
+    truncated: int
+
+    def round_answers(self, r: int) -> np.ndarray:
+        """Accepted answers at round r across trials."""
+        return self.answers[:, r][self.decisions[:, r] == 1]
+
+
+def _shrink(res) -> _Arm:
+    return _Arm(res.bit, res.answers, res.decisions, res.spends[0].copy(),
+                _uniform_shape(res), res.summaries(), int(np.sum(res.truncated)))
+
+
+def _columns(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` (increasing) of ``a``: a view when evenly spaced."""
+    step = int(cols[1] - cols[0]) if cols.size > 1 else 1
+    if np.all(np.diff(cols) == step):
+        return a[:, cols[0]:cols[-1] + 1:step]
+    return a[:, cols]
+
+
 def _uniform_shape(res) -> bool:
     """True when all trials share the same rounds, spends and decisions.
     With no round absent anywhere, every trial ran every round."""
@@ -311,8 +341,8 @@ def _refusal_checksum(decisions: np.ndarray, width: int) -> str:
     return h.hexdigest()
 
 
-def _evaluate_pair(direct, sim, alpha: float, min_samples: int) -> dict:
-    n = direct.n_trials
+def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> dict:
+    n = direct.answers.shape[0]
     r_direct = direct.answers.shape[1]
     r_sim = sim.answers.shape[1]
     r_max = max(r_direct, r_sim)
@@ -342,26 +372,26 @@ def _evaluate_pair(direct, sim, alpha: float, min_samples: int) -> dict:
         per_round.append(entry)
 
     if n >= max(2, min_samples):
-        rep = ks_two_sample(direct.summaries(), sim.summaries(), alpha, name="summary_ks")
+        rep = ks_two_sample(direct.summaries, sim.summaries, alpha, name="summary_ks")
         summary = rep.to_dict()
         ok &= rep.passed
         tests_run += 1
     else:
         summary = "insufficient sample"
 
-    uniform = _uniform_shape(direct) and _uniform_shape(sim) \
+    uniform = direct.uniform and sim.uniform \
         and direct.decisions.shape == sim.decisions.shape \
         and bool(np.all(direct.decisions[0] == sim.decisions[0])) \
-        and bool(np.all(direct.spends[0] == sim.spends[0]))
+        and bool(np.all(direct.first_spends == sim.first_spends))
     if uniform and n >= 2:
         acc_cols = np.flatnonzero(direct.decisions[0] == 1)
         if acc_cols.size:
             mean_tol = _MEAN_TOL_FACTOR / math.sqrt(n)
             cov_tol = _COV_TOL_FACTOR / math.sqrt(n)
-            targets = direct.bit * direct.spends[0, acc_cols]
+            targets = direct.bit * direct.first_spends[acc_cols]
             eye = np.eye(acc_cols.size)
-            mean_d, cov_d = empirical_moments(direct.answers[:, acc_cols])
-            mean_s, cov_s = empirical_moments(sim.answers[:, acc_cols])
+            mean_d, cov_d = empirical_moments(_columns(direct.answers, acc_cols))
+            mean_s, cov_s = empirical_moments(_columns(sim.answers, acc_cols))
             mean_dev = max(
                 float(np.max(np.abs(mean_d - targets))),
                 float(np.max(np.abs(mean_s - targets))),
@@ -407,17 +437,19 @@ def _evaluate_pair(direct, sim, alpha: float, min_samples: int) -> dict:
         "summary_ks": summary,
         "moments": moments,
         "refusals": refusals,
-        "truncated_direct": int(np.sum(direct.truncated)),
-        "truncated_simulated": int(np.sum(sim.truncated)),
+        "truncated_direct": direct.truncated,
+        "truncated_simulated": sim.truncated,
         "tests_run": tests_run,
         "passed": bool(ok),
     }
 
 
 def _policy_section(config, name, params, bit, seed, engine) -> dict:
+    # Each arm is shrunk as soon as it has run, so the next one runs beside
+    # only what evaluation reads of it.
     direct, sim = (
-        run_trial_batch(kind, bit, config.budget, name, params,
-                        config.n_trials, seed, config.max_rounds, engine)
+        _shrink(run_trial_batch(kind, bit, config.budget, name, params,
+                                config.n_trials, seed, config.max_rounds, engine))
         for kind in KINDS
     )
     section = {"policy": name, "params": params, "bit": bit}

@@ -133,7 +133,9 @@ def normality_check(sample, alpha: float = 0.001, name: str = "normality") -> Te
 
 def empirical_moments(samples) -> tuple[np.ndarray, np.ndarray]:
     """Unbiased mean vector and covariance matrix of an (n_trials, n_rounds)
-    sample matrix, columns indexed by round."""
+    sample matrix, columns indexed by round.  The centred samples are the
+    only copy made; the covariance is computed as ``np.cov(samples,
+    rowvar=False)`` computes it, so its bits are the same."""
     a = np.asarray(samples, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D trials-by-rounds array, got ndim={a.ndim}")
@@ -142,7 +144,9 @@ def empirical_moments(samples) -> tuple[np.ndarray, np.ndarray]:
     if a.shape[0] < 2:
         raise ValueError("need at least two trials for moment estimates")
     mean = a.mean(axis=0)
-    cov = np.atleast_2d(np.cov(a, rowvar=False, ddof=1))
+    centered = (a - mean).T
+    cov = np.dot(centered, centered.T)
+    cov *= 1.0 / (a.shape[0] - 1)
     return mean, cov
 
 

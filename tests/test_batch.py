@@ -221,3 +221,49 @@ def test_input_validation():
         run_trial_batch("direct", 3, 1.0, "fixed", {"spends": []}, 1, 0)
     with pytest.raises(ValueError):
         run_trial_batch("direct", 0, 1.0, "fixed", {"spends": []}, 0, 0)
+
+
+def test_ring_tableau_reads_each_column_stream_across_releases_and_wraps():
+    # Registered policies keep every live lane on one cursor; here lanes read
+    # at their own rates, so the held window widens (the ring grows) and
+    # narrows (columns are released) while the ring wraps several times.
+    key, n = derive_key(5, "ring"), 10
+    columns = {}
+
+    def expected(rows, cols):
+        for j in set(cols.tolist()) - columns.keys():
+            columns[j] = generator(key, "col", j).standard_normal(n)
+        return np.array([columns[j][t] for t, j in zip(rows.tolist(), cols.tolist())])
+
+    rng = np.random.default_rng(11)
+    tab = DrawTableau(key, n)
+    rate = rng.choice([0.15, 0.5, 1.0], n)
+    cursor = rng.integers(0, 6, n)
+    live = np.ones(n, dtype=bool)
+    capacities = set()
+    for step in range(600):
+        # The lag bound caps the window; raising it midway grows the ring
+        # again after it has released and wrapped.
+        lagging = cursor < cursor[live].max() - (6 if step < 300 else 24)
+        reading = np.flatnonzero(live & ((rng.random(n) < rate) | lagging))
+        if reading.size:
+            got = tab.take(reading, cursor[reading], cursor[live])
+            assert np.array_equal(got, expected(reading, cursor[reading]))
+            cursor[reading] += 1
+        if step % 50 == 49:
+            tab.release(int(cursor[live].min()))
+        if step == 300:
+            live[rng.choice(n, 3, replace=False)] = False
+        capacities.add(len(tab._data))
+    assert len(capacities) >= 3                 # the ring grew, twice
+    assert tab.width > 4 * max(capacities)     # and wrapped several times
+
+    floor = int(cursor[live].min())
+    tab.release(floor)
+    t = int(np.flatnonzero(live)[0])
+    assert np.array_equal(tab.take(np.array([t]), np.array([floor])),
+                          expected(np.array([t]), np.array([floor])))
+    with pytest.raises(IndexError):
+        tab.take(np.array([t]), np.array([floor - 1]))
+    with pytest.raises(IndexError):
+        tab.row(t, 1)
