@@ -179,11 +179,6 @@ class BatchResult:
                       for i, (spend, dec, answer) in enumerate(rows)]
             yield Transcript(self.budget, rounds, truncated)
 
-    def round_answers(self, r: int) -> np.ndarray:
-        """Accepted answers at round r across trials."""
-        col = self.answers[:, r]
-        return col[self.decisions[:, r] == 1]
-
     def summaries(self) -> np.ndarray:
         """Sum of accepted answers per trial (the built-in policy summary).
         Added one round at a time, with no trials x rounds temporary, in the

@@ -18,19 +18,22 @@ nesting; unknown keys are errors):
 For every (policy, bit), ``run_experiment`` runs n_trials direct and
 n_trials simulated interactions on disjoint derived streams (policy arms and
 mechanism arms are keyed separately; see gdpsim.rng for the splitting rule),
-then evaluates per-round marginal KS tests, a KS test on each trial's sum
-of accepted answers,
-moment and covariance bounds where round shapes are uniform, and
-refusal-pattern checksums.  Rounds with fewer than min_test_samples values
-in either arm are reported as "insufficient sample" rather than tested,
-keeping the asymptotic p-values honest.  A failing (policy, bit) section is
-rerun once on an independently derived seed before the failure stands.
+then evaluates per-round marginal KS tests, a KS test on each trial's sum of
+accepted answers, moment and covariance bounds where round shapes are
+uniform, and refusal-pattern checksums.  A (mechanism, bit) section compares
+the arms' one-query outcomes by a two-proportion z-test (binary mechanisms)
+or a KS test.  Every test runs only when both samples hold min_test_samples
+values (and two at the least), else it is reported as "insufficient sample",
+keeping the asymptotic p-values honest.  A section passes when its bound
+checks hold and every test it ran (``tests_run`` for a policy) passed.  A
+failing section is rerun once on an independently derived seed before the
+failure stands.
 
 Reports are JSON with sorted keys.  The checksum covers the config echo and
 results only -- wall time, timestamps and versions live in a separate
 metadata block -- so two runs with the same (config, master_seed) are
 checksum-identical.  ``report_table`` renders the same results as a flat TSV
-for spreadsheets.
+for spreadsheets, retries and moment checks included.
 """
 
 from __future__ import annotations
@@ -287,21 +290,13 @@ class _Arm(NamedTuple):
     truncated: int
 
     def round_answers(self, r: int) -> np.ndarray:
-        """Accepted answers at round r across trials."""
-        return self.answers[:, r][self.decisions[:, r] == 1]
+        """Accepted answers at round r across trials; none past the last round."""
+        return self.answers[:, r:r + 1][self.decisions[:, r:r + 1] == 1]
 
 
 def _shrink(res) -> _Arm:
     return _Arm(res.bit, res.answers, res.decisions, res.spends[0].copy(),
                 _uniform_shape(res), res.summaries(), int(np.sum(res.truncated)))
-
-
-def _columns(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Columns ``cols`` (increasing) of ``a``: a view when evenly spaced."""
-    step = int(cols[1] - cols[0]) if cols.size > 1 else 1
-    if np.all(np.diff(cols) == step):
-        return a[:, cols[0]:cols[-1] + 1:step]
-    return a[:, cols]
 
 
 def _uniform_shape(res) -> bool:
@@ -341,19 +336,26 @@ def _refusal_checksum(decisions: np.ndarray, width: int) -> str:
     return h.hexdigest()
 
 
+def _test(ledger, test, x, y, alpha, min_samples, name):
+    """The sample rule: run ``test`` on ``x`` and ``y`` when each holds
+    min_samples values, and two at the least, and add its report to the
+    section's ``ledger``.  Returns the report dict, or why it did not run."""
+    if min(len(x), len(y)) < max(2, min_samples):
+        return "insufficient sample"
+    rep = test(x, y, alpha, name=name)
+    ledger.append(rep)
+    return rep.to_dict()
+
+
 def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> dict:
     n = direct.answers.shape[0]
-    r_direct = direct.answers.shape[1]
-    r_sim = sim.answers.shape[1]
-    r_max = max(r_direct, r_sim)
-    ok = True
-    tests_run = 0
+    r_max = max(direct.answers.shape[1], sim.answers.shape[1])
+    ledger = []
 
     per_round = []
     for r in range(r_max):
-        xd = direct.round_answers(r) if r < r_direct else np.empty(0)
-        xs = sim.round_answers(r) if r < r_sim else np.empty(0)
-        entry = {
+        xd, xs = direct.round_answers(r), sim.round_answers(r)
+        per_round.append({
             "round": r,
             "n_direct": int(xd.size),
             "n_simulated": int(xs.size),
@@ -361,24 +363,12 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
             "mean_simulated": _mean_of(xs),
             "var_direct": _var_of(xd),
             "var_simulated": _var_of(xs),
-        }
-        if min(xd.size, xs.size) >= max(2, min_samples):
-            rep = ks_two_sample(xd, xs, alpha, name=f"round_{r}_ks")
-            entry["ks"] = rep.to_dict()
-            ok &= rep.passed
-            tests_run += 1
-        else:
-            entry["ks"] = "insufficient sample"
-        per_round.append(entry)
+            "ks": _test(ledger, ks_two_sample, xd, xs, alpha, min_samples, f"round_{r}_ks"),
+        })
+    summary = _test(ledger, ks_two_sample, direct.summaries, sim.summaries, alpha,
+                    min_samples, "summary_ks")
 
-    if n >= max(2, min_samples):
-        rep = ks_two_sample(direct.summaries, sim.summaries, alpha, name="summary_ks")
-        summary = rep.to_dict()
-        ok &= rep.passed
-        tests_run += 1
-    else:
-        summary = "insufficient sample"
-
+    moments_ok = True
     uniform = direct.uniform and sim.uniform \
         and direct.decisions.shape == sim.decisions.shape \
         and bool(np.all(direct.decisions[0] == sim.decisions[0])) \
@@ -390,8 +380,8 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
             cov_tol = _COV_TOL_FACTOR / math.sqrt(n)
             targets = direct.bit * direct.first_spends[acc_cols]
             eye = np.eye(acc_cols.size)
-            mean_d, cov_d = empirical_moments(_columns(direct.answers, acc_cols))
-            mean_s, cov_s = empirical_moments(_columns(sim.answers, acc_cols))
+            mean_d, cov_d = empirical_moments(direct.answers, acc_cols)
+            mean_s, cov_s = empirical_moments(sim.answers, acc_cols)
             mean_dev = max(
                 float(np.max(np.abs(mean_d - targets))),
                 float(np.max(np.abs(mean_s - targets))),
@@ -413,7 +403,7 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
                 moments["cov_deviation_direct_vs_identity"] <= cov_tol
                 and moments["cov_deviation_simulated_vs_identity"] <= cov_tol
             )
-            ok &= moments["mean_ok"] and moments["cov_ok"]
+            moments_ok = moments["mean_ok"] and moments["cov_ok"]
         else:
             moments = "no accepted rounds"
     else:
@@ -428,7 +418,6 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
         "refused_rounds_direct": int(np.sum(direct.decisions == 0)),
         "refused_rounds_simulated": int(np.sum(sim.decisions == 0)),
     }
-    ok &= refusals["match"]
 
     return {
         "n_trials": n,
@@ -439,19 +428,24 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
         "refusals": refusals,
         "truncated_direct": direct.truncated,
         "truncated_simulated": sim.truncated,
-        "tests_run": tests_run,
-        "passed": bool(ok),
+        "tests_run": len(ledger),
+        "passed": bool(moments_ok and refusals["match"]
+                       and all(rep.passed for rep in ledger)),
     }
 
 
+def _arm_pair(config, name, params, bit, seed, engine, reduce, stream_label=None):
+    """Run a section's direct arm, then its simulated arm, each reduced by
+    ``reduce(kind, result)`` to what the section reads before the next runs."""
+    return [reduce(kind, run_trial_batch(kind, bit, config.budget, name, params,
+                                         config.n_trials, seed, config.max_rounds,
+                                         engine, stream_label=stream_label))
+            for kind in KINDS]
+
+
 def _policy_section(config, name, params, bit, seed, engine) -> dict:
-    # Each arm is shrunk as soon as it has run, so the next one runs beside
-    # only what evaluation reads of it.
-    direct, sim = (
-        _shrink(run_trial_batch(kind, bit, config.budget, name, params,
-                                config.n_trials, seed, config.max_rounds, engine))
-        for kind in KINDS
-    )
+    direct, sim = _arm_pair(config, name, params, bit, seed, engine,
+                            lambda kind, res: _shrink(res))
     section = {"policy": name, "params": params, "bit": bit}
     section.update(_evaluate_pair(direct, sim, config.alpha, config.min_test_samples))
     return section
@@ -459,41 +453,28 @@ def _policy_section(config, name, params, bit, seed, engine) -> dict:
 
 # --- mechanisms -------------------------------------------------------------
 
-def _mechanism_outcomes(res, mech, post_rng) -> np.ndarray:
-    if res.answers.shape[1] == 0:
-        return np.empty(0)
-    accepted = res.decisions[:, 0] == 1
-    return mech.post(res.answers[accepted, 0], post_rng)
-
-
-def _mechanism_label(name, mu, params) -> str:
-    return "mechanism:" + policy_stream_id(name, {"mu": mu, **params})
-
-
 def _mechanism_section(config, name, mu, params, bit, seed, engine) -> dict:
     mech = make_mechanism(name, mu, **params)
-    label = _mechanism_label(name, mu, params)
-    outcomes = []
-    for kind in KINDS:
-        res = run_trial_batch(kind, bit, config.budget, "fixed", {"spends": [mu]},
-                              config.n_trials, seed, config.max_rounds, engine,
-                              stream_label=label)
-        outcomes.append(_mechanism_outcomes(res, mech,
-                                            generator(seed, "post", label, kind, bit)))
-    out_d, out_s = outcomes
-    refused_d = config.n_trials - out_d.size
-    refused_s = config.n_trials - out_s.size
+    label = "mechanism:" + policy_stream_id(name, {"mu": mu, **params})
+
+    def post(kind, res):
+        # A one-spend arm always has round 0 (max_rounds >= 1).
+        accepted = res.decisions[:, 0] == 1
+        return mech.post(res.answers[accepted, 0], generator(seed, "post", label, kind, bit))
+
+    out_d, out_s = _arm_pair(config, "fixed", {"spends": [mu]}, bit, seed, engine, post,
+                             stream_label=label)
     section = {
         "mechanism": name,
         "mu": mu,
         "params": params,
         "bit": bit,
         "n_trials": config.n_trials,
-        "refused_direct": refused_d,
-        "refused_simulated": refused_s,
+        "refused_direct": config.n_trials - out_d.size,
+        "refused_simulated": config.n_trials - out_s.size,
         "binary": mech.binary,
     }
-    ok = refused_d == refused_s
+    ledger = []
     if out_d.size == 0 or out_s.size == 0:
         section["test"] = "all queries refused"
     elif mech.binary:
@@ -503,17 +484,15 @@ def _mechanism_section(config, name, mu, params, bit, seed, engine) -> dict:
         section["success_value"] = success
         section["freq_direct"] = k_d / out_d.size
         section["freq_simulated"] = k_s / out_s.size
-        rep = two_proportion_z(k_d, out_d.size, k_s, out_s.size, config.alpha,
-                               name=f"{name}_two_proportion")
-        section["test"] = rep.to_dict()
-        ok &= rep.passed
-    elif min(out_d.size, out_s.size) >= max(2, config.min_test_samples):
-        rep = ks_two_sample(out_d, out_s, config.alpha, name=f"{name}_ks")
-        section["test"] = rep.to_dict()
-        ok &= rep.passed
+        section["test"] = _test(
+            ledger, lambda x, y, *args, **kw: two_proportion_z(k_d, x.size, k_s, y.size,
+                                                               *args, **kw),
+            out_d, out_s, config.alpha, config.min_test_samples, f"{name}_two_proportion")
     else:
-        section["test"] = "insufficient sample"
-    section["passed"] = bool(ok)
+        section["test"] = _test(ledger, ks_two_sample, out_d, out_s, config.alpha,
+                                config.min_test_samples, f"{name}_ks")
+    section["passed"] = (section["refused_direct"] == section["refused_simulated"]
+                         and all(rep.passed for rep in ledger))
     return section
 
 
@@ -608,32 +587,40 @@ def report_table(results: dict) -> str:
                     "pass" if t["passed"] else "FAIL"]
         return ["", "", str(t)]
 
-    lines = ["\t".join(header)]
-    for sec in results.get("policies", []):
-        base = ["policy", sec["policy"], str(sec["bit"])]
-        for ent in sec["per_round"]:
-            row = base + [str(ent["round"]), str(ent["n_direct"]),
-                          str(ent["n_simulated"]), fmt(ent["mean_direct"]),
-                          fmt(ent["mean_simulated"])] + test_cells(ent["ks"])
-            lines.append("\t".join(row))
-        lines.append("\t".join(base + ["summary", "", "", "", ""]
-                               + test_cells(sec["summary_ks"])))
-        lines.append("\t".join(base + ["refusals", "", "", "", "", "", "",
-                                       "match" if sec["refusals"]["match"] else "MISMATCH"]))
-    for sec in results.get("mechanisms", []):
-        row = (["mechanism", sec["mechanism"], str(sec["bit"]), "0",
-                str(sec["n_trials"] - sec["refused_direct"]),
-                str(sec["n_trials"] - sec["refused_simulated"]),
-                fmt(sec.get("freq_direct")), fmt(sec.get("freq_simulated"))]
-               + test_cells(sec["test"]))
-        lines.append("\t".join(row))
+    def policy_rows(label, sec):
+        base = [label, sec["policy"], str(sec["bit"])]
+        rows = [base + [str(ent["round"]), str(ent["n_direct"]), str(ent["n_simulated"]),
+                        fmt(ent["mean_direct"]), fmt(ent["mean_simulated"])]
+                + test_cells(ent["ks"]) for ent in sec["per_round"]]
+        mom = sec["moments"]
+        if isinstance(mom, dict):
+            mom = "pass" if mom["mean_ok"] and mom["cov_ok"] else "FAIL"
+        return rows + [
+            base + ["summary", "", "", "", ""] + test_cells(sec["summary_ks"]),
+            base + ["moments", "", "", "", "", "", "", mom],
+            base + ["refusals", "", "", "", "", "", "",
+                    "match" if sec["refusals"]["match"] else "MISMATCH"]]
+
+    def mechanism_rows(label, sec):
+        return [[label, sec["mechanism"], str(sec["bit"]), "0",
+                 str(sec["n_trials"] - sec["refused_direct"]),
+                 str(sec["n_trials"] - sec["refused_simulated"]),
+                 fmt(sec.get("freq_direct")), fmt(sec.get("freq_simulated"))]
+                + test_cells(sec["test"])]
+
+    rows = [header]
+    for key, label, section_rows in (("policies", "policy", policy_rows),
+                                     ("mechanisms", "mechanism", mechanism_rows)):
+        for sec in results.get(key, []):
+            rows += section_rows(label, sec)
+            if "retry" in sec:
+                rows += section_rows(label + "_retry", sec["retry"])
     norm = results.get("rng", {}).get("normality")
     if norm:
-        lines.append("\t".join(["rng", "normality", "", "", "", "", "", ""]
-                               + test_cells(norm)))
-    lines.append("\t".join(["overall", "", "", "", "", "", "", "", "", "",
-                            "pass" if results.get("passed") else "FAIL"]))
-    return "\n".join(lines) + "\n"
+        rows.append(["rng", "normality", "", "", "", "", "", ""] + test_cells(norm))
+    rows.append(["overall", "", "", "", "", "", "", "", "", "",
+                 "pass" if results.get("passed") else "FAIL"])
+    return "".join("\t".join(row) + "\n" for row in rows)
 
 
 # --- factor verification ----------------------------------------------------
@@ -796,7 +783,7 @@ def write_transcripts(path, records) -> None:
 def parse_transcripts(path) -> dict:
     """Inverse of write_transcripts: {(policy, bit, kind, trial): Transcript}.
     A transcript's rows number its rounds 0, 1, ..., keep one budget and end
-    at its truncation marker, if any."""
+    at its truncation marker, if any; every error names its ``path:line``."""
     out: dict = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -804,31 +791,32 @@ def parse_transcripts(path) -> dict:
         if header != _TRANSCRIPT_COLUMNS:
             raise ValueError(f"{path}: unexpected header {header!r}")
         for line, row in enumerate(reader, start=2):
-            if len(row) != len(_TRANSCRIPT_COLUMNS):
-                raise ValueError(f"{path}:{line}: expected {len(_TRANSCRIPT_COLUMNS)} fields")
-            policy, bit, kind, trial, budget, rnd, spend, decision, answer = row
-            key = (policy, int(bit), kind, int(trial))
-            tr = out.get(key)
-            if tr is None:
-                tr = out[key] = Transcript(budget=float(budget))
-            if tr.truncated:
-                raise ValueError(f"{path}:{line}: row after the truncation marker")
-            if float(budget) != tr.budget:
-                raise ValueError(f"{path}:{line}: budget changes within a transcript")
-            if int(rnd) != len(tr.rounds):
-                raise ValueError(f"{path}:{line}: round {rnd} where {len(tr.rounds)} is next")
-            if decision == "truncated":
-                tr.truncated = True
-                continue
-            if decision not in ("accepted", "refused"):
-                raise ValueError(f"{path}:{line}: unknown decision {decision!r}")
-            accepted = decision == "accepted"
-            if accepted == (answer == ""):
-                raise ValueError(f"{path}:{line}: answer presence contradicts decision")
-            tr.rounds.append(Round(
-                len(tr.rounds), float(spend), accepted,
-                float(answer) if accepted else None,
-            ))
+            try:
+                if len(row) != len(_TRANSCRIPT_COLUMNS):
+                    raise ValueError(f"expected {len(_TRANSCRIPT_COLUMNS)} fields")
+                policy, bit, kind, trial, budget, rnd, spend, decision, answer = row
+                key = (policy, int(bit), kind, int(trial))
+                tr = out.get(key)
+                if tr is None:
+                    tr = out[key] = Transcript(budget=float(budget))
+                if tr.truncated:
+                    raise ValueError("row after the truncation marker")
+                if float(budget) != tr.budget:
+                    raise ValueError("budget changes within a transcript")
+                if int(rnd) != len(tr.rounds):
+                    raise ValueError(f"round {rnd} where {len(tr.rounds)} is next")
+                if decision == "truncated":
+                    tr.truncated = True
+                    continue
+                if decision not in ("accepted", "refused"):
+                    raise ValueError(f"unknown decision {decision!r}")
+                accepted = decision == "accepted"
+                if accepted == (answer == ""):
+                    raise ValueError("answer presence contradicts decision")
+                tr.rounds.append(Round(len(tr.rounds), float(spend), accepted,
+                                       float(answer) if accepted else None))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from exc
     return out
 
 

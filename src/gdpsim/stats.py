@@ -131,20 +131,24 @@ def normality_check(sample, alpha: float = 0.001, name: str = "normality") -> Te
     return TestReport(name, d, p, alpha, p > alpha)
 
 
-def empirical_moments(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Unbiased mean vector and covariance matrix of an (n_trials, n_rounds)
-    sample matrix, columns indexed by round.  The centred samples are the
-    only copy made; the covariance is computed as ``np.cov(samples,
-    rowvar=False)`` computes it, so its bits are the same."""
+def empirical_moments(samples, cols=None) -> tuple[np.ndarray, np.ndarray]:
+    """Unbiased mean vector and covariance matrix of columns ``cols`` (all
+    by default) of an (n_trials, n_rounds) sample matrix, columns indexed
+    by round.  The chosen columns are taken with an integer index, so they
+    are always one owned copy (an F-order input's stays F-order), and that
+    copy is centred in place.  The covariance is computed as ``np.cov(
+    samples[:, cols], rowvar=False)`` computes it, so its bits are the same."""
     a = np.asarray(samples, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D trials-by-rounds array, got ndim={a.ndim}")
+    a = a.copy(order="K") if cols is None else a[:, np.asarray(cols, dtype=np.intp)]
     if not np.all(np.isfinite(a)):
         raise ValueError("sample matrix contains non-finite entries")
     if a.shape[0] < 2:
         raise ValueError("need at least two trials for moment estimates")
     mean = a.mean(axis=0)
-    centered = (a - mean).T
+    a -= mean
+    centered = a.T
     cov = np.dot(centered, centered.T)
     cov *= 1.0 / (a.shape[0] - 1)
     return mean, cov

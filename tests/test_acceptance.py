@@ -42,7 +42,7 @@ def announce(name, ok, detail=""):
 
 def run_cli(out_path):
     # The pytest filterwarnings rule does not reach the subprocess.
-    cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "gdpsim", "run",
+    cmd = [sys.executable, "-W", "error", "-m", "gdpsim", "run",
            "--config", str(CONFIG), "--seed", "42", "--out", str(out_path)]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")

@@ -219,4 +219,5 @@ def test_simulated_law_matches_direct_small_sample():
     d = run_trial_batch("direct", 1, 1.0, "fixed", {"spends": [0.6, 0.8]}, n, 5)
     s = run_trial_batch("simulated", 1, 1.0, "fixed", {"spends": [0.6, 0.8]}, n, 5)
     for r in range(2):
-        assert ks_two_sample(d.round_answers(r), s.round_answers(r)).passed
+        assert ks_two_sample(d.answers[:, r][d.decisions[:, r] == 1],
+                             s.answers[:, r][s.decisions[:, r] == 1]).passed

@@ -348,6 +348,27 @@ def test_parse_rejects_broken_transcript_structure(tmp_path):
     assert len(parse_transcripts(path)) == 2
 
 
+def test_parse_names_the_row_of_a_malformed_field(tmp_path):
+    path = tmp_path / "fields.csv"
+    header = "policy,bit,kind,trial,budget,round,spend,decision,answer\n"
+    good = ["p", "0", "direct", "0", "1.0", "0", "0.5", "accepted", "0.25"]
+    for field in ("bit", "trial", "budget", "round", "spend", "answer"):
+        row = list(good)
+        row[harness._TRANSCRIPT_COLUMNS.index(field)] = "x"
+        path.write_text(header + ",".join(good) + "\n"
+                        + ",".join(row).replace(",0,0.5,", ",1,0.5,", 1) + "\n")
+        with pytest.raises(ValueError) as info:
+            parse_transcripts(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}:3: "), (field, message)
+        assert message.count(str(path)) == 1
+    # structural errors carry the prefix once as well
+    path.write_text(header + "p,0,direct,0,1.0,1,0.5,refused,\n")
+    with pytest.raises(ValueError) as info:
+        parse_transcripts(path)
+    assert str(info.value) == f"{path}:2: round 1 where 0 is next"
+
+
 # --- run_experiment ----------------------------------------------------------
 
 def test_run_experiment_smoke_passes():
@@ -381,12 +402,16 @@ def test_scalar_engine_yields_identical_report():
     assert vec.checksum == sca.checksum
 
 
+def acceptance_mix(**overrides):
+    data = json.loads((Path(__file__).resolve().parents[1]
+                       / "configs" / "acceptance.cfg").read_text())
+    return config_from_dict({**data, **overrides})
+
+
 def test_engines_agree_on_the_full_acceptance_mix():
     # All four policies, all four mechanisms and both bits, small enough for
     # the scalar engine; min_test_samples low enough that the tests run.
-    data = json.loads((Path(__file__).resolve().parents[1]
-                       / "configs" / "acceptance.cfg").read_text())
-    cfg = config_from_dict({**data, "n_trials": 40, "min_test_samples": 10})
+    cfg = acceptance_mix(n_trials=40, min_test_samples=10)
     assert len(cfg.policies) == 4 and len(cfg.mechanisms) == 4 and cfg.bits == (0, 1)
     vec = run_experiment(cfg, engine="vector")
     sca = run_experiment(cfg, engine="scalar")
@@ -468,6 +493,69 @@ def test_cli_exit_code_on_test_failure(tmp_path):
         "policies": [{"name": "fixed", "spends": [0.5]}],
     }))
     assert main(["run", "--config", str(path)]) == 1
+
+
+def test_tests_run_counts_every_test_a_section_ran():
+    # An absurd alpha fails every test that runs, so every section is retried.
+    report = run_experiment(acceptance_mix(n_trials=40, min_test_samples=10, alpha=0.9999))
+    sections = [s for sec in report.results["policies"] for s in (sec, sec["retry"])]
+    assert len(sections) == 16
+    skipped = 0
+    for sec in sections:
+        tests = [e["ks"] for e in sec["per_round"]] + [sec["summary_ks"]]
+        ran = [t for t in tests if isinstance(t, dict)]
+        assert sec["tests_run"] == len(ran) > 0
+        assert not sec["passed"]
+        skipped += len(tests) - len(ran)
+    assert skipped > 0
+
+
+def test_every_mechanism_test_keeps_the_sample_rule():
+    # Three outcomes per arm against min_test_samples 10000: the binary
+    # mechanism's two-proportion test runs no more than the KS test does.
+    report = run_experiment(config_from_dict({
+        "budget": 1.0, "n_trials": 3, "bits": [1], "min_test_samples": 10000,
+        "mechanisms": [{"name": "threshold", "mu": 1.0, "tau": 0.5},
+                       {"name": "identity", "mu": 0.5}],
+    }))
+    threshold, identity = report.results["mechanisms"]
+    assert threshold["test"] == identity["test"] == "insufficient sample"
+    assert {"success_value", "freq_direct", "freq_simulated"} <= set(threshold)
+    assert threshold["passed"] and report.passed
+
+
+def table_rows(results):
+    return [line.split("\t") for line in report_table(results).splitlines()]
+
+
+def test_report_table_shows_retries_and_moment_checks():
+    report = run_experiment(small_config(alpha=0.9999, bits=[1], policies=[
+        {"name": "fixed", "spends": [0.6, 0.8]},
+        {"name": "sign_adaptive", "hi": 0.8, "lo": 0.2}]))
+    rows = table_rows(report.results)
+    assert rows[0] == ["section", "name", "bit", "round", "n_direct", "n_simulated",
+                       "mean_direct", "mean_simulated", "statistic", "p_value", "status"]
+    assert rows[-1][0] == "overall" and rows[-1][-1] == "FAIL"
+    assert all(len(row) == len(rows[0]) for row in rows)
+    moments = {(row[0], row[1]): row[-1] for row in rows if row[3] == "moments"}
+    assert moments == {("policy", "fixed"): "pass", ("policy_retry", "fixed"): "pass",
+                       ("policy", "sign_adaptive"): "skipped (adaptive round shape)",
+                       ("policy_retry", "sign_adaptive"): "skipped (adaptive round shape)"}
+    assert [row[0] for row in rows if row[1] == "threshold"] == ["mechanism", "mechanism_retry"]
+    # every test the JSON holds, retries included, is a row of the table
+    tests = [e["ks"] for p in report.results["policies"] for sec in (p, p["retry"])
+             for e in sec["per_round"]]
+    tests += [sec["summary_ks"] for p in report.results["policies"] for sec in (p, p["retry"])]
+    tests += [sec["test"] for m in report.results["mechanisms"] for sec in (m, m["retry"])]
+    tests += [report.results["rng"]["normality"]]
+    ran = [t for t in tests if isinstance(t, dict)]
+    assert len(ran) == sum(row[9] != "" for row in rows[1:])
+    assert sum(not t["passed"] for t in ran) == sum(row[-1] == "FAIL" for row in rows[:-1])
+
+    # a failed moment check reads FAIL
+    report.results["policies"][0]["moments"]["cov_ok"] = False
+    assert [row[-1] for row in table_rows(report.results)
+            if row[:4] == ["policy", "fixed", "1", "moments"]] == ["FAIL"]
 
 
 def test_report_table_renders():

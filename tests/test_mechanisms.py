@@ -68,7 +68,7 @@ def test_threshold_direct_vs_simulated_two_proportion():
         counts = {}
         for kind in ("direct", "simulated"):
             res = run_trial_batch(kind, b, 1.0, "fixed", {"spends": [1.0]}, n, 77)
-            outs = mech.post(res.round_answers(0), None)
+            outs = mech.post(res.answers[res.decisions[:, 0] == 1, 0], None)
             counts[kind] = int(outs.sum())
         rep = two_proportion_z(counts["direct"], n, counts["simulated"], n)
         assert rep.passed, rep

@@ -3,6 +3,7 @@ distributional sanity runs."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,46 @@ def test_moments_reject_degenerate():
         empirical_moments([1.0, 2.0])
     with pytest.raises(ValueError):
         empirical_moments([[1.0], [float("nan")]])
+
+
+def answer_matrix(order):
+    rng = generator(4, "moments")
+    return np.asarray(rng.standard_normal((50000, 8)), order=order)
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("cols", [None, [0, 2, 4], [0, 2, 3], [5]])
+def test_moments_bitwise_equal_np_cov(cols, order):
+    a = answer_matrix(order)
+    chosen = a if cols is None else a[:, cols]
+    mean, cov = empirical_moments(a, cols)
+    assert np.array_equal(mean, chosen.mean(axis=0))
+    assert np.array_equal(cov, np.cov(chosen, rowvar=False).reshape(cov.shape))
+
+
+@pytest.mark.parametrize("cols", [[0, 2, 4], [0, 2, 3], list(range(8))])
+def test_moments_of_chosen_columns_hold_one_copy(cols):
+    # Evenly or unevenly spaced, the chosen columns are one owned copy
+    # centred in place; the rest of the peak is the isfinite mask (1/8).
+    # Slicing evenly spaced columns and fancy-indexing the others, then
+    # centring a second copy, peaked at 2.00x on unevenly spaced ones.
+    a = answer_matrix("F")
+    empirical_moments(a, cols)
+    tracemalloc.start()
+    try:
+        empirical_moments(a, cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * a.shape[0] * len(cols) * a.itemsize
+
+
+def test_moments_leave_their_input_unchanged():
+    a = answer_matrix("F")
+    before = a.copy()
+    empirical_moments(a, [0, 2, 3])
+    empirical_moments(a)
+    assert np.array_equal(a, before)
 
 
 def test_ks_identical_samples():
