@@ -2,15 +2,16 @@
 
 The filter rule, the streaming factor step and the policies are each written
 once and run on both engines: the scalar session passes Python floats, the
-vector engine passes NumPy arrays with one lane per trial.  A kernel picks
-its op set once per call with :func:`ops` and spells every non-arithmetic
+vector engine passes NumPy arrays with one lane per trial.  Each driver
+knows which it runs, so it passes its op set as a kernel's first argument
+(``FLOAT_OPS`` from ``run_interaction`` and ``next_noise``, ``ARRAY_OPS``
+from ``batch._run_vector``), and the kernel spells every non-arithmetic
 step through it -- floats get ``math.sqrt``, builtin ``min``/``max``,
 ``bool`` and a conditional; arrays get ``np.sqrt``, ``np.minimum``/
 ``np.maximum``, ``np.any`` and ``np.where``.  ``full`` gives a constant the
 argument's shape.  IEEE arithmetic and both square roots are correctly
-rounded and both forms of ``rint`` are NumPy's round-half-to-even, so every
-lane of an array call is bitwise equal to the float call on that lane's
-values.  The mechanism maps (``gdpsim.mechanisms``) use the same op sets.
+rounded, so every lane of an array call is bitwise equal to the float call
+on that lane's values.
 
 Two rules keep the float form valid: combine conditions with ``&``/``|``
 and comparisons, never ``~`` (on a bool it is integer negation); and make
@@ -33,7 +34,6 @@ def _pick(cond, a, b):
 # which keeps the per-trial scalar engine cheap.
 FLOAT_OPS = SimpleNamespace(
     sqrt=math.sqrt,
-    rint=lambda x: float(np.rint(x)),
     minimum=min,
     maximum=max,
     any=bool,
@@ -44,7 +44,6 @@ FLOAT_OPS = SimpleNamespace(
 
 ARRAY_OPS = SimpleNamespace(
     sqrt=np.sqrt,
-    rint=np.rint,
     minimum=np.minimum,
     maximum=np.maximum,
     any=np.any,
@@ -52,11 +51,6 @@ ARRAY_OPS = SimpleNamespace(
     select=lambda cond, a, b: tuple(np.where(cond, x, y) for x, y in zip(a, b)),
     full=lambda like, value: np.full(like.shape, value),
 )
-
-
-def ops(x):
-    """The op set for a kernel argument: arrays get NumPy, all else floats."""
-    return ARRAY_OPS if isinstance(x, np.ndarray) else FLOAT_OPS
 
 
 def kahan_step(total, comp, x):

@@ -2,18 +2,19 @@
 
 Each policy is one kernel
 
-    spends(i, remaining_sq, last_accepted, prev_spend) -> (spend, stop)
+    spends(o, i, remaining_sq, last_accepted, prev_spend) -> (spend, stop)
 
 for round ``i``, given the remaining squared budget, the last accepted
 answer (NaN before the first) and the previous round's spend (NaN in round
 0).  Like the other shared kernels (see ``gdpsim._numeric``) it runs on
 floats for one scalar session and on arrays with one lane per trial for the
-vector engine; lanes are independent, and the spend of a stopped lane is
-meaningless.  Policies are deterministic given those inputs and may
-deliberately emit inadmissible spends -- admissibility is the filter's job.
-``next_spend(prefix, remaining_sq, rng)`` is the same rule in prefix form
-(the spend, or None to stop); only tests and the benchmark's tracer call
-it.  The harness summarizes a transcript by the sum of its accepted answers
+vector engine, through the op set ``o`` its driver passes; lanes are
+independent, and the spend of a stopped lane is meaningless.  Policies are
+deterministic given those inputs and may deliberately emit inadmissible
+spends -- admissibility is the filter's job.  ``next_spend(prefix,
+remaining_sq)`` is the same rule in prefix form on floats (the spend, or
+None to stop); only tests and the benchmark's tracer call it.  The harness
+summarizes a transcript by the sum of its accepted answers
 (``BatchResult.summaries()``), whatever the policy.
 
 The built-in suite covers the four interaction shapes the harness needs:
@@ -29,18 +30,18 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from ._numeric import ops
+from ._numeric import FLOAT_OPS
 from .budget import check_spend
 
 # Policies stop once less than this much squared budget remains.
 STOP_TOL = 1e-6
 
 
-def _next_spend(spends, prefix, remaining_sq, rng) -> Optional[float]:
+def _next_spend(spends, prefix, remaining_sq) -> Optional[float]:
     """Run the kernel ``spends`` on a transcript prefix."""
     last = next((r.answer for r in reversed(prefix) if r.accepted), math.nan)
     prev = prefix[-1].spend if prefix else math.nan
-    spend, stop = spends(len(prefix), remaining_sq, last, prev)
+    spend, stop = spends(FLOAT_OPS, len(prefix), remaining_sq, last, prev)
     return None if stop else spend
 
 
@@ -50,8 +51,8 @@ class AdversaryPolicy:
     in place; ``next_spend`` defaults to the prefix form of ``spends``."""
 
     name: str
-    spends: Callable      # (i, remaining_sq, last_accepted, prev_spend) -> (spend, stop)
-    next_spend: Optional[Callable] = None   # (prefix, remaining_sq, rng) -> float | None
+    spends: Callable      # (o, i, remaining_sq, last_accepted, prev_spend) -> (spend, stop)
+    next_spend: Optional[Callable] = None   # (prefix, remaining_sq) -> float | None
 
     def __post_init__(self):
         if self.next_spend is None:
@@ -62,8 +63,7 @@ def policy_fixed(spends: Sequence[float]) -> AdversaryPolicy:
     """Replay a predetermined spend list, then stop."""
     fixed = tuple(check_spend(s) for s in spends)
 
-    def kernel(i, remaining_sq, last_accepted, prev_spend):
-        o = ops(remaining_sq)
+    def kernel(o, i, remaining_sq, last_accepted, prev_spend):
         if i >= len(fixed):
             return o.full(remaining_sq, math.nan), o.full(remaining_sq, True)
         return o.full(remaining_sq, fixed[i]), o.full(remaining_sq, False)
@@ -84,8 +84,7 @@ def policy_sign_adaptive(hi: float, lo: float) -> AdversaryPolicy:
     if lo > hi:
         raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
 
-    def kernel(i, remaining_sq, last_accepted, prev_spend):
-        o = ops(remaining_sq)
+    def kernel(o, i, remaining_sq, last_accepted, prev_spend):
         stop = remaining_sq < STOP_TOL
         if i == 0:
             return o.full(remaining_sq, hi / 2.0), stop
@@ -102,8 +101,8 @@ def policy_greedy_halving() -> AdversaryPolicy:
     squared budget is 2**-k, so the STOP_TOL rule stops it at round 20.
     """
 
-    def kernel(i, remaining_sq, last_accepted, prev_spend):
-        return ops(remaining_sq).sqrt(remaining_sq / 2.0), remaining_sq < STOP_TOL
+    def kernel(o, i, remaining_sq, last_accepted, prev_spend):
+        return o.sqrt(remaining_sq / 2.0), remaining_sq < STOP_TOL
 
     return AdversaryPolicy("greedy_halving", kernel)
 
@@ -118,10 +117,10 @@ def policy_overspend_prober() -> AdversaryPolicy:
     refusal-pattern checks exploit.
     """
 
-    def kernel(i, remaining_sq, last_accepted, prev_spend):
+    def kernel(o, i, remaining_sq, last_accepted, prev_spend):
         stop = remaining_sq < STOP_TOL
         if i % 2 == 0:
-            return 0.9 * ops(remaining_sq).sqrt(remaining_sq), stop
+            return 0.9 * o.sqrt(remaining_sq), stop
         return prev_spend, stop
 
     return AdversaryPolicy("overspend_prober", kernel)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import ARRAY_OPS
 from .adversaries import make_policy
 from .budget import admit, check_budget
 from .cholesky import stream_step
@@ -250,7 +251,7 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
 
     for r in range(max_rounds):
         rem = np.maximum(0.0, budget_sq - spent)
-        sp, stop = vec.spends(r, rem, last, prev)
+        sp, stop = vec.spends(ARRAY_OPS, r, rem, last, prev)
         if stop.any():   # stopped lanes leave every per-lane array at once
             gone, keep = lane[stop], ~stop
             lengths[gone], draws[gone] = r, cursor[stop]
@@ -276,7 +277,7 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
             ans = bit * sp[acc] + v
         else:
             m = sp[acc] / norm
-            u, q[acc], qc[acc], s[acc] = stream_step(q[acc], qc[acc], s[acc], m, v)
+            u, q[acc], qc[acc], s[acc] = stream_step(ARRAY_OPS, q[acc], qc[acc], s[acc], m, v)
             ans = m * live_w0[acc] + u
         if not whole:
             answers, ans = ans, np.full(lane.size, np.nan)
@@ -296,7 +297,7 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
     if lane.size:   # the lanes still live ran every round
         lengths[lane], draws[lane] = rounds, cursor
         rem = np.maximum(0.0, budget_sq - spent)
-        _, stop = vec.spends(max_rounds, rem, last, prev)
+        _, stop = vec.spends(ARRAY_OPS, max_rounds, rem, last, prev)
         truncated[lane[~stop]] = True
     return (*(mat[:, :rounds] for mat in out), lengths, truncated, draws, w0)
 

@@ -24,8 +24,9 @@ round, using the closed forms
     s     <- s + y_last * V_i
 
 which follow from L_i y_i = m_i and ||y||^2 = Q/(1-Q).  :func:`stream_step`
-is that step, written once for a float state (the scalar session) and for
-arrays of trial lanes (the vector engine).  The two modes must agree to 1e-9
+is that step, written once for a float state (the scalar session, through
+:func:`next_noise`) and for arrays of trial lanes (the vector engine); each
+caller passes its op set from ``gdpsim._numeric``.  The two modes must agree to 1e-9
 per noise value; the verification suite enforces that.
 
 Degenerate cases.  At exact exhaustion (Q = 1) the factor gains its one
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import kahan_step, ops
+from ._numeric import FLOAT_OPS, kahan_step
 from .errors import BudgetOverflowError
 
 # Radicands in [-CLAMP_BAND, 0) are rounding debris and clamp to zero; anything
@@ -86,18 +87,18 @@ class StreamingCholesky(NamedTuple):
     s: float = 0.0        # running inner product y . v
 
 
-def stream_step(q, q_comp, s, m, v):
+def stream_step(o, q, q_comp, s, m, v):
     """One streaming factor step, on floats or on arrays of lanes alike.
 
-    ``(q, q_comp, s)`` is the streaming state, ``m`` the normalized spend
-    and ``v`` the fresh seed.  Returns ``(U, q, q_comp, s)``: the noise value
-    and the advanced state.  Q is Kahan-compensated and the new radicand
-    1 - Q is clamped at zero.  Exhausted lanes (Q already 1) keep their Q
-    and append the identity-block row (d = 1, y_last = 0): only (near-)zero
-    spends can be admitted there, spends inside the clamp band are rounding
-    debris from the filter slack, and anything larger is misuse.
+    ``o`` is the caller's op set, ``(q, q_comp, s)`` the streaming state,
+    ``m`` the normalized spend and ``v`` the fresh seed.  Returns ``(U, q,
+    q_comp, s)``: the noise value and the advanced state.  Q is
+    Kahan-compensated and the new radicand 1 - Q is clamped at zero.
+    Exhausted lanes (Q already 1) keep their Q and append the identity-block
+    row (d = 1, y_last = 0): only (near-)zero spends can be admitted there,
+    spends inside the clamp band are rounding debris from the filter slack,
+    and anything larger is misuse.
     """
-    o = ops(m)
     one_prev = 1.0 - q
     exhausted = one_prev <= 0.0
     msq = m * m
@@ -130,12 +131,12 @@ def next_noise(state, m, fresh_seed):
         raise ValueError(f"normalized spend must be finite, got {m!r}")
 
     if isinstance(state, StreamingCholesky):
-        u, q, q_comp, s = stream_step(*state, m, fresh_seed)
+        u, q, q_comp, s = stream_step(FLOAT_OPS, *state, m, fresh_seed)
         return u, StreamingCholesky(q, q_comp, s)
 
     # The diagonal entry d_i is the coefficient of the fresh seed: the
     # streaming U at s = 0, V = 1.
-    d, q, q_comp, _ = stream_step(state.q, state.q_comp, 0.0, m, 1.0)
+    d, q, q_comp, _ = stream_step(FLOAT_OPS, state.q, state.q_comp, 0.0, m, 1.0)
     k = len(state.rows)
     row = np.zeros(k + 1)
     solved = state.solved

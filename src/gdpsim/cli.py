@@ -6,12 +6,14 @@ Commands:
     emit-transcripts --config FILE --out FILE [--kinds direct,simulated]
     filter-demo --budget B --spends a,b,c
 
-Exit codes: 0 pass, 1 test failure, 2 usage or config error.
+Exit codes: 0 pass, 1 test failure, 2 usage, config or file error (a
+missing ``--out`` directory is reported before any arm runs).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .budget import filter_new, remaining_sq, try_spend
@@ -44,7 +46,15 @@ def _cmd_verify_cholesky(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _check_out_dir(path) -> None:
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"--out: no such directory: {folder}")
+
+
 def _cmd_run(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     config = load_config(args.config)
     if args.seed is not None:
         config = with_seed(config, args.seed)
@@ -66,6 +76,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_emit_transcripts(args) -> int:
+    _check_out_dir(args.out)
     config = load_config(args.config)
     if args.seed is not None:
         config = with_seed(config, args.seed)
@@ -134,7 +145,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GdpSimError as exc:

@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._numeric import FLOAT_OPS
 from .budget import FilterState, check_budget, remaining_sq, try_spend
 from .cholesky import StreamingCholesky, next_noise
 
@@ -131,17 +132,17 @@ def run_interaction(session: Session, policy, *,
     """Drive a session with an adversary policy until it stops or the round
     cap is hit; every decision, including refusals, is recorded.
 
-    Calls the policy's ``spends`` kernel on floats, carrying the last
-    accepted answer and the previous spend as the vector engine does.  If
-    the cap fires while the policy would continue, the transcript carries a
-    truncation marker.
+    Calls the policy's ``spends`` kernel on floats (``FLOAT_OPS``), carrying
+    the last accepted answer and the previous spend as the vector engine
+    does.  If the cap fires while the policy would continue, the transcript
+    carries a truncation marker.
     """
     transcript = Transcript(budget=session.mu0)
     record = transcript.rounds.append
     spends, ask = policy.spends, session.ask
     last = prev = math.nan
     for i in range(max_rounds):
-        spend, stop = spends(i, remaining_sq(session.filter_state), last, prev)
+        spend, stop = spends(FLOAT_OPS, i, remaining_sq(session.filter_state), last, prev)
         if stop:
             return transcript
         answer = ask(spend)
@@ -149,6 +150,6 @@ def run_interaction(session: Session, policy, *,
         if answer is not None:
             last = answer
         prev = spend
-    _, stop = spends(max_rounds, remaining_sq(session.filter_state), last, prev)
+    _, stop = spends(FLOAT_OPS, max_rounds, remaining_sq(session.filter_state), last, prev)
     transcript.truncated = not stop
     return transcript

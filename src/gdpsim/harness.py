@@ -52,7 +52,7 @@ import numpy as np
 
 from .adversaries import make_policy
 from .batch import run_trial_batch, policy_stream_id
-from .budget import check_budget
+from .budget import check_budget, check_spend
 from .cholesky import DenseCholesky, StreamingCholesky, next_noise
 from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Transcript
 from .errors import ConfigError, NumericalIntegrityError
@@ -302,7 +302,7 @@ def _shrink(res) -> _Arm:
 def _uniform_shape(res) -> bool:
     """True when all trials share the same rounds, spends and decisions.
     With no round absent anywhere, every trial ran every round."""
-    return (res.answers.shape[1] > 0 and not np.any(res.decisions == -1)
+    return (not np.any(res.decisions == -1)
             and not np.any(res.decisions != res.decisions[0:1, :])
             and not np.any(res.spends != res.spends[0:1, :]))
 
@@ -436,16 +436,15 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
 
 def _arm_pair(config, name, params, bit, seed, engine, reduce, stream_label=None):
     """Run a section's direct arm, then its simulated arm, each reduced by
-    ``reduce(kind, result)`` to what the section reads before the next runs."""
-    return [reduce(kind, run_trial_batch(kind, bit, config.budget, name, params,
-                                         config.n_trials, seed, config.max_rounds,
-                                         engine, stream_label=stream_label))
+    ``reduce(result)`` to what the section reads before the next runs."""
+    return [reduce(run_trial_batch(kind, bit, config.budget, name, params,
+                                   config.n_trials, seed, config.max_rounds,
+                                   engine, stream_label=stream_label))
             for kind in KINDS]
 
 
 def _policy_section(config, name, params, bit, seed, engine) -> dict:
-    direct, sim = _arm_pair(config, name, params, bit, seed, engine,
-                            lambda kind, res: _shrink(res))
+    direct, sim = _arm_pair(config, name, params, bit, seed, engine, _shrink)
     section = {"policy": name, "params": params, "bit": bit}
     section.update(_evaluate_pair(direct, sim, config.alpha, config.min_test_samples))
     return section
@@ -457,10 +456,10 @@ def _mechanism_section(config, name, mu, params, bit, seed, engine) -> dict:
     mech = make_mechanism(name, mu, **params)
     label = "mechanism:" + policy_stream_id(name, {"mu": mu, **params})
 
-    def post(kind, res):
+    def post(res):
         # A one-spend arm always has round 0 (max_rounds >= 1).
         accepted = res.decisions[:, 0] == 1
-        return mech.post(res.answers[accepted, 0], generator(seed, "post", label, kind, bit))
+        return mech.post(res.answers[accepted, 0])
 
     out_d, out_s = _arm_pair(config, "fixed", {"spends": [mu]}, bit, seed, engine, post,
                              stream_label=label)
@@ -782,8 +781,10 @@ def write_transcripts(path, records) -> None:
 
 def parse_transcripts(path) -> dict:
     """Inverse of write_transcripts: {(policy, bit, kind, trial): Transcript}.
-    A transcript's rows number its rounds 0, 1, ..., keep one budget and end
-    at its truncation marker, if any; every error names its ``path:line``."""
+    A row holds a bit in {0, 1}, a session kind, a trial >= 0, a valid budget
+    and spend, and a finite answer if accepted.  A transcript's rows number
+    its rounds 0, 1, ..., keep one budget and end at its truncation marker,
+    if any; every error names its ``path:line``."""
     out: dict = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -795,13 +796,18 @@ def parse_transcripts(path) -> dict:
                 if len(row) != len(_TRANSCRIPT_COLUMNS):
                     raise ValueError(f"expected {len(_TRANSCRIPT_COLUMNS)} fields")
                 policy, bit, kind, trial, budget, rnd, spend, decision, answer = row
-                key = (policy, int(bit), kind, int(trial))
+                bit, trial = int(bit), int(trial)
+                if bit not in (0, 1) or kind not in KINDS or trial < 0:
+                    raise ValueError(f"need bit in {{0, 1}}, kind in {KINDS} and trial >= 0, "
+                                     f"got {bit}, {kind!r}, {trial}")
+                key = (policy, bit, kind, trial)
+                budget = check_budget(budget)
                 tr = out.get(key)
                 if tr is None:
-                    tr = out[key] = Transcript(budget=float(budget))
+                    tr = out[key] = Transcript(budget=budget)
                 if tr.truncated:
                     raise ValueError("row after the truncation marker")
-                if float(budget) != tr.budget:
+                if budget != tr.budget:
                     raise ValueError("budget changes within a transcript")
                 if int(rnd) != len(tr.rounds):
                     raise ValueError(f"round {rnd} where {len(tr.rounds)} is next")
@@ -813,8 +819,10 @@ def parse_transcripts(path) -> dict:
                 accepted = decision == "accepted"
                 if accepted == (answer == ""):
                     raise ValueError("answer presence contradicts decision")
-                tr.rounds.append(Round(len(tr.rounds), float(spend), accepted,
-                                       float(answer) if accepted else None))
+                answer = float(answer) if accepted else None
+                if accepted and not math.isfinite(answer):
+                    raise ValueError(f"answer must be finite, got {answer!r}")
+                tr.rounds.append(Round(len(tr.rounds), check_spend(spend), accepted, answer))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line}: {exc}") from exc
     return out

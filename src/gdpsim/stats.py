@@ -30,15 +30,12 @@ _CDF_CHUNK = 4096
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of one hypothesis test or bounded check.
-
-    ``passed`` is ``p_value > threshold`` for p-value tests and
-    ``statistic <= threshold`` for plain bound checks (p_value None).
-    """
+    """Outcome of one hypothesis test: ``passed`` is ``p_value >
+    threshold``, the threshold being the test's significance level."""
 
     name: str
     statistic: float
-    p_value: float | None
+    p_value: float
     threshold: float
     passed: bool
 

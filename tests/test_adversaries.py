@@ -40,18 +40,18 @@ def test_fixed_policy_validates_spends():
 
 def test_sign_adaptive_spend_rules():
     pol = policy_sign_adaptive(hi=0.8, lo=0.2)
-    assert pol.next_spend([], 1.0, None) == 0.4
+    assert pol.next_spend([], 1.0) == 0.4
     neg = [Round(0, 0.4, True, -0.5)]
-    assert pol.next_spend(neg, 0.84, None) == 0.2
+    assert pol.next_spend(neg, 0.84) == 0.2
     pos = [Round(0, 0.4, True, 0.5)]
-    assert pol.next_spend(pos, 0.84, None) == 0.8
+    assert pol.next_spend(pos, 0.84) == 0.8
     # cap at sqrt of remaining budget
-    assert pol.next_spend(pos, 0.09, None) == 0.3
+    assert pol.next_spend(pos, 0.09) == 0.3
     # stop rule
-    assert pol.next_spend(pos, STOP_TOL / 2, None) is None
+    assert pol.next_spend(pos, STOP_TOL / 2) is None
     # no accepted answer yet -> lo branch
     refused = [Round(0, 2.0, False, None)]
-    assert pol.next_spend(refused, 1.0, None) == min(0.2, 1.0)
+    assert pol.next_spend(refused, 1.0) == min(0.2, 1.0)
 
 
 def test_sign_adaptive_validates_bounds():
@@ -135,8 +135,8 @@ def test_policies_deterministic_given_prefix():
                          ("greedy_halving", {}),
                          ("overspend_prober", {})]:
         pol = make_policy(name, **params)
-        a = pol.next_spend(prefix, 0.5, None)
-        b = pol.next_spend(prefix, 0.5, None)
+        a = pol.next_spend(prefix, 0.5)
+        b = pol.next_spend(prefix, 0.5)
         assert a == b
 
 

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from gdpsim._numeric import FLOAT_OPS
 from gdpsim.cholesky import (
     DenseCholesky,
     StreamingCholesky,
@@ -156,7 +157,7 @@ def full_resolve_next_noise(state, m, v):
     """Reference dense step that re-solves L y = m from scratch each round;
     ``state`` is (rows, spends, seeds, q, q_comp)."""
     rows, spends, seeds, q_prev, comp_prev = state
-    d, q, q_comp, _ = stream_step(q_prev, comp_prev, 0.0, m, 1.0)
+    d, q, q_comp, _ = stream_step(FLOAT_OPS, q_prev, comp_prev, 0.0, m, 1.0)
     k = len(rows)
     row = np.zeros(k + 1)
     if q_prev < 1.0:

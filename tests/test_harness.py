@@ -1,6 +1,7 @@
 """Harness: config validation, experiment reports, transcript files, CLI."""
 
 import hashlib
+import importlib
 import json
 import random
 import re
@@ -369,6 +370,27 @@ def test_parse_names_the_row_of_a_malformed_field(tmp_path):
     assert str(info.value) == f"{path}:2: round 1 where 0 is next"
 
 
+def test_parse_rejects_out_of_range_field_values(tmp_path):
+    path = tmp_path / "values.csv"
+    header = "policy,bit,kind,trial,budget,round,spend,decision,answer\n"
+    good = "p,0,direct,0,1.0,0,0.5,accepted,0.25\n"
+    for row, message in [
+        ("p,0,direct,0,1.0,1,nan,refused,", "spend must be a finite nonnegative real"),
+        ("p,0,direct,0,1.0,1,-0.5,refused,", "spend must be a finite nonnegative real"),
+        ("p,0,direct,0,1.0,1,0.5,accepted,inf", "answer must be finite, got inf"),
+        ("p,0,direct,0,1.0,1,0.5,accepted,nan", "answer must be finite, got nan"),
+        ("p,0,direct,0,nan,1,0.5,refused,", "budget must be a finite nonnegative real"),
+        ("p,0,direct,1,-1.0,0,0.5,refused,", "budget must be a finite nonnegative real"),
+        ("p,7,direct,0,1.0,0,0.5,refused,", "need bit in {0, 1}"),
+        ("p,0,other,0,1.0,0,0.5,refused,", "kind in ('direct', 'simulated')"),
+        ("p,0,direct,-1,1.0,0,0.5,refused,", "trial >= 0"),
+    ]:
+        path.write_text(header + good + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*"
+                           + re.escape(message)):
+            parse_transcripts(path)
+
+
 # --- run_experiment ----------------------------------------------------------
 
 def test_run_experiment_smoke_passes():
@@ -457,7 +479,7 @@ def test_zero_budget_experiment():
     cfg = config_from_dict({
         "budget": 0.0, "n_trials": 50, "bits": [1], "min_test_samples": 25,
         "policies": [{"name": "fixed", "spends": [0.5, 0.5]},
-                     {"name": "greedy_halving"}],
+                     {"name": "greedy_halving"}, {"name": "fixed", "spends": []}],
         "mechanisms": [{"name": "identity", "mu": 0.5}],
     })
     report = run_experiment(cfg)
@@ -465,8 +487,9 @@ def test_zero_budget_experiment():
     fixed_sec = report.results["policies"][0]
     assert fixed_sec["refusals"]["refused_rounds_direct"] == 100
     assert all(e["n_direct"] == 0 for e in fixed_sec["per_round"])
-    greedy_sec = report.results["policies"][1]
-    assert greedy_sec["rounds"] == 0
+    # every trial of a zero-round section has the same (empty) shape
+    for sec in report.results["policies"][1:]:
+        assert sec["rounds"] == 0 and sec["moments"] == "no accepted rounds", sec
     mech = report.results["mechanisms"][0]
     assert mech["test"] == "all queries refused"
 
@@ -628,6 +651,37 @@ def test_cli_emit_transcripts_rejects_empty_kinds(tmp_path, capsys):
                      "--kinds", kinds]) == 2
         assert "--kinds" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_missing_out_directory_fails_before_any_arm_runs(tmp_path, capsys, monkeypatch):
+    def no_arm(*args, **kwargs):
+        raise AssertionError("an arm ran before the --out check")
+
+    monkeypatch.setattr(harness, "run_trial_batch", no_arm)
+    config = write_cli_config(tmp_path)
+    missing = tmp_path / "no" / "such"
+    for argv in (["run", "--config", str(config), "--out", str(missing / "r.json")],
+                 ["emit-transcripts", "--config", str(config), "--out", str(missing / "t.csv")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: --out: no such directory: {missing}\n", argv
+
+
+def test_cli_write_error_is_a_one_line_usage_error(tmp_path, capsys):
+    # --out names an existing directory: the run completes, then open fails.
+    config = write_cli_config(tmp_path)
+    for command in ("run", "emit-transcripts"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and err.count("\n") == 1, err
+
+
+def test_console_script_resolves_to_cli_main():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["gdpsim"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_cli_filter_demo(capsys):

@@ -1,9 +1,10 @@
 """The shared kernels on arrays of lanes against the same kernels on floats.
 
-One array call over mixed lanes must equal, bit for bit, the float call on
-each lane's values -- including the branches the engine-level tests rarely
-reach: zero spends, exhausted lanes, clamp-band debris, over-budget spends
-and lanes with no accepted answer yet.
+One array call over mixed lanes (with ``ARRAY_OPS``) must equal, bit for
+bit, the float call on each lane's values (with ``FLOAT_OPS``) -- including
+the branches the engine-level tests rarely reach: zero spends, exhausted
+lanes, clamp-band debris, over-budget spends and lanes with no accepted
+answer yet.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from gdpsim._numeric import ARRAY_OPS, FLOAT_OPS
 from gdpsim.adversaries import STOP_TOL, make_policy
 from gdpsim.budget import admit
 from gdpsim.cholesky import CLAMP_BAND, stream_step
@@ -18,12 +20,14 @@ from gdpsim.errors import BudgetOverflowError
 
 
 def assert_lanes_match(kernel, *args):
-    """Call ``kernel`` once on the array arguments and once per lane on
-    floats; every output must agree bitwise lane by lane."""
+    """Call ``kernel`` once on the array arguments with ``ARRAY_OPS`` and
+    once per lane on floats with ``FLOAT_OPS``; every output must agree
+    bitwise lane by lane."""
     n = next(len(a) for a in args if isinstance(a, np.ndarray))
-    whole = kernel(*args)
+    whole = kernel(ARRAY_OPS, *args)
     for lane in range(n):
-        one = kernel(*(float(a[lane]) if isinstance(a, np.ndarray) else a for a in args))
+        one = kernel(FLOAT_OPS,
+                     *(float(a[lane]) if isinstance(a, np.ndarray) else a for a in args))
         assert len(one) == len(whole)
         for w, f in zip(whole, one):
             assert type(f) in (float, bool), type(f)   # no NumPy on the float path
@@ -48,7 +52,8 @@ def test_admit_lanes():
         (0.5, -1e-17, 2.0),        # far over budget
     ]
     spent, comp, mu = (np.array(col) for col in zip(*lanes))
-    assert_lanes_match(admit, spent, comp, 1.0, mu)
+    # The filter rule is plain arithmetic and takes no op set.
+    assert_lanes_match(lambda o, *a: admit(*a), spent, comp, 1.0, mu)
     admitted, total, _ = admit(spent, comp, 1.0, mu)
     assert admitted.tolist() == [True, True, True, True, True, False, True, False, True, False]
     assert total[2] == 0.36 and total[3] == 1.0
@@ -71,7 +76,7 @@ def test_stream_step_lanes():
     q, q_comp, s, m, v = (np.array(col) for col in zip(*lanes))
     assert m[5] * m[5] <= CLAMP_BAND
     assert_lanes_match(stream_step, q, q_comp, s, m, v)
-    u, q_new, _, s_new = stream_step(q, q_comp, s, m, v)
+    u, q_new, _, s_new = stream_step(ARRAY_OPS, q, q_comp, s, m, v)
     # exhausted lanes append the identity-block row: U = -m*s + V, Q and s kept
     for lane in (4, 5, 6):
         assert u[lane] == -m[lane] * s[lane] + v[lane]
@@ -85,11 +90,11 @@ def test_stream_step_lanes():
 ])
 def test_stream_step_overshoot_raises_in_both_forms(q, m):
     with pytest.raises(BudgetOverflowError):
-        stream_step(q, 0.0, 0.0, m, 1.0)
+        stream_step(FLOAT_OPS, q, 0.0, 0.0, m, 1.0)
     qs = np.array([0.0, q, 0.36])
     ms = np.array([0.6, m, 0.8])
     with pytest.raises(BudgetOverflowError):
-        stream_step(qs, np.zeros(3), np.zeros(3), ms, np.ones(3))
+        stream_step(ARRAY_OPS, qs, np.zeros(3), np.zeros(3), ms, np.ones(3))
 
 
 POLICIES = [

@@ -1,4 +1,4 @@
-"""Mechanisms: registry, Gaussian-CDF oracle frequencies, session reduction.
+"""Mechanisms: registry, Gaussian-CDF oracle frequencies, edge-value maps.
 
 Threshold probabilities frozen from the normal CDF oracle:
 P[X > 0.5] = 0.3085375387259869 for X ~ N(0,1), 0.6914624612740131 for
@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 
 from gdpsim.batch import run_trial_batch
-from gdpsim.curator import open_session
-from gdpsim.mechanisms import (
-    PostprocessedMechanism,
-    make_mechanism,
-    mechanism_names,
-    reduce_and_serve,
-)
+from gdpsim.mechanisms import make_mechanism, mechanism_names
 from gdpsim.rng import generator
 from gdpsim.stats import normal_cdf, two_proportion_z
 
@@ -28,7 +22,7 @@ P_LO = 0.3085375387259869
 def direct_outcomes(mech, b, rng, n):
     """n outcomes of the mechanism run directly on bit b: ``post`` of
     ``b*mu + Z``, as the harness's direct arm applies it."""
-    return mech.post(b * mech.mu + rng.standard_normal(n), rng)
+    return mech.post(b * mech.mu + rng.standard_normal(n))
 
 
 def test_registry():
@@ -68,24 +62,10 @@ def test_threshold_direct_vs_simulated_two_proportion():
         counts = {}
         for kind in ("direct", "simulated"):
             res = run_trial_batch(kind, b, 1.0, "fixed", {"spends": [1.0]}, n, 77)
-            outs = mech.post(res.answers[res.decisions[:, 0] == 1, 0], None)
+            outs = mech.post(res.answers[res.decisions[:, 0] == 1, 0])
             counts[kind] = int(outs.sum())
         rep = two_proportion_z(counts["direct"], n, counts["simulated"], n)
         assert rep.passed, rep
-
-
-def test_identity_through_full_budget_simulated_session():
-    mech = make_mechanism("identity", 1.0)
-    session = open_session("simulated", 1, 1.0, 42)
-    out = reduce_and_serve(session, mech)
-    assert out == session.w0
-
-
-def test_reduction_propagates_refusal():
-    mech = make_mechanism("identity", 1.0)
-    session = open_session("simulated", 1, 1.0, 42)
-    assert reduce_and_serve(session, mech) is not None
-    assert reduce_and_serve(session, mech) is None  # budget exhausted
 
 
 def test_round_mechanism_modal_outcome():
@@ -109,32 +89,19 @@ def test_sign_mechanism_is_binary():
     assert mech.binary
 
 
-def test_randomized_post_uses_its_own_stream():
-    noisy = PostprocessedMechanism(
-        "noisy_identity", 0.5,
-        post=lambda x, rng: x + float(rng.standard_normal()),
-    )
-    core_a = open_session("simulated", 1, 1.0, 5)
-    core_b = open_session("simulated", 1, 1.0, 5)
-    out_a = reduce_and_serve(core_a, noisy, post_rng=generator(1, "post"))
-    out_b = reduce_and_serve(core_b, noisy, post_rng=generator(2, "post"))
-    # same Gaussian core (same session seed), different postprocessing noise
-    assert core_a.draws == core_b.draws
-    assert out_a != out_b
-
-
-def test_post_on_an_array_matches_post_on_each_float():
-    # One array call must equal the per-value float calls bit for bit,
-    # including signed zeros, the threshold itself and rint's half-to-even ties.
-    edges = [0.0, -0.0, 0.5, -0.5, 1.5, 2.5, -2.5, 1e-300, -1e300, 0.49999999999999994]
-    xs = np.concatenate([edges, generator(6, "postcheck").standard_normal(500)])
-    for name, kwargs in [("identity", {}), ("threshold", {"tau": 0.5}),
-                         ("sign", {}), ("round_to_integer", {})]:
-        mech = make_mechanism(name, 0.5, **kwargs)
-        whole = mech.post(xs, None)
-        assert isinstance(whole, np.ndarray) and whole.dtype == np.float64
-        assert whole.shape == xs.shape
-        for x, w in zip(xs, whole):
-            one = mech.post(float(x), None)
-            assert type(one) is float, (name, type(one))
-            assert w.tobytes() == np.float64(one).tobytes(), (name, x, w, one)
+def test_post_maps_edge_values_to_their_stated_outcomes():
+    # Signed zeros, the threshold itself, rint's half-to-even ties and the
+    # largest double below 0.5, each against its outcome, compared bitwise
+    # so a sign lost on a zero shows.
+    xs = np.array([0.0, -0.0, 0.5, -0.5, 1.5, 2.5, -2.5, 0.49999999999999994])
+    cases = [
+        ("identity", {}, xs),
+        ("threshold", {"tau": 0.5}, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]),
+        ("threshold", {"tau": -0.5}, [1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0]),
+        ("sign", {}, [-1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0]),
+        ("round_to_integer", {}, [0.0, -0.0, 0.0, -0.0, 2.0, 2.0, -2.0, 0.0]),
+    ]
+    for name, kwargs, expected in cases:
+        out = make_mechanism(name, 0.5, **kwargs).post(xs)
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64, name
+        assert out.tobytes() == np.asarray(expected, dtype=float).tobytes(), (name, out)

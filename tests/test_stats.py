@@ -239,7 +239,7 @@ def per_value_normality_check(sample, alpha=0.001, name="normality"):
 
 def test_report_dict_lists_every_field():
     for rep in (ks_two_sample([0.0, 1.0], [0.5, 2.0]), two_proportion_z(3, 10, 4, 10),
-                Report("bound", 0.25, None, 0.5, True)):
+                normality_check([-1.0, 0.5, 2.0])):
         assert rep.to_dict() == dataclasses.asdict(rep)
         assert list(rep.to_dict()) == [f.name for f in dataclasses.fields(rep)]
 
