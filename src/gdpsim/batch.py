@@ -14,8 +14,9 @@ test suite asserts this.  The single-box equivalent of fanning trials out
 across workers.
 
 Randomness: one arm key is derived from (master seed, kind, policy id, bit).
-Column j of the arm's tableau is ``generator(arm key, "col", j)
-.standard_normal(n_trials)``, drawn when a trial's cursor first reaches it;
+Column j of the arm's tableau is ``n_trials`` standard normals from the
+stream of (arm key, "col", j), drawn when a trial's cursor first reaches it
+by the arm's one generator re-keyed for that column (``gdpsim.rng.rekey``);
 trial t consumes entry t of columns 0, 1, ... in order, so its draws do not
 depend on n_trials.  Refused rounds consume nothing.  The vector engine
 releases the columns below every live trial's cursor (refused trials
@@ -46,7 +47,7 @@ from .budget import admit, check_budget
 from .cholesky import stream_step
 from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Session, Transcript, run_interaction
 from .errors import NumericalIntegrityError
-from .rng import derive_key, generator
+from .rng import derive_key, generator, rekey
 
 
 def policy_stream_id(name: str, params: dict) -> str:
@@ -58,15 +59,17 @@ def policy_stream_id(name: str, params: dict) -> str:
 
 class DrawTableau:
     """Standard normals for one arm, column j drawn from its own stream on
-    first use.  The columns still held, ``[base, width)``, are rows of a ring
-    whose capacity is a power of two: column j is row ``j % capacity``.  The
-    ring doubles only when the held window outgrows it.  ``release`` drops
-    the columns below a floor; reading one of them raises rather than return
-    a wrapped row.  Until the first release the ring never wraps, so column
-    j is row j and ``row`` is a plain slice."""
+    first use by the tableau's one generator, re-keyed for that column.  The
+    columns still held, ``[base, width)``, are rows of a ring whose capacity
+    is a power of two: column j is row ``j % capacity``.  The ring doubles
+    only when the held window outgrows it.  ``release`` drops the columns
+    below a floor; reading one of them raises rather than return a wrapped
+    row.  Until the first release the ring never wraps, so column j is row j
+    and ``row`` is a plain slice."""
 
     def __init__(self, key: int, n_trials: int):
         self._key = key
+        self._rng = generator(key)
         self._n = n_trials
         self._base = 0
         self._width = 0
@@ -81,7 +84,7 @@ class DrawTableau:
             j = self._width
             if j - self._base == len(self._data):
                 self._grow(width - self._base)
-            generator(self._key, "col", j).standard_normal(
+            rekey(self._rng, self._key, "col", j).standard_normal(
                 out=self._data[j & (len(self._data) - 1)])
             self._width = j + 1
 

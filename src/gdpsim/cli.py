@@ -6,8 +6,9 @@ Commands:
     emit-transcripts --config FILE --out FILE [--kinds direct,simulated]
     filter-demo --budget B --spends a,b,c
 
-Exit codes: 0 pass, 1 test failure, 2 usage, config or file error (a
-missing ``--out`` directory is reported before any arm runs).
+Exit codes: 0 pass, 1 test failure, 2 usage, config or file error (an
+``--out`` in a missing directory, or naming a directory, is reported before
+any arm runs).
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ def _check_out_dir(path) -> None:
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise FileNotFoundError(f"--out: no such directory: {folder}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"--out: is a directory: {path}")
 
 
 def _cmd_run(args) -> int:

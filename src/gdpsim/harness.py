@@ -57,7 +57,7 @@ from .cholesky import DenseCholesky, StreamingCholesky, next_noise
 from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Transcript
 from .errors import ConfigError, NumericalIntegrityError
 from .mechanisms import make_mechanism
-from .rng import derive_key, generator
+from .rng import derive_key, generator, rekey
 from .stats import (
     empirical_moments,
     covariance_deviation,
@@ -66,7 +66,7 @@ from .stats import (
     two_proportion_z,
 )
 
-_REPORT_SCHEMA = "gdpsim.report.v2"
+_REPORT_SCHEMA = "gdpsim.report.v3"
 
 # Bound checks on moments, in units of 1/sqrt(n_trials).  ~6.4 sigma and up:
 # effectively never false-failing, so they sit outside the alpha budget.
@@ -288,6 +288,8 @@ class _Arm(NamedTuple):
     uniform: bool              # _uniform_shape of the whole result
     summaries: np.ndarray
     truncated: int
+    draws_used: int            # draws the trials consumed
+    draws_generated: int       # n_trials per tableau column either engine draws
 
     def round_answers(self, r: int) -> np.ndarray:
         """Accepted answers at round r across trials; none past the last round."""
@@ -296,7 +298,8 @@ class _Arm(NamedTuple):
 
 def _shrink(res) -> _Arm:
     return _Arm(res.bit, res.answers, res.decisions, res.spends[0].copy(),
-                _uniform_shape(res), res.summaries(), int(np.sum(res.truncated)))
+                _uniform_shape(res), res.summaries(), int(np.sum(res.truncated)),
+                int(np.sum(res.draws)), res.n_trials * int(np.max(res.draws)))
 
 
 def _uniform_shape(res) -> bool:
@@ -428,6 +431,10 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
         "refusals": refusals,
         "truncated_direct": direct.truncated,
         "truncated_simulated": sim.truncated,
+        "draws_used_direct": direct.draws_used,
+        "draws_used_simulated": sim.draws_used,
+        "draws_generated_direct": direct.draws_generated,
+        "draws_generated_simulated": sim.draws_generated,
         "tests_run": len(ledger),
         "passed": bool(moments_ok and refusals["match"]
                        and all(rep.passed for rep in ledger)),
@@ -707,8 +714,9 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
     max_canon = 0.0
     canon_failures = 0
     exhaust_count = 0
+    rng = generator(seed)   # re-keyed for each case
     for case in range(cases):
-        rng = generator(seed, "cholesky-verify", case)
+        rekey(rng, seed, "cholesky-verify", case)
         if case == 0:
             exhaust = True
             m = np.array([0.6, 0.8])

@@ -1,19 +1,25 @@
 """Deterministic seed derivation and draw streams.
 
 All randomness in the package flows from numpy PCG64 generators keyed by a
-stable splitting rule:
+stable splitting rule.  A tuple of labels hashes to
 
-    key = first 8 bytes (big-endian) of SHA-256(b"gdpsim.v1" || part_0 || ...)
+    digest = SHA-256(b"gdpsim.v1" || part_0 || ...)
 
 where integer parts are encoded as ``b"i"`` plus 16 signed big-endian bytes
-and string parts as ``b"s"`` plus the UTF-8 bytes plus ``b"\\x00"``.  The rule
-is platform-independent, so a (master seed, label, ...) tuple always denotes
-the same stream.
+and string parts as ``b"s"`` plus the UTF-8 bytes plus ``b"\\x00"``.  The
+64-bit key of the tuple is the digest's first 8 bytes (big-endian).  Its
+stream is the PCG64 whose 128-bit state is the digest's first 16 bytes and
+whose increment is its last 16 bytes with the low bit set (PCG64 needs an
+odd increment), both big-endian, with no buffered 32-bit half.  Setting the
+state straight from the digest skips numpy's SeedSequence seeding, which
+costs several times the hash.  The rule is platform-independent, so a
+(master seed, label, ...) tuple always denotes the same stream.
 
 The experiment harness derives one key per (component, policy, bit) arm;
-column ``j`` of its tableau is ``generator(arm_key, "col", j)``, whose
-draw ``t`` goes to trial ``t`` (see ``gdpsim.batch``).  Sessions opened
-with a plain integer seed use ``PCG64(seed)`` directly.
+column ``j`` of its tableau is the stream of ``(arm_key, "col", j)``, whose
+draw ``t`` goes to trial ``t`` (see ``gdpsim.batch``); one generator per arm
+is re-keyed for each column.  Sessions opened with a plain integer seed use
+``PCG64(seed)`` directly.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import numpy as np
 _TAG = b"gdpsim.v1"
 
 
-def derive_key(*parts: int | str) -> int:
-    """Stable 64-bit key for a tuple of integer/string labels."""
+def _digest(parts) -> bytes:
+    """SHA-256 of the tagged label encoding of ``parts``."""
     h = hashlib.sha256(_TAG)
     for part in parts:
         if isinstance(part, bool):
@@ -37,10 +43,28 @@ def derive_key(*parts: int | str) -> int:
             h.update(b"s" + part.encode("utf-8") + b"\x00")
         else:
             raise TypeError(f"unsupported label type: {type(part).__name__}")
-    return int.from_bytes(h.digest()[:8], "big")
+    return h.digest()
+
+
+def derive_key(*parts: int | str) -> int:
+    """Stable 64-bit key for a tuple of integer/string labels."""
+    return int.from_bytes(_digest(parts)[:8], "big")
+
+
+def rekey(gen: np.random.Generator, *parts: int | str) -> np.random.Generator:
+    """Set ``gen``'s PCG64 to the stream of ``parts`` and return it; what it
+    drew before, a buffered 32-bit half included, leaves no trace."""
+    d = _digest(parts)
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int.from_bytes(d[:16], "big"),
+                  "inc": int.from_bytes(d[16:], "big") | 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def generator(*parts: int | str) -> np.random.Generator:
-    """PCG64 generator keyed by ``derive_key(*parts)``."""
-    return np.random.Generator(np.random.PCG64(derive_key(*parts)))
-
+    """A new PCG64 generator on the stream of ``parts``."""
+    return rekey(np.random.Generator(np.random.PCG64(0)), *parts)

@@ -18,14 +18,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# Values per list read out by normality_check.
-_CDF_CHUNK = 4096
+# Abramowitz-Stegun 7.1.26: for x >= 0, erfc(x) = t (a1 + t (a2 + ... + t a5))
+# exp(-x^2) + e, t = 1 / (1 + p x), |e| <= 1.5e-7; coefficients a5 first.
+_AS_P = 0.3275911
+_AS_A = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
+# A bound on |_approx_normal_cdf - normal_cdf| (the formula gives 7.5e-8),
+# on which normality_check's choice of where to call math.erfc rests.
+_CDF_MARGIN = 1e-6
+# Values per slice of normality_check's approximation, which bounds its
+# temporaries.
+_CDF_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -107,20 +114,48 @@ def ks_two_sample(x, y, alpha: float = 0.001, name: str = "ks_two_sample") -> Te
     return TestReport(name, d, p, alpha, p > alpha)
 
 
+def _approx_normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of an array to within ``_CDF_MARGIN``: half the
+    Abramowitz-Stegun erfc at |z| / sqrt(2), reflected for z > 0."""
+    x = np.abs(z) / _SQRT2
+    np.minimum(x, 40.0, out=x)   # erfc is 0.0 beyond 27; keeps x * x finite
+    t = 1.0 / (1.0 + _AS_P * x)
+    tail = np.full_like(t, _AS_A[0])
+    for a in _AS_A[1:]:
+        tail *= t
+        tail += a
+    tail *= t
+    np.square(x, out=x)
+    np.negative(x, out=x)
+    tail *= np.exp(x, out=x)
+    tail *= 0.5   # Phi(-|z|)
+    return np.where(z < 0.0, tail, 1.0 - tail)
+
+
 def normality_check(sample, alpha: float = 0.001, name: str = "normality") -> TestReport:
     """One-sample KS test against the standard normal CDF.
 
     Intended for samples of at least 1e4 draws (asymptotic p-value).
+
+    An approximate CDF gives ``gap[i] = (i + 1)/n - F(z_i)`` to within
+    ``_CDF_MARGIN``, computed slice by slice into one array: D+ is the
+    largest gap and D- is 1/n minus the smallest.  Only the indices within
+    twice the margin of either extreme can hold the exact maximum, and only
+    they (a few in a random sample) get the exact ``normal_cdf`` by
+    math.erfc and the exact D+ and D- formulas.  So D and p are bitwise
+    those of evaluating ``normal_cdf`` at every value.
     """
     z = _finite_sorted(sample, "sample")
     n = z.size
-    # math.erfc mapped in C over normal_cdf's arguments, read out as Python
-    # floats one chunk at a time, so f is bitwise equal to the per-value
-    # form and only one chunk's float objects are alive at once.
-    f = 0.5 * np.fromiter(chain.from_iterable(
-        map(math.erfc, (-z[i:i + _CDF_CHUNK] / _SQRT2).tolist())
-        for i in range(0, n, _CDF_CHUNK)), float, n)
-    grid = np.arange(1, n + 1) / n
+    gap = np.empty(n)
+    for i in range(0, n, _CDF_CHUNK):
+        chunk = z[i:i + _CDF_CHUNK]
+        np.subtract(np.arange(i + 1, i + 1 + chunk.size) / n, _approx_normal_cdf(chunk),
+                    out=gap[i:i + chunk.size])
+    near = 2.0 * _CDF_MARGIN
+    idx = np.flatnonzero((gap >= gap.max() - near) | (gap <= gap.min() + near))
+    f = 0.5 * np.array(list(map(math.erfc, (-z[idx] / _SQRT2).tolist())))
+    grid = (idx + 1) / n
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / n)))
     d = max(d_plus, d_minus)

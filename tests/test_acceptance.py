@@ -29,6 +29,7 @@ CONFIG = ROOT / "configs" / "acceptance.cfg"
 # moves a byte of it must bump the report schema and add its checksum here.
 ACCEPTANCE_CHECKSUM = {
     "gdpsim.report.v2": "4bf8cd60c7bd952bab4ca380de34a0ad1d54dc68ca7a07a691786e7d556e9b27",
+    "gdpsim.report.v3": "5d98dedd4b2f00e6bc6e1bf912739457926216c5460b6e10b4e9ba2294dcff6d",
 }
 
 P_LO = 0.3085375387259869  # 1 - Phi(0.5), from the normal CDF oracle

@@ -16,6 +16,7 @@ from gdpsim.rng import derive_key, generator
 # streams must bump the report schema and add its digest here.
 TABLEAU_DIGEST = {
     "gdpsim.report.v2": "fbfb8b14a78467b7f5fc8da7077fa6537c738a24d4fdad8e4907866ed18f7db6",
+    "gdpsim.report.v3": "74e73b9c1e2688f569a891b58d2e126c17f605264e462c50bd65a8d23eb35f3e",
 }
 
 POLICIES = [
@@ -116,6 +117,19 @@ def test_tableau_column_is_its_own_stream():
         col = tab.take(np.arange(8), np.full(8, j))
         assert np.array_equal(col, generator(key, "col", j).standard_normal(8))
         assert np.array_equal(tab.row(3, 5)[j], col[3])
+
+
+def test_tableau_rekeys_one_generator_for_every_column(monkeypatch):
+    made = []
+
+    def recording(*parts):
+        made.append(parts)
+        return generator(*parts)
+
+    monkeypatch.setattr(batch, "generator", recording)
+    tab = DrawTableau(derive_key(1, "t"), 8)
+    tab.ensure(40)
+    assert len(made) == 1
 
 
 def test_tableau_draws_only_the_columns_read():

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import os
 import random
 import re
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 import gdpsim
 from gdpsim import harness
 from gdpsim.cli import main
-from gdpsim.curator import Round, Transcript
+from gdpsim.curator import KINDS, Round, Transcript
 from gdpsim.errors import ConfigError
 from gdpsim.harness import (
     _refusal_checksum,
@@ -397,7 +398,7 @@ def test_run_experiment_smoke_passes():
     report = run_experiment(small_config())
     assert report.passed
     res = report.results
-    assert res["schema"] == "gdpsim.report.v2"
+    assert res["schema"] == "gdpsim.report.v3"
     assert len(res["policies"]) == 2
     sec = res["policies"][0]
     assert sec["refusals"]["match"]
@@ -428,6 +429,26 @@ def acceptance_mix(**overrides):
     data = json.loads((Path(__file__).resolve().parents[1]
                        / "configs" / "acceptance.cfg").read_text())
     return config_from_dict({**data, **overrides})
+
+
+def test_draw_counters_agree_on_both_engines():
+    cfg = acceptance_mix(n_trials=40, min_test_samples=10, mechanisms=[])
+    counters = []
+    for engine in ("vector", "scalar"):
+        sections = run_experiment(cfg, engine=engine).results["policies"]
+        counters.append([{k: v for k, v in sec.items() if k.startswith("draws_")}
+                         for sec in sections])
+    assert counters[0] == counters[1]
+    for sec in counters[0]:
+        for kind in KINDS:
+            assert sec[f"draws_generated_{kind}"] >= sec[f"draws_used_{kind}"] > 0
+    # fixed [0.6, 0.8]: two answers per trial, and the simulated arm's W0
+    assert counters[0][0] == {"draws_used_direct": 80, "draws_generated_direct": 80,
+                              "draws_used_simulated": 120,
+                              "draws_generated_simulated": 120}
+    # adaptive lengths leave tableau entries no trial reads
+    assert any(sec["draws_generated_simulated"] > sec["draws_used_simulated"]
+               for sec in counters[0])
 
 
 def test_engines_agree_on_the_full_acceptance_mix():
@@ -667,11 +688,26 @@ def test_cli_missing_out_directory_fails_before_any_arm_runs(tmp_path, capsys, m
         assert err == f"error: --out: no such directory: {missing}\n", argv
 
 
+def test_cli_out_naming_a_directory_fails_before_any_arm_runs(tmp_path, capsys,
+                                                               monkeypatch):
+    def no_arm(*args, **kwargs):
+        raise AssertionError("an arm ran before the --out check")
+
+    monkeypatch.setattr(harness, "run_trial_batch", no_arm)
+    config = write_cli_config(tmp_path)
+    for out in (str(tmp_path), str(tmp_path) + os.sep):
+        for command in ("run", "emit-transcripts"):
+            assert main([command, "--config", str(config), "--out", out]) == 2
+            assert capsys.readouterr().err == f"error: --out: is a directory: {out}\n"
+
+
 def test_cli_write_error_is_a_one_line_usage_error(tmp_path, capsys):
-    # --out names an existing directory: the run completes, then open fails.
+    # --out passes the early checks (its directory exists and it is not
+    # one), the run completes, then open fails: the name is too long.
     config = write_cli_config(tmp_path)
     for command in ("run", "emit-transcripts"):
-        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        out = tmp_path / ("x" * 300)
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno") and err.count("\n") == 1, err
 

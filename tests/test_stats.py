@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gdpsim import stats
 from gdpsim.rng import generator
 from gdpsim.stats import TestReport as Report  # not a pytest class
 from gdpsim.stats import (
@@ -259,6 +260,71 @@ def test_normality_bitwise_equals_per_value_cdf():
         assert rep == ref
         assert rep.statistic.hex() == ref.statistic.hex()
         assert rep.p_value.hex() == ref.p_value.hex()
+
+
+def test_approximate_cdf_is_within_a_tenth_of_the_margin():
+    z = np.linspace(-40.0, 40.0, 1_000_001)
+    exact = np.array([normal_cdf(v) for v in z.tolist()])
+    assert np.max(np.abs(stats._approx_normal_cdf(z) - exact)) <= stats._CDF_MARGIN / 10
+
+
+def counted_normality_check(sample, monkeypatch):
+    """normality_check with its math.erfc calls counted."""
+    calls = []
+    erfc = math.erfc
+
+    def counting(x):
+        calls.append(x)
+        return erfc(x)
+
+    with monkeypatch.context() as m:
+        m.setattr(math, "erfc", counting)
+        rep = normality_check(sample)
+    return rep, len(calls)
+
+
+def normal_sample(case):
+    if case == "exact quantiles":   # every index within the margin of D = 0.5 / n
+        n = 10000
+        return np.array([normal_quantile((i - 0.5) / n) for i in range(1, n + 1)])
+    if case == "max at index 0":     # D- is F(z_0)
+        return np.linspace(3.0, 4.0, 1000)
+    if case == "max at index n-1":   # D+ is 1 - F(z_{n-1})
+        return np.linspace(-4.0, -3.0, 1000)
+    return generator(8, "norm-calls").standard_normal(100000)
+
+
+@pytest.mark.parametrize("case", ["exact quantiles", "max at index 0", "max at index n-1",
+                                  "random"])
+def test_normality_calls_erfc_only_near_the_maximum(case, monkeypatch):
+    sample = normal_sample(case)
+    rep, calls = counted_normality_check(sample, monkeypatch)
+    ref = per_value_normality_check(sample)
+    assert rep.statistic.hex() == ref.statistic.hex()
+    assert rep.p_value.hex() == ref.p_value.hex()
+    n = sample.size
+    if case == "exact quantiles":
+        assert calls == n
+    else:
+        assert 1 <= calls <= 20
+    f = np.array([normal_cdf(v) for v in np.sort(sample)])
+    grid = np.arange(1, n + 1) / n
+    if case == "max at index 0":
+        assert np.argmax(f - (grid - 1.0 / n)) == 0 and ref.statistic == f[0]
+    if case == "max at index n-1":
+        assert np.argmax(grid - f) == n - 1 and ref.statistic == 1.0 - f[-1]
+
+
+def test_normality_peak_memory_is_a_few_samples():
+    sample = generator(9, "norm-mem").standard_normal(100000)
+    normality_check(sample)
+    tracemalloc.start()
+    try:
+        normality_check(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * sample.nbytes
 
 
 def test_covariance_deviation_examples():
