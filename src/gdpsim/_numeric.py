@@ -13,6 +13,12 @@ argument's shape.  IEEE arithmetic and both square roots are correctly
 rounded, so every lane of an array call is bitwise equal to the float call
 on that lane's values.
 
+An argument of an array-op-set call may be 0-d, one value every lane
+shares (the vector engine holds lane-shared state that way), or an array
+with one entry per lane; NumPy broadcasting mixes the two.  So a kernel
+never takes ``len`` of an argument, indexes it or reads its shape; only
+``full`` does, to give a constant the argument's shape.
+
 Two rules keep the float form valid: combine conditions with ``&``/``|``
 and comparisons, never ``~`` (on a bool it is integer negation); and make
 both arms of a ``where`` safe to compute, since the float form evaluates

@@ -3,7 +3,13 @@
 Runs n_trials independent curator interactions for one (kind, bit, policy)
 arm, round-synchronously across numpy arrays with one lane per live trial:
 a trial that stops leaves every per-lane array at once, so each round costs
-only its live lanes.  Each round writes its spends, decisions and answers
+only its live lanes.  A per-lane value that every live lane shares -- the
+filter ledger, the spend, the decision, the factor's Q and its
+compensation, the tableau cursor -- is held once, 0-d, and NumPy
+broadcasting makes it a lane array only when a kernel result depends on
+something that differs by lane (an answer, a draw, ``W0``).  So in a
+lockstep arm the filter, the policy and most of the factor step cost O(1)
+per round, and only the answers and draws cost a lane each.  Each round writes its spends, decisions and answers
 straight into column r of the round-major result matrices, which start at
 16 columns and double when full; never-written capacity is never touched.
 The filter rule (``budget.admit``), the streaming factor step
@@ -103,21 +109,27 @@ class DrawTableau:
 
     def take(self, rows: np.ndarray, cols: np.ndarray,
              live: np.ndarray | None = None) -> np.ndarray:
-        """Gather one draw per (trial row, per-trial cursor).  ``live``, the
-        cursors of every trial still running, lets a full ring release the
-        columns below all of them instead of growing."""
+        """Gather one draw per (trial row, per-trial cursor) for distinct
+        trial ``rows`` in increasing order.  A 0-d ``cols`` is a cursor every
+        row shares: that column's ring row is read, as a contiguous copy when
+        ``rows`` is every trial.  ``live``, the cursors of every trial still
+        running, lets a full ring release the columns below all of them
+        instead of growing."""
         if rows.size == 0:
             return np.empty(0)
-        top = int(cols.max()) + 1
+        top = int(np.max(cols)) + 1
         if live is not None and top - self._base > len(self._data):
-            self.release(int(live.min()))
+            self.release(int(np.min(live)))
         self.ensure(top)
         if self._base:
-            low = int(cols.min())
+            low = int(np.min(cols))
             if low < self._base:
                 raise IndexError(f"tableau column {low} was released")
             cols = cols & (len(self._data) - 1)
-        return self._data[cols, rows]
+        if np.ndim(cols):
+            return self._data[cols, rows]
+        row = self._data[cols]
+        return row.copy() if rows.size == self._n else row[rows]
 
     def row(self, t: int, width: int) -> np.ndarray:
         if self._base:
@@ -230,21 +242,25 @@ def run_trial_batch(
 
 def _run_vector(kind, bit, mu0, policy_name, policy_params,
                 n, max_rounds, tableau: DrawTableau):
-    """All trials round-synchronously, on arrays of the live lanes only, in
-    trial order (``lane`` names their trials).  Both engines return the
-    BatchResult fields from ``spends`` on, in order."""
+    """All trials round-synchronously, on the live lanes only, in trial order
+    (``lane`` names their trials).  Every other per-lane value starts 0-d,
+    shared by all lanes, and NumPy broadcasting gives it the lane shape only
+    once a kernel result depends on a per-lane input (an answer, a draw,
+    ``W0`` or a lane-dependent spend); ``_at`` and ``_put`` select and set
+    lanes of either form.  Both engines return the BatchResult fields from
+    ``spends`` on, in order."""
     vec = make_vector_policy(policy_name, policy_params)
     budget_sq = mu0 * mu0
     norm = mu0 if mu0 > 0.0 else 1.0
     lane = np.arange(n)
-    cursor = np.zeros(n, dtype=np.int64)
+    cursor = np.int64(0)
     w0 = live_w0 = q = qc = s = None
     if kind == "simulated":
         w0 = live_w0 = bit * mu0 + tableau.take(lane, cursor)
-        cursor += 1
-        q, qc, s = np.zeros(n), np.zeros(n), np.zeros(n)
-    spent, comp = np.zeros(n), np.zeros(n)
-    last = prev = np.full(n, np.nan)
+        cursor = cursor + 1
+        q = qc = s = np.float64(0.0)
+    spent = comp = np.float64(0.0)
+    last = prev = np.float64(np.nan)
     lengths, draws = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     truncated = np.zeros(n, dtype=bool)
     # Spends, decisions and answers; round r is column r, written whole.
@@ -255,12 +271,12 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
     for r in range(max_rounds):
         rem = np.maximum(0.0, budget_sq - spent)
         sp, stop = vec.spends(ARRAY_OPS, r, rem, last, prev)
-        if stop.any():   # stopped lanes leave every per-lane array at once
+        if np.any(stop):   # stopped lanes leave every per-lane value at once
+            stop = np.broadcast_to(stop, lane.shape)
             gone, keep = lane[stop], ~stop
-            lengths[gone], draws[gone] = r, cursor[stop]
+            lengths[gone], draws[gone] = r, _at(cursor, stop)
             lane, cursor, spent, comp, last, sp, live_w0, q, qc, s = (
-                None if a is None else a[keep]
-                for a in (lane, cursor, spent, comp, last, sp, live_w0, q, qc, s))
+                _at(a, keep) for a in (lane, cursor, spent, comp, last, sp, live_w0, q, qc, s))
             if lane.size == 0:
                 break
         sp = np.asarray(sp, dtype=float)
@@ -270,21 +286,24 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
 
         admitted, total, new_comp = admit(spent, comp, budget_sq, sp)
         moved = admitted & (sp != 0.0)
-        np.copyto(spent, total, where=moved)
-        np.copyto(comp, new_comp, where=moved)
-        whole = admitted.all()
+        spent, comp = np.where(moved, total, spent), np.where(moved, new_comp, comp)
+        whole = np.all(admitted)
+        # A fully refused round selects no lane, so the factor step below
+        # sees empty arrays, never a spend the filter refused.
         acc = slice(None) if whole else np.flatnonzero(admitted)
-        v = tableau.take(lane[acc], cursor[acc], cursor)
-        cursor += admitted
+        v = tableau.take(lane[acc], _at(cursor, acc), cursor)
+        cursor = cursor + admitted
+        m = _at(sp, acc)
         if live_w0 is None:
-            ans = bit * sp[acc] + v
+            ans = bit * m + v
         else:
-            m = sp[acc] / norm
-            u, q[acc], qc[acc], s[acc] = stream_step(ARRAY_OPS, q[acc], qc[acc], s[acc], m, v)
-            ans = m * live_w0[acc] + u
+            m = m / norm
+            u, *state = stream_step(ARRAY_OPS, _at(q, acc), _at(qc, acc), _at(s, acc), m, v)
+            q, qc, s = state if whole else (
+                _put(x, acc, y, lane.size) for x, y in zip((q, qc, s), state))
+            ans = m * _at(live_w0, acc) + u
         if not whole:
-            answers, ans = ans, np.full(lane.size, np.nan)
-            ans[acc] = answers
+            ans = _put(np.nan, acc, ans, lane.size)
         last, prev = ans if whole else np.where(admitted, ans, last), sp
         if r == out[0].shape[1]:
             _widen(out, min(max_rounds, 2 * r), filled=False)
@@ -301,8 +320,29 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
         lengths[lane], draws[lane] = rounds, cursor
         rem = np.maximum(0.0, budget_sq - spent)
         _, stop = vec.spends(ARRAY_OPS, max_rounds, rem, last, prev)
-        truncated[lane[~stop]] = True
+        truncated[lane] = np.logical_not(stop)
     return (*(mat[:, :rounds] for mat in out), lengths, truncated, draws, w0)
+
+
+def _at(x, sel):
+    """Lanes ``sel`` of a per-lane value: a slice, a boolean lane mask or an
+    index array.  A 0-d value is every lane's, so it stays as it is under a
+    slice or a mask and is spread over an index array."""
+    if np.ndim(x):
+        return x[sel]
+    if isinstance(sel, np.ndarray) and sel.dtype != bool:
+        return np.broadcast_to(x, sel.shape)
+    return x
+
+
+def _put(x, idx, vals, size):
+    """A new array of ``size`` lanes: ``x`` broadcast, with lanes ``idx`` set
+    to ``vals``.  With no lane to set, ``x`` itself, 0-d or not."""
+    if idx.size == 0:
+        return x
+    out = np.array(np.broadcast_to(x, size), dtype=float)
+    out[idx] = vals
+    return out
 
 
 # Fill value and dtype of the spends, decisions and answers matrices.

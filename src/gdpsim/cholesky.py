@@ -109,7 +109,7 @@ def stream_step(o, q, q_comp, s, m, v):
         (total, comp, one_prev, o.maximum(1.0 - total, 0.0)))
     if o.any((exhausted & (msq > CLAMP_BAND)) | (q_new - 1.0 > CLAMP_BAND)):
         raise BudgetOverflowError(
-            f"spend {m!r} takes ||m||^2 = {q!r} past the unit bound beyond tolerance"
+            f"spend {m!r} takes ||m||^2 = {total!r} past the unit bound beyond tolerance"
         )
     # y_last = 0 where the true radicands' product is not positive (exhausted
     # lanes and lanes that just reached Q = 1): they divide by inf.

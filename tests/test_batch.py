@@ -6,7 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from gdpsim import batch
+from gdpsim import adversaries, batch
+from gdpsim.adversaries import AdversaryPolicy
 from gdpsim.batch import DrawTableau, make_vector_policy, policy_stream_id, run_trial_batch
 from gdpsim.harness import _REPORT_SCHEMA
 from gdpsim.rng import derive_key, generator
@@ -281,3 +282,112 @@ def test_ring_tableau_reads_each_column_stream_across_releases_and_wraps():
         tab.take(np.array([t]), np.array([floor - 1]))
     with pytest.raises(IndexError):
         tab.row(t, 1)
+
+
+# The vector engine holds each per-lane value 0-d while every live lane
+# agrees on it, and spreads it to a lane array once a kernel result differs
+# by lane.  Each case below crosses one of those shape transitions.
+SHAPE_CASES = {
+    # every odd round is refused for all lanes at once
+    "refused_together": ("overspend_prober", {}, 1.0, 30, 64),
+    # zero spends are admitted but leave the ledger where it is
+    "zero_spends": ("fixed", {"spends": [0.0, 0.3, 0.0]}, 1.0, 30, 64),
+    "zero_spends_zero_budget": ("fixed", {"spends": [0.0, 0.3, 0.0]}, 0.0, 30, 64),
+    "zero_budget": ("greedy_halving", {}, 0.0, 30, 64),
+    "lockstep_cut_by_max_rounds": ("fixed", {"spends": [0.125] * 64}, 1.0, 30, 5),
+    "one_trial": ("sign_adaptive", {"hi": 0.8, "lo": 0.2}, 1.0, 1, 64),
+    "two_trials": ("overspend_prober", {}, 0.7, 2, 64),
+    # lanes stop at different rounds while they still share a cursor
+    "stops_on_a_shared_cursor": ("sign_adaptive", {"hi": 0.8, "lo": 0.2}, 1.0, 40, 64),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_CASES))
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_bitwise_equality_across_shared_state_transitions(case, kind, bit):
+    name, params, budget, n_trials, max_rounds = SHAPE_CASES[case]
+    args = (kind, bit, budget, name, params, n_trials, 31, max_rounds)
+    assert_identical(run_trial_batch(*args, engine="vector"),
+                     run_trial_batch(*args, engine="scalar"))
+
+
+def policy_uncapped():
+    """Spend 2.0 after a positive answer and 0.5 otherwise, uncapped, for six
+    rounds.  At budget 1 its round 1 is refused on some lanes and admitted on
+    others while every lane still holds the same ledger."""
+
+    def kernel(o, i, remaining_sq, last_accepted, prev_spend):
+        return o.where(last_accepted > 0.0, 2.0, 0.5), o.full(remaining_sq, i >= 6)
+
+    return AdversaryPolicy("uncapped", kernel)
+
+
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+@pytest.mark.parametrize("n_trials", [1, 2, 30])
+def test_bitwise_equality_when_a_shared_ledger_is_partly_refused(monkeypatch, kind, n_trials):
+    monkeypatch.setitem(adversaries._REGISTRY, "uncapped", policy_uncapped)
+    args = (kind, 1, 1.0, "uncapped", {}, n_trials, 8, 64)
+    vec = run_trial_batch(*args, engine="vector")
+    assert_identical(vec, run_trial_batch(*args, engine="scalar"))
+    if n_trials == 30:
+        assert np.all(vec.decisions[:, 0] == 1)
+        assert np.any(vec.decisions[:, 1] == 0) and np.any(vec.decisions[:, 1] == 1)
+
+
+def remaining_ndims(monkeypatch, *args):
+    """``np.ndim`` of the remaining squared budget each ``spends`` call of
+    the vector engine sees, wrapped the way the benchmark's tracer wraps it."""
+    seen = []
+    orig = batch.make_vector_policy
+
+    def recording(name, params):
+        vec = orig(name, params)
+        spends = vec.spends
+
+        def wrapped(o, i, remaining_sq, last_accepted, prev_spend):
+            seen.append(np.ndim(remaining_sq))
+            return spends(o, i, remaining_sq, last_accepted, prev_spend)
+
+        vec.spends = wrapped
+        return vec
+
+    monkeypatch.setattr(batch, "make_vector_policy", recording)
+    run_trial_batch(*args, engine="vector")
+    return seen
+
+
+@pytest.mark.parametrize("name,params", [
+    ("fixed", {"spends": [0.125] * 64}),
+    ("greedy_halving", {}),
+    ("overspend_prober", {}),
+])
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_lockstep_policies_see_a_shared_ledger_every_round(monkeypatch, name, params, kind):
+    seen = remaining_ndims(monkeypatch, kind, 1, 1.0, name, params, 50, 3, 256)
+    assert len(seen) > 10 and set(seen) == {0}
+
+
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_sign_adaptive_ledger_is_shared_until_its_spends_differ(monkeypatch, kind):
+    # round 0 spends hi/2 on every lane; round 1's spend follows each lane's
+    # answer, so from round 2 on the ledger is a lane array
+    seen = remaining_ndims(monkeypatch, kind, 1, 1.0, "sign_adaptive",
+                           {"hi": 0.8, "lo": 0.2}, 50, 3, 256)
+    assert len(seen) > 3 and seen == [0, 0] + [1] * (len(seen) - 2)
+
+
+def test_tableau_take_on_a_shared_cursor_matches_the_gather():
+    # a 0-d cursor reads one ring row, across releases and wraps; the read
+    # is the tableau's own copy
+    key, n = derive_key(2, "t"), 8
+    shared, gathered = DrawTableau(key, n), DrawTableau(key, n)
+    for j in range(40):
+        for rows in (np.arange(n), np.array([1, 4, 6])):
+            got = shared.take(rows, np.int64(j), np.int64(j))
+            want = gathered.take(rows, np.full(rows.size, j), np.full(n, j))
+            assert np.array_equal(got, want)
+            got[:] = np.nan
+    assert shared._base > 0 and shared.width > 2 * len(shared._data)
+    assert np.array_equal(shared.take(np.arange(n), np.int64(39)),
+                          generator(key, "col", 39).standard_normal(n))

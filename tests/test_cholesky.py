@@ -101,6 +101,15 @@ def test_precondition_overflow_rejected():
         extend(grow([0.8]), 0.8)
 
 
+def test_overflow_message_names_the_q_the_spend_would_reach():
+    # Q = 0.7347 before the step; the spend 0.8/0.7 would take it to 2.04
+    m = 0.8 / 0.7
+    with pytest.raises(BudgetOverflowError) as info:
+        stream_step(FLOAT_OPS, 0.7347, 0.0, 0.0, m, 0.5)
+    assert f"||m||^2 = {0.7347 + m * m!r} " in str(info.value)
+    assert "0.7347" not in str(info.value)
+
+
 def test_non_finite_spend_rejected():
     with pytest.raises(ValueError):
         extend(DenseCholesky(), float("nan"))
