@@ -9,9 +9,12 @@ compensation, the tableau cursor -- is held once, 0-d, and NumPy
 broadcasting makes it a lane array only when a kernel result depends on
 something that differs by lane (an answer, a draw, ``W0``).  So in a
 lockstep arm the filter, the policy and most of the factor step cost O(1)
-per round, and only the answers and draws cost a lane each.  Each round writes its spends, decisions and answers
-straight into column r of the round-major result matrices, which start at
-16 columns and double when full; never-written capacity is never touched.
+per round, and only the answers and draws cost a lane each.  A refused
+lane draws nothing, steps the factor on spend 0 (admissible in any state)
+and keeps its state through ``np.where``; a fully refused round runs no
+factor step.  Each round writes its spends, decisions and answers into
+column r of the round-major result matrices, which start at 16 columns and
+double when full; never-written capacity is never touched.
 The filter rule (``budget.admit``), the streaming factor step
 (``cholesky.stream_step``) and the policy's ``spends`` kernel are the same
 functions a scalar ``gdpsim.curator.Session`` runs on floats, so per-trial
@@ -49,10 +52,9 @@ import numpy as np
 
 from ._numeric import ARRAY_OPS
 from .adversaries import make_policy
-from .budget import admit, check_budget
+from .budget import admit, check_budget, check_spend
 from .cholesky import stream_step
 from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Session, Transcript, run_interaction
-from .errors import NumericalIntegrityError
 from .rng import derive_key, generator, rekey
 
 
@@ -246,9 +248,10 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
     (``lane`` names their trials).  Every other per-lane value starts 0-d,
     shared by all lanes, and NumPy broadcasting gives it the lane shape only
     once a kernel result depends on a per-lane input (an answer, a draw,
-    ``W0`` or a lane-dependent spend); ``_at`` and ``_put`` select and set
-    lanes of either form.  Both engines return the BatchResult fields from
-    ``spends`` on, in order."""
+    ``W0`` or a lane-dependent spend).  A refused lane draws nothing, takes
+    the factor step on spend 0 and keeps its state; a fully refused round
+    runs no factor step.  The round cap is the loop's last turn.  Both
+    engines return the BatchResult fields from ``spends`` on, in order."""
     vec = make_vector_policy(policy_name, policy_params)
     budget_sq = mu0 * mu0
     norm = mu0 if mu0 > 0.0 else 1.0
@@ -266,11 +269,12 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
     # Spends, decisions and answers; round r is column r, written whole.
     # They start at 16 columns, so short arms never regrow them.
     out = _result_matrices(n, min(max_rounds, 16))
-    rounds = 0
 
-    for r in range(max_rounds):
+    for r in range(max_rounds + 1):
         rem = np.maximum(0.0, budget_sq - spent)
         sp, stop = vec.spends(ARRAY_OPS, r, rem, last, prev)
+        if r == max_rounds:   # the cap; lanes that would go on are truncated
+            truncated[lane], stop = np.logical_not(stop), True
         if np.any(stop):   # stopped lanes leave every per-lane value at once
             stop = np.broadcast_to(stop, lane.shape)
             gone, keep = lane[stop], ~stop
@@ -281,29 +285,33 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
                 break
         sp = np.asarray(sp, dtype=float)
         if not np.all(np.isfinite(sp) & (sp >= 0.0)):
-            raise NumericalIntegrityError(
-                f"policy {policy_name!r} emitted a malformed spend at round {r}")
+            for x in np.ravel(sp):   # raises as the scalar session does
+                check_spend(x)
 
         admitted, total, new_comp = admit(spent, comp, budget_sq, sp)
         moved = admitted & (sp != 0.0)
         spent, comp = np.where(moved, total, spent), np.where(moved, new_comp, comp)
         whole = np.all(admitted)
-        # A fully refused round selects no lane, so the factor step below
-        # sees empty arrays, never a spend the filter refused.
-        acc = slice(None) if whole else np.flatnonzero(admitted)
-        v = tableau.take(lane[acc], _at(cursor, acc), cursor)
-        cursor = cursor + admitted
-        m = _at(sp, acc)
-        if live_w0 is None:
-            ans = bit * m + v
+        if not np.any(admitted):   # nothing drawn, no factor step
+            ans = np.float64(np.nan)
         else:
-            m = m / norm
-            u, *state = stream_step(ARRAY_OPS, _at(q, acc), _at(qc, acc), _at(s, acc), m, v)
-            q, qc, s = state if whole else (
-                _put(x, acc, y, lane.size) for x, y in zip((q, qc, s), state))
-            ans = m * _at(live_w0, acc) + u
-        if not whole:
-            ans = _put(np.nan, acc, ans, lane.size)
+            if whole:
+                v, m = tableau.take(lane, cursor, cursor), sp
+            else:   # refused lanes draw nothing and step on spend 0
+                v = np.zeros(lane.size)
+                v[admitted] = tableau.take(lane[admitted], _at(cursor, admitted), cursor)
+                m = np.where(admitted, sp, 0.0)
+            cursor = cursor + admitted
+            if live_w0 is None:
+                ans = bit * m + v
+            else:
+                m = m / norm
+                u, *state = stream_step(ARRAY_OPS, q, qc, s, m, v)
+                q, qc, s = state if whole else (
+                    np.where(admitted, x, y) for x, y in zip(state, (q, qc, s)))
+                ans = m * live_w0 + u
+            if not whole:
+                ans = np.where(admitted, ans, np.nan)
         last, prev = ans if whole else np.where(admitted, ans, last), sp
         if r == out[0].shape[1]:
             _widen(out, min(max_rounds, 2 * r), filled=False)
@@ -314,35 +322,13 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
                 col = mat[:, r]
                 col.fill(fill)
                 col[lane] = vals
-        rounds = r + 1
-
-    if lane.size:   # the lanes still live ran every round
-        lengths[lane], draws[lane] = rounds, cursor
-        rem = np.maximum(0.0, budget_sq - spent)
-        _, stop = vec.spends(ARRAY_OPS, max_rounds, rem, last, prev)
-        truncated[lane] = np.logical_not(stop)
-    return (*(mat[:, :rounds] for mat in out), lengths, truncated, draws, w0)
+    return (*(mat[:, :r] for mat in out), lengths, truncated, draws, w0)
 
 
 def _at(x, sel):
-    """Lanes ``sel`` of a per-lane value: a slice, a boolean lane mask or an
-    index array.  A 0-d value is every lane's, so it stays as it is under a
-    slice or a mask and is spread over an index array."""
-    if np.ndim(x):
-        return x[sel]
-    if isinstance(sel, np.ndarray) and sel.dtype != bool:
-        return np.broadcast_to(x, sel.shape)
-    return x
-
-
-def _put(x, idx, vals, size):
-    """A new array of ``size`` lanes: ``x`` broadcast, with lanes ``idx`` set
-    to ``vals``.  With no lane to set, ``x`` itself, 0-d or not."""
-    if idx.size == 0:
-        return x
-    out = np.array(np.broadcast_to(x, size), dtype=float)
-    out[idx] = vals
-    return out
+    """Lanes ``sel`` (a boolean lane mask) of a per-lane value; a 0-d value
+    is every lane's, so it stays as it is."""
+    return x[sel] if np.ndim(x) else x
 
 
 # Fill value and dtype of the spends, decisions and answers matrices.

@@ -441,17 +441,17 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
     }
 
 
-def _arm_pair(config, name, params, bit, seed, engine, reduce, stream_label=None):
+def _arm_pair(config, name, params, bit, seed, engine, stream_label=None):
     """Run a section's direct arm, then its simulated arm, each reduced by
-    ``reduce(result)`` to what the section reads before the next runs."""
-    return [reduce(run_trial_batch(kind, bit, config.budget, name, params,
-                                   config.n_trials, seed, config.max_rounds,
-                                   engine, stream_label=stream_label))
+    ``_shrink`` to what the section reads before the next runs."""
+    return [_shrink(run_trial_batch(kind, bit, config.budget, name, params,
+                                    config.n_trials, seed, config.max_rounds,
+                                    engine, stream_label=stream_label))
             for kind in KINDS]
 
 
 def _policy_section(config, name, params, bit, seed, engine) -> dict:
-    direct, sim = _arm_pair(config, name, params, bit, seed, engine, _shrink)
+    direct, sim = _arm_pair(config, name, params, bit, seed, engine)
     section = {"policy": name, "params": params, "bit": bit}
     section.update(_evaluate_pair(direct, sim, config.alpha, config.min_test_samples))
     return section
@@ -462,14 +462,8 @@ def _policy_section(config, name, params, bit, seed, engine) -> dict:
 def _mechanism_section(config, name, mu, params, bit, seed, engine) -> dict:
     mech = make_mechanism(name, mu, **params)
     label = "mechanism:" + policy_stream_id(name, {"mu": mu, **params})
-
-    def post(res):
-        # A one-spend arm always has round 0 (max_rounds >= 1).
-        accepted = res.decisions[:, 0] == 1
-        return mech.post(res.answers[accepted, 0])
-
-    out_d, out_s = _arm_pair(config, "fixed", {"spends": [mu]}, bit, seed, engine, post,
-                             stream_label=label)
+    out_d, out_s = (mech.post(arm.round_answers(0)) for arm in _arm_pair(
+        config, "fixed", {"spends": [mu]}, bit, seed, engine, stream_label=label))
     section = {
         "mechanism": name,
         "mu": mu,

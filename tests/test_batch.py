@@ -142,7 +142,8 @@ def test_tableau_draws_only_the_columns_read():
     assert tab.width == 4
 
 
-def test_one_spend_simulated_arm_draws_two_columns(monkeypatch):
+def record_tableaus(monkeypatch):
+    """The list each DrawTableau the engines build from now on joins."""
     made = []
 
     class Recording(DrawTableau):
@@ -151,6 +152,11 @@ def test_one_spend_simulated_arm_draws_two_columns(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(batch, "DrawTableau", Recording)
+    return made
+
+
+def test_one_spend_simulated_arm_draws_two_columns(monkeypatch):
+    made = record_tableaus(monkeypatch)
     for engine in ("vector", "scalar"):
         run_trial_batch("simulated", 1, 1.0, "fixed", {"spends": [0.5]}, 6, 3,
                         engine=engine)
@@ -299,6 +305,10 @@ SHAPE_CASES = {
     "two_trials": ("overspend_prober", {}, 0.7, 2, 64),
     # lanes stop at different rounds while they still share a cursor
     "stops_on_a_shared_cursor": ("sign_adaptive", {"hi": 0.8, "lo": 0.2}, 1.0, 40, 64),
+    # the cap falls right after round 0, or right after a refused round
+    "adaptive_cut_after_one_round": ("sign_adaptive", {"hi": 0.8, "lo": 0.2}, 1.0, 30, 1),
+    "prober_cut_after_one_round": ("overspend_prober", {}, 1.0, 30, 1),
+    "prober_cut_after_a_refused_round": ("overspend_prober", {}, 1.0, 30, 2),
 }
 
 
@@ -327,12 +337,69 @@ def policy_uncapped():
 @pytest.mark.parametrize("n_trials", [1, 2, 30])
 def test_bitwise_equality_when_a_shared_ledger_is_partly_refused(monkeypatch, kind, n_trials):
     monkeypatch.setitem(adversaries._REGISTRY, "uncapped", policy_uncapped)
-    args = (kind, 1, 1.0, "uncapped", {}, n_trials, 8, 64)
-    vec = run_trial_batch(*args, engine="vector")
-    assert_identical(vec, run_trial_batch(*args, engine="scalar"))
-    if n_trials == 30:
-        assert np.all(vec.decisions[:, 0] == 1)
-        assert np.any(vec.decisions[:, 1] == 0) and np.any(vec.decisions[:, 1] == 1)
+    # at max_rounds 2 the cap falls right after the partly refused round
+    for max_rounds in (2, 64):
+        args = (kind, 1, 1.0, "uncapped", {}, n_trials, 8, max_rounds)
+        vec = run_trial_batch(*args, engine="vector")
+        assert_identical(vec, run_trial_batch(*args, engine="scalar"))
+        if n_trials == 30:
+            assert np.all(vec.decisions[:, 0] == 1)
+            assert np.any(vec.decisions[:, 1] == 0) and np.any(vec.decisions[:, 1] == 1)
+
+
+def policy_leapfrog():
+    """Spend 0.5, or 2.0 (refused at budget 1) at round 1 after a positive
+    answer; round 2 swaps the two spends lane by lane, and round 3 stops.
+    So at round 2 each lane refused holds a later cursor than every lane
+    admitted."""
+
+    def kernel(o, i, remaining_sq, last_accepted, prev_spend):
+        if i == 2:
+            return 2.5 - prev_spend, o.full(remaining_sq, False)
+        return o.where((i == 1) & (last_accepted > 0.0), 2.0, 0.5), o.full(remaining_sq, i >= 3)
+
+    return AdversaryPolicy("leapfrog", kernel)
+
+
+@pytest.mark.parametrize("case", [*SHAPE_CASES, "uncapped", "leapfrog"])
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_tableau_draws_only_columns_some_trial_reads(monkeypatch, case, kind):
+    # a refused lane must not read its cursor column, or the vector engine
+    # would draw a column no trial consumes
+    made = record_tableaus(monkeypatch)
+    monkeypatch.setitem(adversaries._REGISTRY, "uncapped", policy_uncapped)
+    monkeypatch.setitem(adversaries._REGISTRY, "leapfrog", policy_leapfrog)
+    name, params, budget, n_trials, max_rounds = SHAPE_CASES.get(
+        case, (case, {}, 1.0, 30, 64))
+    args = (kind, 1, budget, name, params, n_trials, 8, max_rounds)
+    res = run_trial_batch(*args)
+    assert made.pop().width == res.draws.max()
+    if case == "leapfrog":
+        assert_identical(res, run_trial_batch(*args, engine="scalar"))
+        refused = res.decisions[:, 2] == 0
+        assert np.any(refused) and np.any(~refused)
+
+
+def policy_malformed(value):
+    """Spend 0.1 each round for four rounds, but ``value`` at round 2."""
+
+    def kernel(o, i, remaining_sq, last_accepted, prev_spend):
+        return o.full(remaining_sq, value if i == 2 else 0.1), o.full(remaining_sq, i >= 4)
+
+    return AdversaryPolicy("malformed", kernel)
+
+
+@pytest.mark.parametrize("value", [np.nan, -0.5])
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_both_engines_raise_the_same_error_on_a_malformed_spend(monkeypatch, value, kind):
+    monkeypatch.setitem(adversaries._REGISTRY, "malformed", lambda: policy_malformed(value))
+    errors = []
+    for engine in ("vector", "scalar"):
+        with pytest.raises(ValueError) as info:
+            run_trial_batch(kind, 1, 1.0, "malformed", {}, 5, 9, 64, engine)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] == (ValueError, f"spend must be a finite nonnegative real, "
+                                                  f"got {float(value)!r}")
 
 
 def remaining_ndims(monkeypatch, *args):
