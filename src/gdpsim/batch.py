@@ -27,12 +27,12 @@ Column j of the arm's tableau is ``n_trials`` standard normals from the
 stream of (arm key, "col", j), drawn when a trial's cursor first reaches it
 by the arm's one generator re-keyed for that column (``gdpsim.rng.rekey``);
 trial t consumes entry t of columns 0, 1, ... in order, so its draws do not
-depend on n_trials.  Refused rounds consume nothing.  The vector engine
-releases the columns below every live trial's cursor (refused trials
-included, since they read theirs later) when the tableau would otherwise
-grow, so a lockstep arm holds a few columns however long it runs.  Both
-engines return round-major (order "F") results; a row sum's last bit depends
-on memory order.
+depend on n_trials.  Refused rounds consume nothing.  Each round in which
+some trial draws, the vector engine first releases the columns below every
+live trial's cursor (refused trials included, since they read theirs later),
+so a lockstep arm holds one column however long it runs; a round admitted on
+every lane keeps their shared cursor 0-d.  Both engines return round-major
+(order "F") results; a row sum's last bit depends on memory order.
 
 Both engines run registered policies only.  ``engine="scalar"`` replays
 each trial through a real session and ``run_interaction``, drawing from its
@@ -72,8 +72,10 @@ class DrawTableau:
     is a power of two: column j is row ``j % capacity``.  The ring doubles
     only when the held window outgrows it.  ``release`` drops the columns
     below a floor; reading one of them raises rather than return a wrapped
-    row.  Until the first release the ring never wraps, so column j is row j
-    and ``row`` is a plain slice."""
+    row.  ``take`` only reads; the caller sets what the ring holds through
+    ``release``, as the vector engine does each round it draws.  Until the
+    first release the ring never wraps, so column j is row j and ``row`` is
+    a plain slice."""
 
     def __init__(self, key: int, n_trials: int):
         self._key = key
@@ -91,15 +93,13 @@ class DrawTableau:
         while self._width < width:
             j = self._width
             if j - self._base == len(self._data):
-                self._grow(width - self._base)
+                self._grow()
             rekey(self._rng, self._key, "col", j).standard_normal(
                 out=self._data[j & (len(self._data) - 1)])
             self._width = j + 1
 
-    def _grow(self, need: int) -> None:
+    def _grow(self) -> None:
         cap = max(1, 2 * len(self._data))
-        while cap < need:
-            cap *= 2
         grown = np.empty((cap, self._n))
         held = np.arange(self._base, self._width)
         grown[held & (cap - 1)] = self._data[held & (len(self._data) - 1)]
@@ -109,20 +109,12 @@ class DrawTableau:
         """Drop the drawn columns below ``floor``; no read may reach them."""
         self._base = max(self._base, min(floor, self._width))
 
-    def take(self, rows: np.ndarray, cols: np.ndarray,
-             live: np.ndarray | None = None) -> np.ndarray:
-        """Gather one draw per (trial row, per-trial cursor) for distinct
-        trial ``rows`` in increasing order.  A 0-d ``cols`` is a cursor every
-        row shares: that column's ring row is read, as a contiguous copy when
-        ``rows`` is every trial.  ``live``, the cursors of every trial still
-        running, lets a full ring release the columns below all of them
-        instead of growing."""
-        if rows.size == 0:
-            return np.empty(0)
-        top = int(np.max(cols)) + 1
-        if live is not None and top - self._base > len(self._data):
-            self.release(int(np.min(live)))
-        self.ensure(top)
+    def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Gather one draw per (trial row, per-trial cursor) for distinct,
+        nonempty trial ``rows`` in increasing order.  A 0-d ``cols`` is a
+        cursor every row shares: that column's ring row is read, as a
+        contiguous copy when ``rows`` is every trial."""
+        self.ensure(int(np.max(cols)) + 1)
         if self._base:
             low = int(np.min(cols))
             if low < self._base:
@@ -222,7 +214,10 @@ def run_trial_batch(
     """Run one arm of n_trials interactions and collect the transcripts.
 
     ``stream_label`` overrides the policy id in the arm key; the harness uses
-    it to keep mechanism arms on streams disjoint from policy arms.
+    it to keep mechanism arms on streams disjoint from policy arms.  A
+    malformed policy spend raises ``ValueError`` on both engines, which may
+    name different values when the spends differ by lane: the vector engine
+    meets them round by round, the scalar engine trial by trial.
     """
     policy_params = dict(policy_params or {})
     if kind not in KINDS:
@@ -295,13 +290,13 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
         if not np.any(admitted):   # nothing drawn, no factor step
             ans = np.float64(np.nan)
         else:
-            if whole:
-                v, m = tableau.take(lane, cursor, cursor), sp
+            tableau.release(int(np.min(cursor)))   # no live trial reads below it
+            if whole:   # + 1 keeps a shared cursor 0-d
+                v, m, cursor = tableau.take(lane, cursor), sp, cursor + 1
             else:   # refused lanes draw nothing and step on spend 0
                 v = np.zeros(lane.size)
-                v[admitted] = tableau.take(lane[admitted], _at(cursor, admitted), cursor)
-                m = np.where(admitted, sp, 0.0)
-            cursor = cursor + admitted
+                v[admitted] = tableau.take(lane[admitted], _at(cursor, admitted))
+                m, cursor = np.where(admitted, sp, 0.0), cursor + admitted
             if live_w0 is None:
                 ans = bit * m + v
             else:
@@ -314,7 +309,7 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
                 ans = np.where(admitted, ans, np.nan)
         last, prev = ans if whole else np.where(admitted, ans, last), sp
         if r == out[0].shape[1]:
-            _widen(out, min(max_rounds, 2 * r), filled=False)
+            _widen(out, min(max_rounds, 2 * r))
         for mat, vals, fill in zip(out, (sp, admitted, ans), _FILLS):
             if lane.size == n:
                 mat[:, r] = vals
@@ -342,22 +337,20 @@ def _result_matrices(n, cap):
     return [np.empty((n, cap), dtype=dtype, order="F") for dtype in _DTYPES]
 
 
-def _widen(out, cap, filled):
+def _widen(out, cap):
     """Regrow each matrix of ``out`` to ``cap`` columns, one at a time, so
-    only one old matrix is alive beside its copy.  New columns hold their
-    fill values if ``filled``, else are left unwritten."""
-    for i, fill in enumerate(_FILLS):
-        old = out[i]
+    only one old matrix is alive beside its copy.  New columns are left
+    unwritten."""
+    for i, old in enumerate(out):
         out[i] = np.empty((old.shape[0], cap), dtype=old.dtype, order="F")
         out[i][:, :old.shape[1]] = old
-        if filled:
-            out[i][:, old.shape[1]:] = fill
 
 
 def _run_scalar(kind, bit, mu0, policy_name, policy_params,
                 n_trials, max_rounds, tableau: DrawTableau):
     """Reference engine: real sessions, one trial at a time, same draw rows.
-    Each finished trial is written into the result matrices and dropped."""
+    Each finished trial is written into the result matrices and dropped;
+    after the last, the cells past each trial's length are marked absent."""
     policy = make_policy(policy_name, **policy_params)
     out = _result_matrices(n_trials, 0)
     lengths, truncated, draws, w0s = [], [], [], []
@@ -366,7 +359,7 @@ def _run_scalar(kind, bit, mu0, policy_name, policy_params,
         tr = run_interaction(session, policy, max_rounds=max_rounds)
         k = len(tr.rounds)
         if k > out[0].shape[1]:
-            _widen(out, min(max_rounds, max(k, 2 * out[0].shape[1])), filled=True)
+            _widen(out, min(max_rounds, max(k, 2 * out[0].shape[1])))
         if k:   # a refused round's None answer reads as NaN
             _, spend, accepted, answer = zip(*tr.rounds)
             out[0][t, :k], out[1][t, :k], out[2][t, :k] = spend, accepted, answer
@@ -374,7 +367,11 @@ def _run_scalar(kind, bit, mu0, policy_name, policy_params,
         truncated.append(tr.truncated)
         draws.append(session.draws)
         w0s.append(session.w0)
-    r_max = max(lengths)
-    return (*(mat[:, :r_max] for mat in out), np.array(lengths, dtype=np.int64),
-            np.array(truncated, dtype=bool), np.array(draws, dtype=np.int64),
+    lengths = np.array(lengths, dtype=np.int64)
+    r_max = int(lengths.max())
+    absent = np.arange(r_max) >= lengths[:, None]
+    out = [mat[:, :r_max] for mat in out]
+    for mat, fill in zip(out, _FILLS):
+        mat[absent] = fill
+    return (*out, lengths, np.array(truncated, dtype=bool), np.array(draws, dtype=np.int64),
             np.array(w0s, dtype=float) if kind == "simulated" else None)

@@ -2,13 +2,17 @@
 contract, not approximation."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from gdpsim import adversaries, batch
+from gdpsim._numeric import kahan_step
 from gdpsim.adversaries import AdversaryPolicy
 from gdpsim.batch import DrawTableau, make_vector_policy, policy_stream_id, run_trial_batch
+from gdpsim.budget import REL_SLACK
+from gdpsim.cli import main
 from gdpsim.harness import _REPORT_SCHEMA
 from gdpsim.rng import derive_key, generator
 
@@ -248,6 +252,8 @@ def test_ring_tableau_reads_each_column_stream_across_releases_and_wraps():
     # Registered policies keep every live lane on one cursor; here lanes read
     # at their own rates, so the held window widens (the ring grows) and
     # narrows (columns are released) while the ring wraps several times.
+    # Each step releases the columns below every live cursor before it
+    # reads, as the vector engine does each round it draws.
     key, n = derive_key(5, "ring"), 10
     columns = {}
 
@@ -268,11 +274,10 @@ def test_ring_tableau_reads_each_column_stream_across_releases_and_wraps():
         lagging = cursor < cursor[live].max() - (6 if step < 300 else 24)
         reading = np.flatnonzero(live & ((rng.random(n) < rate) | lagging))
         if reading.size:
-            got = tab.take(reading, cursor[reading], cursor[live])
+            tab.release(int(cursor[live].min()))
+            got = tab.take(reading, cursor[reading])
             assert np.array_equal(got, expected(reading, cursor[reading]))
             cursor[reading] += 1
-        if step % 50 == 49:
-            tab.release(int(cursor[live].min()))
         if step == 300:
             live[rng.choice(n, 3, replace=False)] = False
         capacities.add(len(tab._data))
@@ -402,6 +407,32 @@ def test_both_engines_raise_the_same_error_on_a_malformed_spend(monkeypatch, val
                                                   f"got {float(value)!r}")
 
 
+def policy_negated():
+    """Spend 0.1 a round for six rounds, but minus the last answer after one
+    above 1.0: malformed on some lanes only, at rounds that differ by lane."""
+
+    def kernel(o, i, remaining_sq, last_accepted, prev_spend):
+        return o.where(last_accepted > 1.0, -last_accepted, 0.1), o.full(remaining_sq, i >= 6)
+
+    return AdversaryPolicy("negated", kernel)
+
+
+def test_both_engines_fail_alike_on_a_lane_dependent_malformed_spend(monkeypatch, tmp_path):
+    # the engines may name different malformed values, since they meet them
+    # in a different order, but both raise ValueError, which the command
+    # line reports with exit code 2
+    monkeypatch.setitem(adversaries._REGISTRY, "negated", policy_negated)
+    for kind in ("direct", "simulated"):
+        for engine in ("vector", "scalar"):
+            with pytest.raises(ValueError):
+                run_trial_batch(kind, 1, 1.0, "negated", {}, 20, 9, 64, engine)
+    config = tmp_path / "negated.cfg"
+    config.write_text(json.dumps({"budget": 1.0, "n_trials": 20, "bits": [1],
+                                  "min_test_samples": 10, "policies": [{"name": "negated"}]}))
+    for engine in ("vector", "scalar"):
+        assert main(["run", "--config", str(config), "--engine", engine]) == 2
+
+
 def remaining_ndims(monkeypatch, *args):
     """``np.ndim`` of the remaining squared budget each ``spends`` call of
     the vector engine sees, wrapped the way the benchmark's tracer wraps it."""
@@ -450,11 +481,91 @@ def test_tableau_take_on_a_shared_cursor_matches_the_gather():
     key, n = derive_key(2, "t"), 8
     shared, gathered = DrawTableau(key, n), DrawTableau(key, n)
     for j in range(40):
+        shared.release(j)
+        gathered.release(j)
         for rows in (np.arange(n), np.array([1, 4, 6])):
-            got = shared.take(rows, np.int64(j), np.int64(j))
-            want = gathered.take(rows, np.full(rows.size, j), np.full(n, j))
+            got = shared.take(rows, np.int64(j))
+            want = gathered.take(rows, np.full(rows.size, j))
             assert np.array_equal(got, want)
             got[:] = np.nan
     assert shared._base > 0 and shared.width > 2 * len(shared._data)
     assert np.array_equal(shared.take(np.arange(n), np.int64(39)),
                           generator(key, "col", 39).standard_normal(n))
+
+
+def record_cursor_ndims(monkeypatch):
+    """``np.ndim`` of the cursor in each read of every DrawTableau the
+    engines build from now on."""
+    seen = []
+
+    class Recording(DrawTableau):
+        def take(self, rows, cols):
+            seen.append(np.ndim(cols))
+            return super().take(rows, cols)
+
+    monkeypatch.setattr(batch, "DrawTableau", Recording)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_a_fully_admitted_round_reads_a_shared_cursor(monkeypatch, kind):
+    # sign_adaptive's spends differ by lane from round 1 on, but each round
+    # is admitted on every lane, so the lanes never leave their one cursor
+    seen = record_cursor_ndims(monkeypatch)
+    res = run_trial_batch(kind, 1, 1.0, "sign_adaptive", {"hi": 0.8, "lo": 0.2}, 50, 3, 64)
+    assert not np.any(res.decisions == 0)
+    assert len(seen) == res.draws.max() > 3 and set(seen) == {0}
+
+
+@pytest.mark.parametrize("name,params", [
+    ("fixed", {"spends": [0.125] * 64}),
+    ("overspend_prober", {}),
+    ("sign_adaptive", {"hi": 0.8, "lo": 0.2}),
+])
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_vector_engine_holds_one_tableau_column_in_lockstep(monkeypatch, name, params, kind):
+    # each drawing round first releases the columns below every live cursor
+    made = record_tableaus(monkeypatch)
+    res = run_trial_batch(kind, 1, 1.0, name, params, 50, 3, 64)
+    tab = made.pop()
+    assert tab.width == res.draws.max() > 3
+    assert len(tab._data) <= 1
+
+
+@pytest.mark.parametrize("case", list(SHAPE_CASES))
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_each_trial_draws_once_per_accepted_round(case, kind):
+    # and once more for W0 on the simulated kind; a refused round draws nothing
+    name, params, budget, n_trials, max_rounds = SHAPE_CASES[case]
+    for engine in ("vector", "scalar"):
+        res = run_trial_batch(kind, 1, budget, name, params, n_trials, 31, max_rounds, engine)
+        accepted = np.sum(res.decisions == 1, axis=1)
+        assert np.array_equal(res.draws, accepted + (kind == "simulated"))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("fixed", {"spends": [0.6, 0.8]}),
+    ("fixed", {"spends": [0.125] * 64}),
+    ("sign_adaptive", {"hi": 0.8, "lo": 0.2}),
+])
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+def test_simulated_transcript_at_exhaustion_gives_back_w0(name, params, engine):
+    # A simulated answer is a_i = m_i W0 + U_i with U = L v and
+    # L L^T = I - m m^T, so sum m_i a_i = Q W0 + m^T L v, and m^T L = 0 once
+    # Q = 1.  Q is replayed as the factor sums it, over accepted rounds.
+    # The tolerance is a rounding bound, not a fit to observed gaps: the
+    # filter's slack lets Q pass 1 by REL_SLACK, which moves the W0 term by
+    # REL_SLACK |W0|, and each of a trial's R rounds adds about ten
+    # roundings (the factor step, m_i W0 + U_i and its term of the sum) of
+    # terms no larger than a few times 1 + |W0|.
+    res = run_trial_batch("simulated", 1, 1.0, name, params, 200, 5, 64, engine)
+    accepted = res.decisions == 1
+    m = np.where(accepted, res.spends, 0.0) / res.budget
+    q = comp = total = np.zeros(res.n_trials)
+    for r in range(m.shape[1]):
+        stepped = kahan_step(q, comp, m[:, r] ** 2)
+        q, comp = (np.where(accepted[:, r], x, y) for x, y in zip(stepped, (q, comp)))
+        total = total + np.where(accepted[:, r], m[:, r] * res.answers[:, r], 0.0)
+    assert np.all(q >= 1.0)   # every trial of these arms exhausts its budget
+    tol = (REL_SLACK + 16 * res.lengths * np.finfo(float).eps) * (1.0 + np.abs(res.w0))
+    assert np.all(np.abs(total - res.w0) <= tol)
