@@ -48,11 +48,15 @@ def _next_spend(spends, prefix, remaining_sq) -> Optional[float]:
 @dataclass
 class AdversaryPolicy:
     """A named policy kernel.  Not frozen, so a caller may wrap ``spends``
-    in place; ``next_spend`` defaults to the prefix form of ``spends``."""
+    in place; ``next_spend`` defaults to the prefix form of ``spends``.
+    ``length``, when declared, is a bound on the rounds the policy runs on
+    any input (it stops at round ``length``), so an engine can size its
+    result matrices once."""
 
     name: str
     spends: Callable      # (o, i, remaining_sq, last_accepted, prev_spend) -> (spend, stop)
     next_spend: Optional[Callable] = None   # (prefix, remaining_sq) -> float | None
+    length: Optional[int] = None
 
     def __post_init__(self):
         if self.next_spend is None:
@@ -68,7 +72,7 @@ def policy_fixed(spends: Sequence[float]) -> AdversaryPolicy:
             return o.full(remaining_sq, math.nan), o.full(remaining_sq, True)
         return o.full(remaining_sq, fixed[i]), o.full(remaining_sq, False)
 
-    return AdversaryPolicy("fixed", kernel)
+    return AdversaryPolicy("fixed", kernel, length=len(fixed))
 
 
 def policy_sign_adaptive(hi: float, lo: float) -> AdversaryPolicy:

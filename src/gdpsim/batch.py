@@ -13,8 +13,13 @@ per round, and only the answers and draws cost a lane each.  A refused
 lane draws nothing, steps the factor on spend 0 (admissible in any state)
 and keeps its state through ``np.where``; a fully refused round runs no
 factor step.  Each round writes its spends, decisions and answers into
-column r of the round-major result matrices, which start at 16 columns and
-double when full; never-written capacity is never touched.
+column r of the round-major result matrices.  A policy that declares its
+length gets matrices of that width once; others start at 16 columns and
+double when full; never-written capacity is never touched.  While every
+trial is live and shares a round's spend (or decision), that column is
+written once into a row; the n-row matrix is made at the first column that
+differs by trial or has a stopped trial, and an arm whose columns never
+differ returns a read-only view of the row (trial stride 0).
 The filter rule (``budget.admit``), the streaming factor step
 (``cholesky.stream_step``) and the policy's ``spends`` kernel are the same
 functions a scalar ``gdpsim.curator.Session`` runs on floats, so per-trial
@@ -32,7 +37,7 @@ some trial draws, the vector engine first releases the columns below every
 live trial's cursor (refused trials included, since they read theirs later),
 so a lockstep arm holds one column however long it runs; a round admitted on
 every lane keeps their shared cursor 0-d.  Both engines return round-major
-(order "F") results; a row sum's last bit depends on memory order.
+(order "F") answers; a row sum's last bit depends on memory order.
 
 Both engines run registered policies only.  ``engine="scalar"`` replays
 each trial through a real session and ``run_interaction``, drawing from its
@@ -165,7 +170,9 @@ class BatchResult:
     """Per-trial transcripts of one arm, in rectangular NaN-padded form.
 
     decisions: int8 matrix, 1 = accepted, 0 = refused, -1 = round absent;
-    a trial's refusal pattern is its row of ``decisions == 0``.
+    a trial's refusal pattern is its row of ``decisions == 0``.  Answers
+    are an order "F" matrix; spends and decisions are one too, or (from the
+    vector engine) a read-only view of one row that every trial shares.
     """
 
     bit: int
@@ -245,8 +252,10 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
     once a kernel result depends on a per-lane input (an answer, a draw,
     ``W0`` or a lane-dependent spend).  A refused lane draws nothing, takes
     the factor step on spend 0 and keeps its state; a fully refused round
-    runs no factor step.  The round cap is the loop's last turn.  Both
-    engines return the BatchResult fields from ``spends`` on, in order."""
+    runs no factor step.  The round cap is the loop's last turn.  Spends
+    and decisions stay one row while every trial is live and their round's
+    value is 0-d; answers are always a matrix.  Both engines return the
+    BatchResult fields from ``spends`` on, in order."""
     vec = make_vector_policy(policy_name, policy_params)
     budget_sq = mu0 * mu0
     norm = mu0 if mu0 > 0.0 else 1.0
@@ -262,8 +271,8 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
     lengths, draws = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     truncated = np.zeros(n, dtype=bool)
     # Spends, decisions and answers; round r is column r, written whole.
-    # They start at 16 columns, so short arms never regrow them.
-    out = _result_matrices(n, min(max_rounds, 16))
+    # Spends and decisions start as one row that every trial shares.
+    out = _result_matrices((1, 1, n), _first_width(vec, max_rounds))
 
     for r in range(max_rounds + 1):
         rem = np.maximum(0.0, budget_sq - spent)
@@ -310,14 +319,20 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
         last, prev = ans if whole else np.where(admitted, ans, last), sp
         if r == out[0].shape[1]:
             _widen(out, min(max_rounds, 2 * r))
-        for mat, vals, fill in zip(out, (sp, admitted, ans), _FILLS):
+        for i, (vals, fill) in enumerate(zip((sp, admitted, ans), _FILLS)):
+            mat = out[i]
+            if mat.shape[0] < n:   # a row every trial has shared so far
+                if lane.size == n and not np.ndim(vals):
+                    mat[0, r] = vals
+                    continue
+                mat = out[i] = _spread(mat, n, r)
             if lane.size == n:
                 mat[:, r] = vals
             else:
                 col = mat[:, r]
                 col.fill(fill)
                 col[lane] = vals
-    return (*(mat[:, :r] for mat in out), lengths, truncated, draws, w0)
+    return (*(_trials(mat, n, r) for mat in out), lengths, truncated, draws, w0)
 
 
 def _at(x, sel):
@@ -331,10 +346,30 @@ _FILLS = (np.nan, -1, np.nan)
 _DTYPES = (float, np.int8, float)
 
 
-def _result_matrices(n, cap):
-    """The unwritten n x cap spends, decisions and answers matrices
-    (order "F")."""
-    return [np.empty((n, cap), dtype=dtype, order="F") for dtype in _DTYPES]
+def _result_matrices(rows, cap):
+    """The unwritten spends, decisions and answers matrices (order "F"), of
+    ``rows`` rows each and ``cap`` columns."""
+    return [np.empty((k, cap), dtype=dtype, order="F") for k, dtype in zip(rows, _DTYPES)]
+
+
+def _first_width(policy, max_rounds):
+    """Columns the result matrices start with: the policy's declared length,
+    which they never outgrow, or else 16, so short arms never regrow them."""
+    return min(max_rounds, 16 if policy.length is None else policy.length)
+
+
+def _spread(row, n, r):
+    """An unwritten n-row matrix shaped like the shared ``row``, its first
+    ``r`` columns filled by broadcasting ``row``'s."""
+    mat = np.empty((n, row.shape[1]), dtype=row.dtype, order="F")
+    mat[:, :r] = row[:, :r]
+    return mat
+
+
+def _trials(mat, n, r):
+    """The first ``r`` columns of ``mat`` for all ``n`` trials: a read-only
+    view with trial stride 0 if ``mat`` is still a row every trial shares."""
+    return mat[:, :r] if mat.shape[0] == n else np.broadcast_to(mat[:, :r], (n, r))
 
 
 def _widen(out, cap):
@@ -352,7 +387,7 @@ def _run_scalar(kind, bit, mu0, policy_name, policy_params,
     Each finished trial is written into the result matrices and dropped;
     after the last, the cells past each trial's length are marked absent."""
     policy = make_policy(policy_name, **policy_params)
-    out = _result_matrices(n_trials, 0)
+    out = _result_matrices((n_trials,) * 3, _first_width(policy, max_rounds))
     lengths, truncated, draws, w0s = [], [], [], []
     for t in range(n_trials):
         session = Session(kind, bit, mu0, _RowDraws(tableau, t))

@@ -304,10 +304,12 @@ def _shrink(res) -> _Arm:
 
 def _uniform_shape(res) -> bool:
     """True when all trials share the same rounds, spends and decisions.
-    With no round absent anywhere, every trial ran every round."""
-    return (not np.any(res.decisions == -1)
-            and not np.any(res.decisions != res.decisions[0:1, :])
-            and not np.any(res.spends != res.spends[0:1, :]))
+    With no round absent anywhere, every trial ran every round.  A matrix
+    whose trials all read one row (trial stride 0) is checked as that row."""
+    dec, sp = (m[:1] if m.strides[0] == 0 else m for m in (res.decisions, res.spends))
+    return (not np.any(dec == -1)
+            and not np.any(dec != dec[0:1, :])
+            and not np.any(sp != sp[0:1, :]))
 
 
 def _refusal_checksum(decisions: np.ndarray, width: int) -> str:
@@ -318,14 +320,14 @@ def _refusal_checksum(decisions: np.ndarray, width: int) -> str:
     their int64 counts, then ``str(width)``.  Changing any part changes
     every checksum and needs a schema bump.
 
-    Rows are packed big-endian into byte keys, so sorting the keys sorts
-    the rows lexicographically.  Keys are at least one byte long: at
-    width 0 every row is the same empty pattern, counted once per trial.
+    Rows are packed big-endian into byte keys, eight rounds at a time (so
+    no trials x rounds mask is made), and sorting the keys sorts the rows
+    lexicographically.  Keys are at least one byte long: at width 0 every
+    row is the same empty pattern, counted once per trial.
     """
-    rows = decisions == 0
-    keys = np.zeros((rows.shape[0], max(1, -(-width // 8))), dtype=np.uint8)
-    packed = np.packbits(rows, axis=1)
-    keys[:, :packed.shape[1]] = packed
+    keys = np.zeros((decisions.shape[0], max(1, -(-width // 8))), dtype=np.uint8)
+    for b in range(0, decisions.shape[1], 8):
+        keys[:, b // 8:b // 8 + 1] = np.packbits(decisions[:, b:b + 8] == 0, axis=1)
     uniq, counts = np.unique(
         keys.view(np.dtype((np.void, keys.shape[1]))).ravel(), return_counts=True
     )
@@ -383,8 +385,9 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
             cov_tol = _COV_TOL_FACTOR / math.sqrt(n)
             targets = direct.bit * direct.first_spends[acc_cols]
             eye = np.eye(acc_cols.size)
-            mean_d, cov_d = empirical_moments(direct.answers, acc_cols)
-            mean_s, cov_s = empirical_moments(sim.answers, acc_cols)
+            # the last reads of the answers: each is compacted and centred in place
+            mean_d, cov_d = empirical_moments(direct.answers, acc_cols, overwrite=True)
+            mean_s, cov_s = empirical_moments(sim.answers, acc_cols, overwrite=True)
             mean_dev = max(
                 float(np.max(np.abs(mean_d - targets))),
                 float(np.max(np.abs(mean_s - targets))),

@@ -44,9 +44,20 @@ def assert_identical(a, b):
         assert b.w0 is None
     else:
         assert np.array_equal(a.w0, b.w0)
-    for m in ("spends", "decisions", "answers"):
-        assert getattr(a, m).flags.f_contiguous and getattr(b, m).flags.f_contiguous
+    # Answers are F-order on both engines.  Spends and decisions are F-order
+    # on the scalar engine; the vector engine's may instead be a read-only
+    # row every trial shares.  summaries() reads the answers one column at
+    # a time, so no layout moves a bit of it.
+    assert a.answers.flags.f_contiguous and b.answers.flags.f_contiguous
+    for m in ("spends", "decisions"):
+        assert getattr(a, m).flags.f_contiguous or lane_shared(getattr(a, m))
+        assert getattr(b, m).flags.f_contiguous
     assert np.array_equal(a.summaries(), b.summaries())
+
+
+def lane_shared(mat):
+    """True for a read-only view whose trials all read one row."""
+    return mat.strides[0] == 0 and not mat.flags.writeable
 
 
 @pytest.mark.parametrize("name,params", POLICIES)
@@ -569,3 +580,70 @@ def test_simulated_transcript_at_exhaustion_gives_back_w0(name, params, engine):
     assert np.all(q >= 1.0)   # every trial of these arms exhausts its budget
     tol = (REL_SLACK + 16 * res.lengths * np.finfo(float).eps) * (1.0 + np.abs(res.w0))
     assert np.all(np.abs(total - res.w0) <= tol)
+
+
+# Spends and decisions every trial shares are held as one row: an arm whose
+# columns never differ by trial returns them as read-only views of it.
+@pytest.mark.parametrize("name,params", [
+    ("fixed", {"spends": [0.125] * 64}),
+    ("fixed", {"spends": [0.6, 0.8]}),
+    ("greedy_halving", {}),
+    ("overspend_prober", {}),
+])
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_lockstep_arm_returns_lane_shared_spends_and_decisions(name, params, kind):
+    args = (kind, 1, 1.0, name, params, 40, 3, 256)
+    vec = run_trial_batch(*args, engine="vector")
+    assert_identical(vec, run_trial_batch(*args, engine="scalar"))
+    for mat in (vec.spends, vec.decisions):
+        assert lane_shared(mat) and mat.shape == vec.answers.shape
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0
+    assert vec.answers.flags.writeable
+
+
+@pytest.mark.parametrize("case", ["sign_adaptive", "uncapped"])
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_arm_that_parts_after_round_0_returns_full_matrices(monkeypatch, case, kind):
+    # both policies share round 0 on every lane and part at round 1, so the
+    # matrices are made then, their round 0 filled from the shared row
+    monkeypatch.setitem(adversaries._REGISTRY, "uncapped", policy_uncapped)
+    params = {"hi": 0.8, "lo": 0.2} if case == "sign_adaptive" else {}
+    args = (kind, 1, 1.0, case, params, 30, 8, 64)
+    vec, sca = (run_trial_batch(*args, engine=e) for e in ("vector", "scalar"))
+    assert_identical(vec, sca)
+    for m in ("spends", "decisions"):
+        mat = getattr(vec, m)
+        assert mat.flags.f_contiguous and mat.flags.writeable
+        assert np.array_equal(mat[:, 0], getattr(sca, m)[:, 0])
+        assert np.all(mat[:, 0] == mat[0, 0])
+    assert np.any(vec.spends[:, 1] != vec.spends[0, 1])
+
+
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_a_declared_length_sizes_the_result_matrices_once(monkeypatch, engine, kind):
+    def regrow(out, cap):
+        raise AssertionError(f"result matrices regrown to {cap} columns")
+
+    monkeypatch.setattr(batch, "_widen", regrow)
+    res = run_trial_batch(kind, 1, 1.0, "fixed", {"spends": [0.125] * 64}, 20, 3, 256, engine)
+    assert res.answers.shape == (20, 64) and np.all(res.lengths == 64)
+
+
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_an_open_ended_policy_still_regrows(monkeypatch, kind):
+    # greedy_halving declares no length and runs 20 rounds at budget 1, so
+    # its matrices start at 16 columns and double once
+    widths = []
+    widen = batch._widen
+
+    def recording(out, cap):
+        widths.append(cap)
+        widen(out, cap)
+
+    monkeypatch.setattr(batch, "_widen", recording)
+    args = (kind, 1, 1.0, "greedy_halving", {}, 30, 3, 256)
+    vec = run_trial_batch(*args, engine="vector")
+    assert widths == [32] and vec.answers.shape == (30, 20)
+    assert_identical(vec, run_trial_batch(*args, engine="scalar"))

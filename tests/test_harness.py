@@ -486,6 +486,41 @@ def test_policy_section_memory_is_bounded_by_the_arms_it_keeps():
     assert peak <= 2.2 * (2 * n * 64 * 9)
 
 
+def test_lockstep_section_holds_its_answers_and_per_trial_vectors_only():
+    # A lockstep section must hold both arms' answers (8 bytes per trial and
+    # round each); everything else it holds is per trial, not per round.
+    # Spends and decisions are rows every trial shares, the matrices are
+    # sized once from the declared length and the moment check centres the
+    # answers in place.  The slack, in vectors of n float64s: the engine's
+    # lane state while the second arm runs (lane ids, W0, draws, lengths,
+    # one tableau column, the draw and the factor step's temporaries) stays
+    # under 16; evaluation, after both arms, holds the two summaries, one
+    # round's two samples and one two-sample KS test, which merges 2n
+    # values into at most four arrays of 2n (8 vectors), 12 in all.  8 more
+    # cover what is not per trial: the per-round records, the R x R
+    # covariances (one vector each at R = 64, n = 4000) and the refusal
+    # keys of one bit per trial and round.
+    spends = [0.125] * 64
+    data = {"budget": 1.0, "n_trials": 300, "bits": [1], "min_test_samples": 100,
+            "policies": [{"name": "fixed", "spends": spends}]}
+
+    def section(config):
+        direct, sim = harness._arm_pair(config, "fixed", {"spends": spends}, 1, 42, "vector")
+        return harness._evaluate_pair(direct, sim, config.alpha, config.min_test_samples)
+
+    section(config_from_dict(data))   # one-time imports and caches
+    n = data["n_trials"] = 4000
+    config = config_from_dict(data)
+    tracemalloc.start()
+    try:
+        result = section(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result["passed"] and result["rounds"] == 64
+    assert peak <= 2 * n * 64 * 8 + (max(16, 12) + 8) * n * 8
+
+
 def test_single_trial_marks_insufficient_sample():
     report = run_experiment(small_config(n_trials=1, mechanisms=[]))
     sec = report.results["policies"][0]

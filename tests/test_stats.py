@@ -72,7 +72,7 @@ def test_moments_bitwise_equal_np_cov(cols, order):
 @pytest.mark.parametrize("cols", [[0, 2, 4], [0, 2, 3], list(range(8))])
 def test_moments_of_chosen_columns_hold_one_copy(cols):
     # Evenly or unevenly spaced, the chosen columns are one owned copy
-    # centred in place; the rest of the peak is the isfinite mask (1/8).
+    # centred in place.
     # Slicing evenly spaced columns and fancy-indexing the others, then
     # centring a second copy, peaked at 2.00x on unevenly spaced ones.
     a = answer_matrix("F")
@@ -92,6 +92,26 @@ def test_moments_leave_their_input_unchanged():
     empirical_moments(a, [0, 2, 3])
     empirical_moments(a)
     assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("cols", [[0, 2, 4], [0, 2, 3], [5], list(range(8))])
+def test_moments_in_place_give_the_copy_bits_and_make_no_copy(cols):
+    # The chosen columns of an F-order slice of a wider matrix are moved to
+    # its front and centred there; the peak stays below one column.
+    a = answer_matrix("F")
+    want = empirical_moments(a, cols)
+    wide = np.empty((a.shape[0], 11), order="F")
+    wide[:, :8] = a
+    tracemalloc.start()
+    try:
+        got = empirical_moments(wide[:, :8], cols, overwrite=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert peak < a.shape[0] * a.itemsize
+    with pytest.raises(ValueError, match="F-order"):
+        empirical_moments(answer_matrix("C"), cols, overwrite=True)
 
 
 def test_ks_identical_samples():
