@@ -199,10 +199,18 @@ class BatchResult:
     def summaries(self) -> np.ndarray:
         """Sum of accepted answers per trial (the built-in policy summary).
         Added one round at a time, with no trials x rounds temporary, in the
-        order a row sum of the round-major matrices adds them."""
+        order a row sum of the round-major matrices adds them, each trial
+        adding +0.0 for a round it did not answer.  With a decision row
+        every trial shares, an accepted round's column is added whole and
+        any other round is skipped: the sum starts at +0.0, so it is never
+        -0.0, and adding +0.0 leaves it bitwise as it is."""
         total = np.zeros(self.n_trials)
+        shared = self.decisions.strides[0] == 0
         for r in range(self.answers.shape[1]):
-            total += np.where(self.decisions[:, r] == 1, self.answers[:, r], 0.0)
+            if not shared:
+                total += np.where(self.decisions[:, r] == 1, self.answers[:, r], 0.0)
+            elif self.decisions[0, r] == 1:
+                total += self.answers[:, r]
         return total
 
 

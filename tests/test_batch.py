@@ -3,6 +3,7 @@ contract, not approximation."""
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from gdpsim.adversaries import AdversaryPolicy
 from gdpsim.batch import DrawTableau, make_vector_policy, policy_stream_id, run_trial_batch
 from gdpsim.budget import REL_SLACK
 from gdpsim.cli import main
-from gdpsim.harness import _REPORT_SCHEMA
+from gdpsim.curator import KINDS
+from gdpsim.harness import _REPORT_SCHEMA, _evaluate_pair, _shrink
 from gdpsim.rng import derive_key, generator
 
 # SHA-256 of the little-endian float64 bytes of trials 0..7 x columns 0..3 of
@@ -647,3 +649,29 @@ def test_an_open_ended_policy_still_regrows(monkeypatch, kind):
     vec = run_trial_batch(*args, engine="vector")
     assert widths == [32] and vec.answers.shape == (30, 20)
     assert_identical(vec, run_trial_batch(*args, engine="scalar"))
+
+
+# Each POLICIES arm at 200 trials, and every SHAPE_CASES arm.
+EVALUATION_CASES = {**{f"{name}_{i}": (name, params, 1.0, 200, 256)
+                       for i, (name, params) in enumerate(POLICIES)},
+                    **SHAPE_CASES}
+
+
+@pytest.mark.parametrize("case", list(EVALUATION_CASES))
+@pytest.mark.parametrize("bit", [0, 1])
+def test_evaluation_reads_lane_shared_arms_as_their_owned_copies(case, bit):
+    # Evaluation reads a lane-shared decisions row once per round and an
+    # answers column every trial answered in place; with spends and
+    # decisions copied to owned F-order matrices, its section is the same.
+    # The moment check overwrites the answers, so each side has its own.
+    name, params, budget, n_trials, max_rounds = EVALUATION_CASES[case]
+    arms = [run_trial_batch(kind, bit, budget, name, params, n_trials, 31, max_rounds)
+            for kind in KINDS]
+    if name in ("fixed", "greedy_halving", "overspend_prober"):
+        assert all(lane_shared(res.decisions) for res in arms)
+    owned = [replace(res, spends=np.array(res.spends, order="F"),
+                     decisions=np.array(res.decisions, order="F"),
+                     answers=res.answers.copy(order="F")) for res in arms]
+    sections = [json.dumps(_evaluate_pair(*map(_shrink, pair), 0.001, 2), sort_keys=True)
+                for pair in (arms, owned)]
+    assert sections[0] == sections[1]

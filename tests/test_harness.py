@@ -18,6 +18,7 @@ from gdpsim.cli import main
 from gdpsim.curator import KINDS, Round, Transcript
 from gdpsim.errors import ConfigError
 from gdpsim.harness import (
+    _mean_var,
     _refusal_checksum,
     config_from_dict,
     emit_transcripts,
@@ -201,10 +202,23 @@ def unique_rows_checksum(rows, width):
     return h.hexdigest()
 
 
+def shared_row_view(decisions):
+    """A view of ``decisions``' first row that every trial reads (trial
+    stride 0), as the vector engine returns a decisions row every trial
+    shares: the first columns of a wider F-order row."""
+    n, width = decisions.shape
+    row = np.full((1, width + 5), 1, dtype=np.int8, order="F")
+    if n:
+        row[:, :width] = decisions[:1]
+    return np.broadcast_to(row[:, :width], (n, width))
+
+
 def test_refusal_checksum_equals_unique_rows_reference():
+    # n x width cases with pad trailing rounds no trial reached; a width
+    # past 64 rounds sorts keys of several words
     rng = np.random.default_rng(11)
     for n in (0, 1, 2, 7, 300):
-        for width in (0, 1, 7, 8, 9, 63, 64, 65, 200, 256):
+        for width in (0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200, 255, 256):
             for pad in (0, 3, 11):
                 if pad > width:
                     continue
@@ -212,8 +226,39 @@ def test_refusal_checksum_equals_unique_rows_reference():
                     rows = rng.random((n, width - pad)) < density
                     # accepted (1) and absent (-1) rounds are not refusals
                     decisions = np.where(rows, 0, rng.choice([1, -1], size=rows.shape))
-                    assert _refusal_checksum(decisions.astype(np.int8), width) == \
-                        unique_rows_checksum(rows, width), (n, width, pad, density)
+                    decisions = decisions.astype(np.int8)
+                    layouts = [(decisions, np.asfortranarray(decisions))]
+                    if n in (0, 1, 300):
+                        layouts.append((shared_row_view(decisions),))
+                    for mats in layouts:
+                        refused = np.array(mats[0]) == 0
+                        expected = (unique_rows_checksum(refused, width), int(refused.sum()))
+                        for mat in mats:
+                            assert _refusal_checksum(mat, width) == expected, \
+                                (n, width, pad, density, mat.strides)
+
+
+def hexes(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5000])
+def test_mean_var_is_numpys_mean_and_variance_bitwise(n):
+    rng = np.random.default_rng(n)
+    wide = np.asfortranarray(rng.standard_normal((n, 3)) * 2.5 + 0.7)
+    column = wide[:, 1]
+    column.flags.writeable = False   # as round_answers returns it
+    # a contiguous view, a strided view and an owned copy
+    for x in (column, np.ascontiguousarray(wide)[:, 1], column.copy()):
+        expected = (x.mean() if n else None, x.var(ddof=1) if n >= 2 else None)
+        assert hexes(_mean_var(x)) == hexes(expected)
+
+
+def test_mean_var_gives_none_on_overflow():
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the sum overflows, so both do; then only the squares overflow
+        assert _mean_var(np.array([1e308, 1e308, 1e308])) == (None, None)
+        assert _mean_var(np.array([1e308, -1e308])) == (0.0, None)
 
 
 # --- verify-cholesky ---------------------------------------------------------
