@@ -8,16 +8,21 @@ knows which it runs, so it passes its op set as a kernel's first argument
 from ``batch._run_vector``), and the kernel spells every non-arithmetic
 step through it -- floats get ``math.sqrt``, builtin ``min``/``max``,
 ``bool`` and a conditional; arrays get ``np.sqrt``, ``np.minimum``/
-``np.maximum``, ``np.any`` and ``np.where``.  ``full`` gives a constant the
+``np.maximum``, ``ndarray.any`` and ``np.where``.  ``full`` gives a constant the
 argument's shape.  IEEE arithmetic and both square roots are correctly
 rounded, so every lane of an array call is bitwise equal to the float call
 on that lane's values.
 
-An argument of an array-op-set call may be 0-d, one value every lane
-shares (the vector engine holds lane-shared state that way), or an array
-with one entry per lane; NumPy broadcasting mixes the two.  So a kernel
-never takes ``len`` of an argument, indexes it or reads its shape; only
-``full`` does, to give a constant the argument's shape.
+An argument of an array-op-set call may be a Python scalar, one value
+every lane shares (the vector engine holds lane-shared state that way), or
+an array with one entry per lane; NumPy broadcasting mixes the two.  Each
+``ARRAY_OPS`` op picks its form per call: with no ``np.ndarray`` argument
+(for ``where`` and ``select``, a condition that is not one) it runs the
+``FLOAT_OPS`` form, so a shared value costs a float operation and stays a
+Python float or bool, bitwise what the scalar engine computes on it;
+otherwise it runs the NumPy form.  Since any argument may be either, a
+kernel never takes ``len`` of an argument, indexes it or reads its shape;
+only ``full`` does, to give a constant the argument's shape.
 
 Two rules keep the float form valid: combine conditions with ``&``/``|``
 and comparisons, never ``~`` (on a bool it is integer negation); and make
@@ -48,14 +53,53 @@ FLOAT_OPS = SimpleNamespace(
     full=lambda like, value: value,
 )
 
+
+# The array op set's ops: NumPy's form when some argument is a lane array,
+# else the float form above.  ``where`` and ``select`` look at the condition
+# alone: a shared condition picks one arm for every lane, which leaves a
+# shared arm shared and never makes a 0-d array of two shared arms.
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _minimum(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.minimum(a, b)
+    return min(a, b)
+
+
+def _maximum(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
+
+
+def _any(x):
+    return x.any() if isinstance(x, np.ndarray) else bool(x)
+
+
+def _where(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _select(cond, a, b):
+    if isinstance(cond, np.ndarray):
+        return tuple(np.where(cond, x, y) for x, y in zip(a, b))
+    return a if cond else b
+
+
+def _full(like, value):
+    return np.full(like.shape, value) if isinstance(like, np.ndarray) else value
+
+
 ARRAY_OPS = SimpleNamespace(
-    sqrt=np.sqrt,
-    minimum=np.minimum,
-    maximum=np.maximum,
-    any=np.any,
-    where=np.where,
-    select=lambda cond, a, b: tuple(np.where(cond, x, y) for x, y in zip(a, b)),
-    full=lambda like, value: np.full(like.shape, value),
+    sqrt=_sqrt,
+    minimum=_minimum,
+    maximum=_maximum,
+    any=_any,
+    where=_where,
+    select=_select,
+    full=_full,
 )
 
 

@@ -5,21 +5,24 @@ arm, round-synchronously across numpy arrays with one lane per live trial:
 a trial that stops leaves every per-lane array at once, so each round costs
 only its live lanes.  A per-lane value that every live lane shares -- the
 filter ledger, the spend, the decision, the factor's Q and its
-compensation, the tableau cursor -- is held once, 0-d, and NumPy
-broadcasting makes it a lane array only when a kernel result depends on
-something that differs by lane (an answer, a draw, ``W0``).  So in a
-lockstep arm the filter, the policy and most of the factor step cost O(1)
-per round, and only the answers and draws cost a lane each.  A refused
-lane draws nothing, steps the factor on spend 0 (admissible in any state)
-and keeps its state through ``np.where``; a fully refused round runs no
-factor step.  Each round writes its spends, decisions and answers into
-column r of the round-major result matrices.  A policy that declares its
-length gets matrices of that width once; others start at 16 columns and
-double when full; never-written capacity is never touched.  While every
-trial is live and shares a round's spend (or decision), that column is
-written once into a row; the n-row matrix is made at the first column that
-differs by trial or has a stopped trial, and an arm whose columns never
-differ returns a read-only view of the row (trial stride 0).
+compensation, the tableau cursor -- is held once, as a Python float, bool
+or int.  The kernels' array op set runs the float form of each op whose
+arguments are all shared, so such a value stays one and takes the scalar
+engine's own float operations; NumPy broadcasting makes it a lane array
+only when a kernel result depends on something that differs by lane (an
+answer, a draw, ``W0``).  So in a lockstep arm the filter, the policy and
+most of the factor step cost a few float operations per round, and only
+the answers and draws cost a lane each.  A refused lane draws nothing,
+steps the factor on spend 0 (admissible in any state) and keeps its state
+through ``np.where``; a fully refused round runs no factor step.  Each
+round writes its spends, decisions and answers into column r of the
+round-major result matrices.  A policy that declares its length gets
+matrices of that width once; others start at 16 columns and double when
+full; never-written capacity is never touched.  While every trial is
+live and shares a round's spend (or decision), that column is written once
+into a row; the n-row matrix is made at the first column that differs by
+trial or has a stopped trial, and an arm whose columns never differ
+returns a read-only view of the row (trial stride 0).
 The filter rule (``budget.admit``), the streaming factor step
 (``cholesky.stream_step``) and the policy's ``spends`` kernel are the same
 functions a scalar ``gdpsim.curator.Session`` runs on floats, so per-trial
@@ -35,9 +38,10 @@ trial t consumes entry t of columns 0, 1, ... in order, so its draws do not
 depend on n_trials.  Refused rounds consume nothing.  Each round in which
 some trial draws, the vector engine first releases the columns below every
 live trial's cursor (refused trials included, since they read theirs later),
-so a lockstep arm holds one column however long it runs; a round admitted on
-every lane keeps their shared cursor 0-d.  Both engines return round-major
-(order "F") answers; a row sum's last bit depends on memory order.
+so a lockstep arm holds one column however long it runs; a round admitted
+on every lane keeps their cursor one shared integer.  Both engines return
+round-major (order "F") answers; a row sum's last bit depends on memory
+order.
 
 Both engines run registered policies only.  ``engine="scalar"`` replays
 each trial through a real session and ``run_interaction``, drawing from its
@@ -50,6 +54,7 @@ into its result matrices and drops the transcript.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -114,18 +119,19 @@ class DrawTableau:
         """Drop the drawn columns below ``floor``; no read may reach them."""
         self._base = max(self._base, min(floor, self._width))
 
-    def take(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def take(self, rows: np.ndarray, cols) -> np.ndarray:
         """Gather one draw per (trial row, per-trial cursor) for distinct,
-        nonempty trial ``rows`` in increasing order.  A 0-d ``cols`` is a
-        cursor every row shares: that column's ring row is read, as a
-        contiguous copy when ``rows`` is every trial."""
-        self.ensure(int(np.max(cols)) + 1)
+        nonempty trial ``rows`` in increasing order.  An integer ``cols``
+        (not an array) is a cursor every row shares: that column's ring row
+        is read, as a contiguous copy when ``rows`` is every trial."""
+        lanes = isinstance(cols, np.ndarray)
+        self.ensure((int(cols.max()) if lanes else cols) + 1)
         if self._base:
-            low = int(np.min(cols))
+            low = int(cols.min()) if lanes else cols
             if low < self._base:
                 raise IndexError(f"tableau column {low} was released")
             cols = cols & (len(self._data) - 1)
-        if np.ndim(cols):
+        if lanes:
             return self._data[cols, rows]
         row = self._data[cols]
         return row.copy() if rows.size == self._n else row[rows]
@@ -200,17 +206,22 @@ class BatchResult:
         """Sum of accepted answers per trial (the built-in policy summary).
         Added one round at a time, with no trials x rounds temporary, in the
         order a row sum of the round-major matrices adds them, each trial
-        adding +0.0 for a round it did not answer.  With a decision row
-        every trial shares, an accepted round's column is added whole and
-        any other round is skipped: the sum starts at +0.0, so it is never
-        -0.0, and adding +0.0 leaves it bitwise as it is."""
+        adding +0.0 for a round it did not answer.  A round every trial
+        accepted has its column added whole; with a decision row every
+        trial shares, any other round is skipped: the sum starts at +0.0,
+        so it is never -0.0, and adding +0.0 leaves it bitwise as it is."""
         total = np.zeros(self.n_trials)
         shared = self.decisions.strides[0] == 0
         for r in range(self.answers.shape[1]):
-            if not shared:
-                total += np.where(self.decisions[:, r] == 1, self.answers[:, r], 0.0)
-            elif self.decisions[0, r] == 1:
+            if shared:
+                if self.decisions[0, r] == 1:
+                    total += self.answers[:, r]
+                continue
+            accepted = self.decisions[:, r] == 1
+            if accepted.all():
                 total += self.answers[:, r]
+            else:
+                total += np.where(accepted, self.answers[:, r], 0.0)
         return total
 
 
@@ -255,27 +266,29 @@ def run_trial_batch(
 def _run_vector(kind, bit, mu0, policy_name, policy_params,
                 n, max_rounds, tableau: DrawTableau):
     """All trials round-synchronously, on the live lanes only, in trial order
-    (``lane`` names their trials).  Every other per-lane value starts 0-d,
-    shared by all lanes, and NumPy broadcasting gives it the lane shape only
-    once a kernel result depends on a per-lane input (an answer, a draw,
-    ``W0`` or a lane-dependent spend).  A refused lane draws nothing, takes
-    the factor step on spend 0 and keeps its state; a fully refused round
-    runs no factor step.  The round cap is the loop's last turn.  Spends
-    and decisions stay one row while every trial is live and their round's
-    value is 0-d; answers are always a matrix.  Both engines return the
-    BatchResult fields from ``spends`` on, in order."""
+    (``lane`` names their trials).  Every other per-lane value starts as a
+    Python float, bool or int that all lanes share, and the kernels'
+    ``ARRAY_OPS`` keep it one while their inputs are shared; it becomes a
+    lane array only once a kernel result depends on a per-lane input (an
+    answer, a draw, ``W0`` or a lane-dependent spend).  A refused lane draws
+    nothing, takes the factor step on spend 0 and keeps its state; a fully
+    refused round runs no factor step.  The round cap is the loop's last
+    turn.  Spends and decisions stay one row while every trial is live and
+    their round's value is shared; answers are always a matrix.  Both
+    engines return the BatchResult fields from ``spends`` on, in order."""
+    o = ARRAY_OPS
     vec = make_vector_policy(policy_name, policy_params)
     budget_sq = mu0 * mu0
     norm = mu0 if mu0 > 0.0 else 1.0
     lane = np.arange(n)
-    cursor = np.int64(0)
+    cursor = 0
     w0 = live_w0 = q = qc = s = None
     if kind == "simulated":
         w0 = live_w0 = bit * mu0 + tableau.take(lane, cursor)
-        cursor = cursor + 1
-        q = qc = s = np.float64(0.0)
-    spent = comp = np.float64(0.0)
-    last = prev = np.float64(np.nan)
+        cursor = 1
+        q = qc = s = 0.0
+    spent = comp = 0.0
+    last = prev = math.nan
     lengths, draws = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     truncated = np.zeros(n, dtype=bool)
     # Spends, decisions and answers; round r is column r, written whole.
@@ -283,11 +296,11 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
     out = _result_matrices((1, 1, n), _first_width(vec, max_rounds))
 
     for r in range(max_rounds + 1):
-        rem = np.maximum(0.0, budget_sq - spent)
-        sp, stop = vec.spends(ARRAY_OPS, r, rem, last, prev)
+        rem = o.maximum(0.0, budget_sq - spent)
+        sp, stop = vec.spends(o, r, rem, last, prev)
         if r == max_rounds:   # the cap; lanes that would go on are truncated
             truncated[lane], stop = np.logical_not(stop), True
-        if np.any(stop):   # stopped lanes leave every per-lane value at once
+        if o.any(stop):   # stopped lanes leave every per-lane value at once
             stop = np.broadcast_to(stop, lane.shape)
             gone, keep = lane[stop], ~stop
             lengths[gone], draws[gone] = r, _at(cursor, stop)
@@ -295,20 +308,26 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
                 _at(a, keep) for a in (lane, cursor, spent, comp, last, sp, live_w0, q, qc, s))
             if lane.size == 0:
                 break
-        sp = np.asarray(sp, dtype=float)
-        if not np.all(np.isfinite(sp) & (sp >= 0.0)):
-            for x in np.ravel(sp):   # raises as the scalar session does
-                check_spend(x)
+        if isinstance(sp, np.ndarray) and sp.ndim:
+            sp = sp.astype(float, copy=False)
+            if not np.all(np.isfinite(sp) & (sp >= 0.0)):
+                for x in sp:   # raises as the scalar session does
+                    check_spend(x)
+        else:
+            sp = check_spend(sp)
 
         admitted, total, new_comp = admit(spent, comp, budget_sq, sp)
-        moved = admitted & (sp != 0.0)
-        spent, comp = np.where(moved, total, spent), np.where(moved, new_comp, comp)
-        whole = np.all(admitted)
-        if not np.any(admitted):   # nothing drawn, no factor step
-            ans = np.float64(np.nan)
+        spent, comp = o.select(admitted & (sp != 0.0), (total, new_comp), (spent, comp))
+        if isinstance(admitted, np.ndarray):
+            whole, some = admitted.all(), admitted.any()
         else:
-            tableau.release(int(np.min(cursor)))   # no live trial reads below it
-            if whole:   # + 1 keeps a shared cursor 0-d
+            whole = some = admitted
+        if not some:   # nothing drawn, no factor step; every lane keeps ``last``
+            ans = math.nan
+        else:
+            # no live trial reads below the lowest cursor
+            tableau.release(int(cursor.min()) if isinstance(cursor, np.ndarray) else cursor)
+            if whole:   # + 1 keeps a shared cursor shared
                 v, m, cursor = tableau.take(lane, cursor), sp, cursor + 1
             else:   # refused lanes draw nothing and step on spend 0
                 v = np.zeros(lane.size)
@@ -318,19 +337,22 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
                 ans = bit * m + v
             else:
                 m = m / norm
-                u, *state = stream_step(ARRAY_OPS, q, qc, s, m, v)
+                u, *state = stream_step(o, q, qc, s, m, v)
                 q, qc, s = state if whole else (
                     np.where(admitted, x, y) for x, y in zip(state, (q, qc, s)))
                 ans = m * live_w0 + u
-            if not whole:
+            if whole:
+                last = ans
+            else:
                 ans = np.where(admitted, ans, np.nan)
-        last, prev = ans if whole else np.where(admitted, ans, last), sp
+                last = np.where(admitted, ans, last)
+        prev = sp
         if r == out[0].shape[1]:
             _widen(out, min(max_rounds, 2 * r))
         for i, (vals, fill) in enumerate(zip((sp, admitted, ans), _FILLS)):
             mat = out[i]
             if mat.shape[0] < n:   # a row every trial has shared so far
-                if lane.size == n and not np.ndim(vals):
+                if lane.size == n and not isinstance(vals, np.ndarray):
                     mat[0, r] = vals
                     continue
                 mat = out[i] = _spread(mat, n, r)
@@ -344,9 +366,9 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
 
 
 def _at(x, sel):
-    """Lanes ``sel`` (a boolean lane mask) of a per-lane value; a 0-d value
-    is every lane's, so it stays as it is."""
-    return x[sel] if np.ndim(x) else x
+    """Lanes ``sel`` (a boolean lane mask) of a per-lane value; a shared
+    value (not an array) is every lane's, so it stays as it is."""
+    return x[sel] if isinstance(x, np.ndarray) else x
 
 
 # Fill value and dtype of the spends, decisions and answers matrices.

@@ -328,14 +328,32 @@ def _shrink(res) -> _Arm:
                 int(np.sum(res.draws)), res.n_trials * int(np.max(res.draws)))
 
 
+# Trial-rounds in the first block ``_uniform_shape`` checks: about what one
+# NumPy call costs in per-call overhead, so small arms are not checked a
+# column at a time.
+_SHAPE_BLOCK = 1 << 15
+
+
 def _uniform_shape(res) -> bool:
     """True when all trials share the same rounds, spends and decisions.
     With no round absent anywhere, every trial ran every round.  A matrix
-    whose trials all read one row (trial stride 0) is checked as that row."""
+    whose trials all read one row (trial stride 0) is checked as that row.
+    The columns are checked in blocks that double in width, up to the
+    first block with a round absent for some trial or differing by trial,
+    so an arm that differs early costs about the columns up to that
+    point.  The first block holds at least ``_SHAPE_BLOCK`` trial-rounds,
+    so a small arm takes one or a few whole-block checks, not a NumPy call
+    per column."""
+    n = res.decisions.shape[0]
     dec, sp = (m[:1] if m.strides[0] == 0 else m for m in (res.decisions, res.spends))
-    return (not np.any(dec == -1)
-            and not np.any(dec != dec[0:1, :])
-            and not np.any(sp != sp[0:1, :]))
+    lo, width = 0, max(1, _SHAPE_BLOCK // max(n, 1))
+    while lo < dec.shape[1]:
+        d, s = dec[:, lo:lo + width], sp[:, lo:lo + width]
+        # a -1 outside trial 0's row differs from that row
+        if np.any(d[0] == -1) or np.any(d != d[0]) or np.any(s != s[0]):
+            return False
+        lo, width = lo + width, 2 * width
+    return True
 
 
 def _refusal_checksum(decisions: np.ndarray, width: int) -> tuple[str, int]:

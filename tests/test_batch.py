@@ -4,18 +4,19 @@ contract, not approximation."""
 import hashlib
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gdpsim import adversaries, batch
-from gdpsim._numeric import kahan_step
+from gdpsim import adversaries, batch, harness
+from gdpsim._numeric import ARRAY_OPS, kahan_step
 from gdpsim.adversaries import AdversaryPolicy
 from gdpsim.batch import DrawTableau, make_vector_policy, policy_stream_id, run_trial_batch
 from gdpsim.budget import REL_SLACK
 from gdpsim.cli import main
 from gdpsim.curator import KINDS
-from gdpsim.harness import _REPORT_SCHEMA, _evaluate_pair, _shrink
+from gdpsim.harness import _REPORT_SCHEMA, _evaluate_pair, _shrink, _uniform_shape
 from gdpsim.rng import derive_key, generator
 
 # SHA-256 of the little-endian float64 bytes of trials 0..7 x columns 0..3 of
@@ -308,9 +309,10 @@ def test_ring_tableau_reads_each_column_stream_across_releases_and_wraps():
         tab.row(t, 1)
 
 
-# The vector engine holds each per-lane value 0-d while every live lane
-# agrees on it, and spreads it to a lane array once a kernel result differs
-# by lane.  Each case below crosses one of those shape transitions.
+# The vector engine holds each per-lane value as a Python float, bool or int
+# while every live lane agrees on it, and spreads it to a lane array once a
+# kernel result differs by lane.  Each case below crosses one of those shape
+# transitions.
 SHAPE_CASES = {
     # every odd round is refused for all lanes at once
     "refused_together": ("overspend_prober", {}, 1.0, 30, 64),
@@ -446,9 +448,10 @@ def test_both_engines_fail_alike_on_a_lane_dependent_malformed_spend(monkeypatch
         assert main(["run", "--config", str(config), "--engine", engine]) == 2
 
 
-def remaining_ndims(monkeypatch, *args):
-    """``np.ndim`` of the remaining squared budget each ``spends`` call of
-    the vector engine sees, wrapped the way the benchmark's tracer wraps it."""
+def spends_arg_types(monkeypatch, *args):
+    """The types of the remaining squared budget and of the previous spend
+    that each ``spends`` call of the vector engine sees, wrapped the way the
+    benchmark's tracer wraps it."""
     seen = []
     orig = batch.make_vector_policy
 
@@ -457,7 +460,7 @@ def remaining_ndims(monkeypatch, *args):
         spends = vec.spends
 
         def wrapped(o, i, remaining_sq, last_accepted, prev_spend):
-            seen.append(np.ndim(remaining_sq))
+            seen.append((type(remaining_sq), type(prev_spend)))
             return spends(o, i, remaining_sq, last_accepted, prev_spend)
 
         vec.spends = wrapped
@@ -475,45 +478,50 @@ def remaining_ndims(monkeypatch, *args):
 ])
 @pytest.mark.parametrize("kind", ["direct", "simulated"])
 def test_lockstep_policies_see_a_shared_ledger_every_round(monkeypatch, name, params, kind):
-    seen = remaining_ndims(monkeypatch, kind, 1, 1.0, name, params, 50, 3, 256)
-    assert len(seen) > 10 and set(seen) == {0}
+    # a Python float and int: a NumPy scalar or 0-d array would cost NumPy
+    # calls
+    cursors = record_cursor_types(monkeypatch)
+    seen = spends_arg_types(monkeypatch, kind, 1, 1.0, name, params, 50, 3, 256)
+    assert len(seen) > 10 and set(seen) == {(float, float)}
+    assert len(cursors) > 5 and set(cursors) == {int}
 
 
 @pytest.mark.parametrize("kind", ["direct", "simulated"])
 def test_sign_adaptive_ledger_is_shared_until_its_spends_differ(monkeypatch, kind):
     # round 0 spends hi/2 on every lane; round 1's spend follows each lane's
     # answer, so from round 2 on the ledger is a lane array
-    seen = remaining_ndims(monkeypatch, kind, 1, 1.0, "sign_adaptive",
-                           {"hi": 0.8, "lo": 0.2}, 50, 3, 256)
-    assert len(seen) > 3 and seen == [0, 0] + [1] * (len(seen) - 2)
+    seen = spends_arg_types(monkeypatch, kind, 1, 1.0, "sign_adaptive",
+                            {"hi": 0.8, "lo": 0.2}, 50, 3, 256)
+    remaining = [t for t, _ in seen]
+    assert len(seen) > 3 and remaining == [float, float] + [np.ndarray] * (len(seen) - 2)
 
 
 def test_tableau_take_on_a_shared_cursor_matches_the_gather():
-    # a 0-d cursor reads one ring row, across releases and wraps; the read
-    # is the tableau's own copy
+    # an integer cursor reads one ring row, across releases and wraps; the
+    # read is the tableau's own copy
     key, n = derive_key(2, "t"), 8
     shared, gathered = DrawTableau(key, n), DrawTableau(key, n)
     for j in range(40):
         shared.release(j)
         gathered.release(j)
         for rows in (np.arange(n), np.array([1, 4, 6])):
-            got = shared.take(rows, np.int64(j))
+            got = shared.take(rows, j)
             want = gathered.take(rows, np.full(rows.size, j))
             assert np.array_equal(got, want)
             got[:] = np.nan
     assert shared._base > 0 and shared.width > 2 * len(shared._data)
-    assert np.array_equal(shared.take(np.arange(n), np.int64(39)),
+    assert np.array_equal(shared.take(np.arange(n), 39),
                           generator(key, "col", 39).standard_normal(n))
 
 
-def record_cursor_ndims(monkeypatch):
-    """``np.ndim`` of the cursor in each read of every DrawTableau the
-    engines build from now on."""
+def record_cursor_types(monkeypatch):
+    """The type of the cursor in each read of every DrawTableau the engines
+    build from now on."""
     seen = []
 
     class Recording(DrawTableau):
         def take(self, rows, cols):
-            seen.append(np.ndim(cols))
+            seen.append(type(cols))
             return super().take(rows, cols)
 
     monkeypatch.setattr(batch, "DrawTableau", Recording)
@@ -524,10 +532,42 @@ def record_cursor_ndims(monkeypatch):
 def test_a_fully_admitted_round_reads_a_shared_cursor(monkeypatch, kind):
     # sign_adaptive's spends differ by lane from round 1 on, but each round
     # is admitted on every lane, so the lanes never leave their one cursor
-    seen = record_cursor_ndims(monkeypatch)
+    seen = record_cursor_types(monkeypatch)
     res = run_trial_batch(kind, 1, 1.0, "sign_adaptive", {"hi": 0.8, "lo": 0.2}, 50, 3, 64)
     assert not np.any(res.decisions == 0)
-    assert len(seen) == res.draws.max() > 3 and set(seen) == {0}
+    assert len(seen) == res.draws.max() > 3 and set(seen) == {int}
+
+
+
+@pytest.mark.parametrize("case", list(SHAPE_CASES))
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_no_numpy_scalar_or_0d_array_reaches_the_array_ops(monkeypatch, case, kind):
+    # a shared value is a Python float, bool or int, or it has become a lane
+    # array; neither an op's arguments nor its value is anything between
+    seen = []
+
+    def flat(values):
+        for x in values:
+            if isinstance(x, tuple):
+                yield from flat(x)
+            else:
+                yield x
+
+    def checked(name, op):
+        def wrapped(*args):
+            out = op(*args)
+            seen.extend((name, type(x)) for x in flat((*args, out))
+                        if isinstance(x, np.generic)
+                        or (isinstance(x, np.ndarray) and x.ndim == 0))
+            return out
+        return wrapped
+
+    for name, op in vars(ARRAY_OPS).items():
+        if name != "any":   # its value only steers a branch
+            monkeypatch.setattr(ARRAY_OPS, name, checked(name, op))
+    name, params, budget, n_trials, max_rounds = SHAPE_CASES[case]
+    run_trial_batch(kind, 1, budget, name, params, n_trials, 31, max_rounds)
+    assert seen == []
 
 
 @pytest.mark.parametrize("name,params", [
@@ -675,3 +715,83 @@ def test_evaluation_reads_lane_shared_arms_as_their_owned_copies(case, bit):
     sections = [json.dumps(_evaluate_pair(*map(_shrink, pair), 0.001, 2), sort_keys=True)
                 for pair in (arms, owned)]
     assert sections[0] == sections[1]
+
+
+def uniform_shape_whole(res):
+    """The uniform-shape rule on whole matrices: no round absent anywhere,
+    and every trial's decisions and spends equal trial 0's."""
+    dec, sp = np.asarray(res.decisions), np.asarray(res.spends)
+    return (not np.any(dec == -1) and not np.any(dec != dec[0:1, :])
+            and not np.any(sp != sp[0:1, :]))
+
+
+# First-block sizes that check columns one at a time from the start, in a
+# few doubling blocks, and (the default) all at once at these sizes.
+SHAPE_BLOCKS = [1, 8, 100, harness._SHAPE_BLOCK]
+
+
+@pytest.mark.parametrize("case", list(EVALUATION_CASES))
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_uniform_shape_matches_the_whole_matrix_rule(monkeypatch, case, kind):
+    name, params, budget, n_trials, max_rounds = EVALUATION_CASES[case]
+    for engine in ("vector", "scalar"):
+        res = run_trial_batch(kind, 1, budget, name, params, n_trials, 31, max_rounds, engine)
+        owned = replace(res, spends=np.array(res.spends, order="F"),
+                        decisions=np.array(res.decisions, order="F"))
+        want = uniform_shape_whole(res)
+        for block in SHAPE_BLOCKS:
+            monkeypatch.setattr(harness, "_SHAPE_BLOCK", block)
+            assert _uniform_shape(res) is want and _uniform_shape(owned) is want
+
+
+@pytest.mark.parametrize("block", SHAPE_BLOCKS)
+def test_uniform_shape_on_planted_differences(monkeypatch, block):
+    monkeypatch.setattr(harness, "_SHAPE_BLOCK", block)
+    base_dec = np.ones((4, 7), dtype=np.int8, order="F")
+    base_sp = np.full((4, 7), 0.5, order="F")
+    plants = [
+        lambda d, s: None,                          # uniform
+        lambda d, s: d.__setitem__((2, 0), 0),      # first column differs
+        lambda d, s: d.__setitem__((3, 2), -1),     # one trial stops early
+        lambda d, s: d.__setitem__((slice(None), 6), -1),   # every trial does
+        lambda d, s: d.__setitem__((0, 5), -1),     # only trial 0 does
+        lambda d, s: s.__setitem__((1, 6), 0.25),   # last spend differs
+        lambda d, s: s.__setitem__((0, 3), np.nan),  # a NaN spend never matches
+    ]
+    for plant in plants:
+        dec, sp = base_dec.copy(order="F"), base_sp.copy(order="F")
+        plant(dec, sp)
+        res = SimpleNamespace(decisions=dec, spends=sp)
+        assert _uniform_shape(res) is uniform_shape_whole(res)
+        # with the matrix that still agrees as a row every trial shares
+        if np.all(dec == dec[0]):
+            shared = SimpleNamespace(decisions=np.broadcast_to(dec[:1], dec.shape), spends=sp)
+            assert _uniform_shape(shared) is uniform_shape_whole(res)
+        if np.all(sp == sp[0]):
+            shared = SimpleNamespace(decisions=dec, spends=np.broadcast_to(sp[:1], sp.shape))
+            assert _uniform_shape(shared) is uniform_shape_whole(res)
+    assert _uniform_shape(SimpleNamespace(decisions=base_dec, spends=base_sp))
+
+
+def test_summaries_add_fully_accepted_columns_bitwise_as_the_masked_sum():
+    # columns: every trial accepted, partly refused, absent for some trials,
+    # refused by all, absent for all; answers carry -0.0 and values whose
+    # sum rounds
+    dec = np.array([[1, 1, 1, 0, -1, 1],
+                    [1, 0, -1, 0, -1, 1],
+                    [1, 1, 1, 0, -1, 1],
+                    [1, 0, -1, 0, -1, 1]], dtype=np.int8, order="F")
+    answers = np.array([[-0.0, 0.1, 1e16, np.nan, np.nan, 0.2],
+                        [-0.0, np.nan, np.nan, np.nan, np.nan, -0.0],
+                        [0.7, 1.0, -1e16, np.nan, np.nan, 3.0],
+                        [1e-300, np.nan, np.nan, np.nan, np.nan, -0.0]], order="F")
+    n, rounds = answers.shape
+    res = batch.BatchResult(1, 1.0, n, np.full((n, rounds), 0.5, order="F"),
+                            dec, answers, np.full(n, rounds),
+                            np.zeros(n, dtype=bool), np.full(n, rounds), None)
+    want = np.zeros(n)
+    for r in range(rounds):
+        want += np.where(dec[:, r] == 1, answers[:, r], 0.0)
+    assert res.summaries().tobytes() == want.tobytes()
+    # a trial that answered only -0.0 sums to +0.0, as the masked sum does
+    assert res.summaries()[1] == 0.0 and not np.signbit(res.summaries()[1])
