@@ -29,11 +29,15 @@ checks hold and every test it ran (``tests_run`` for a policy) passed.  A
 failing section is rerun once on an independently derived seed before the
 failure stands.
 
-Reports are JSON with sorted keys.  The checksum covers the config echo and
-results only -- wall time, timestamps and versions live in a separate
-metadata block -- so two runs with the same (config, master_seed) are
-checksum-identical.  ``report_table`` renders the same results as a flat TSV
-for spreadsheets, retries and moment checks included.
+A report is one line of compact canonical JSON (sorted keys, no whitespace,
+no NaN).  The results are serialized once; the checksum is the SHA-256 of
+that text, and the report file carries the same text as its ``results``
+value, so a report verifies from its own bytes.  The checksum covers the
+config echo and results only -- wall time, timestamps and versions live in
+a separate metadata block -- so two runs with the same (config,
+master_seed) are checksum-identical.  ``report_table`` renders the same
+results as a flat TSV, retries and moment checks included: that table is
+the human-facing view.
 """
 
 from __future__ import annotations
@@ -567,23 +571,36 @@ def _mechanism_section(config, name, mu, params, bit, seed, engine) -> dict:
 
 @dataclass
 class ExperimentReport:
+    """One run's verdict.
+
+    ``results_json`` is ``results`` serialized once in canonical form
+    (sorted keys, no whitespace, no NaN) and ``checksum`` is the SHA-256 of
+    those bytes.  ``to_json`` writes the same text back unchanged, so the
+    ``results`` text of a report file is exactly what its ``checksum``
+    hashes.  Both are fixed when the run ends: editing ``results`` afterwards
+    changes neither.  ``python -m json.tool`` pretty-prints a report;
+    ``report_table`` is the human-facing view.  The benchmark's tracer
+    (``perfbench/spans.py``) wraps ``to_json`` by name.
+    """
+
     passed: bool
     results: dict
     metadata: dict
     checksum: str
+    results_json: str
 
     def to_json(self) -> str:
-        payload = {
-            "checksum": self.checksum,
-            "results": self.results,
-            "metadata": self.metadata,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        """The report as one line of canonical JSON: byte-equal to
+        ``json.dumps({"checksum": ..., "metadata": ..., "results": ...},
+        sort_keys=True, separators=(",", ":"), allow_nan=False)``, with
+        ``results_json`` spliced in rather than encoded again."""
+        return (f'{{"checksum":{json.dumps(self.checksum)},'
+                f'"metadata":{_canonical_json(self.metadata)},'
+                f'"results":{self.results_json}}}')
 
 
-def _canonical_checksum(results: dict) -> str:
-    blob = json.dumps(results, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _canonical_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def run_experiment(config: ExperimentConfig, engine: str = "vector") -> ExperimentReport:
@@ -622,7 +639,8 @@ def run_experiment(config: ExperimentConfig, engine: str = "vector") -> Experime
     results["passed"] = bool(overall)
 
     from . import __version__   # the package root imports this module
-    checksum = _canonical_checksum(results)
+    results_json = _canonical_json(results)
+    checksum = hashlib.sha256(results_json.encode()).hexdigest()
     metadata = {
         "wall_time_seconds": time.perf_counter() - t0,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -633,7 +651,7 @@ def run_experiment(config: ExperimentConfig, engine: str = "vector") -> Experime
             "gdpsim": __version__,
         },
     }
-    return ExperimentReport(bool(overall), results, metadata, checksum)
+    return ExperimentReport(bool(overall), results, metadata, checksum, results_json)
 
 
 def report_table(results: dict) -> str:

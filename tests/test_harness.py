@@ -692,12 +692,28 @@ def test_report_table_renders():
     assert lines[-1].startswith("overall")
 
 
+def results_text(report_text):
+    """The ``results`` value of a one-line report, as the text it holds.
+    ``results`` is the last key, and no metadata key or string can hold the
+    unescaped ``"results":``."""
+    start = report_text.index('"results":') + len('"results":')
+    assert report_text.endswith("}")
+    return report_text[start:-1]
+
+
 def test_report_json_round_trips():
     report = run_experiment(small_config(mechanisms=[]))
-    payload = json.loads(report.to_json())
+    text = report.to_json()
+    payload = json.loads(text)
     assert payload["checksum"] == report.checksum
     assert payload["results"]["passed"] is True
     assert "wall_time_seconds" in payload["metadata"]
+    assert payload["results"] == report.results
+    # the report is canonical JSON whose results text is the hashed bytes
+    assert text == json.dumps({"checksum": report.checksum, "results": report.results,
+                               "metadata": report.metadata},
+                              sort_keys=True, separators=(",", ":"), allow_nan=False)
+    assert hashlib.sha256(results_text(text).encode()).hexdigest() == report.checksum
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -720,6 +736,39 @@ def test_cli_run_writes_report_and_table(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["results"]["config"]["master_seed"] == 5
     assert "checksum:" in capsys.readouterr().out
+
+
+def test_cli_run_report_verifies_from_its_own_bytes(tmp_path, capsys, monkeypatch):
+    dumps, dumped = json.dumps, []
+
+    def counting_dumps(obj, *args, **kwargs):
+        if isinstance(obj, dict) and obj.get("schema") == harness._REPORT_SCHEMA:
+            dumped.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    config = write_cli_config(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(config), "--seed", "5", "--out", str(out)]) == 0
+    assert len(dumped) == 1   # the results are serialized once per run
+    printed = capsys.readouterr().out.splitlines()
+    text = out.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    checksum = hashlib.sha256(results_text(text[:-1]).encode()).hexdigest()
+    assert json.loads(text)["checksum"] == checksum
+    assert printed[-2:] == [f"checksum: {checksum}", "PASS"]
+
+    # Without --out the same canonical payload is printed, metadata aside.
+    assert main(["run", "--config", str(config), "--seed", "5"]) == 0
+    assert len(dumped) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"checksum: {checksum}", "PASS"]
+    assert results_text(lines[0]) == results_text(text[:-1])
+    printed_payload, written_payload = json.loads(lines[0]), json.loads(text)
+    assert lines[0] == dumps(printed_payload, sort_keys=True, separators=(",", ":"),
+                             allow_nan=False)
+    del printed_payload["metadata"], written_payload["metadata"]
+    assert printed_payload == written_payload
 
 
 def test_cli_verify_cholesky(capsys):
