@@ -12,12 +12,12 @@ row appended for spend m is
     r   = -m * y_{i-1}
     d_i = sqrt((1 - Q_i) / (1 - Q_{i-1}))
 
-Dense mode stores the rows, the seeds it was fed and the solved column y,
-which it extends by one forward-substitution step against its own new row
-each round -- it is the transparent reference.  Streaming mode carries only
-three scalars (Q, its Kahan compensation, and the inner product s = y . v
-against the noise seeds), as an immutable ``NamedTuple`` rebuilt each
-round, using the closed forms
+Both modes hold their state in an immutable ``NamedTuple`` record that each
+round rebuilds.  Dense mode stores the rows, the seeds it was fed and the
+solved column y, which it extends by one forward-substitution step against
+its own new row each round -- it is the transparent reference.  Streaming
+mode carries only three scalars (Q, its Kahan compensation, and the inner
+product s = y . v against the noise seeds), using the closed forms
 
     U_i    = -m * s + d_i * V_i            (last entry of L_i v_i)
     y_last = m / sqrt((1 - Q_i)(1 - Q_{i-1}))     (0 once Q_i = 1)
@@ -45,7 +45,6 @@ that stops near exhaustion, but a caller insisting on slack-sized spends at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -60,8 +59,7 @@ from .errors import BudgetOverflowError
 CLAMP_BAND = 1e-12
 
 
-@dataclass(frozen=True)
-class DenseCholesky:
+class DenseCholesky(NamedTuple):
     """Reference mode: the factor held row by row."""
 
     rows: tuple = ()      # row i is a float64 array of length i+1
@@ -136,16 +134,16 @@ def next_noise(state, m, fresh_seed):
 
     # The diagonal entry d_i is the coefficient of the fresh seed: the
     # streaming U at s = 0, V = 1.
-    d, q, q_comp, _ = stream_step(FLOAT_OPS, state.q, state.q_comp, 0.0, m, 1.0)
-    k = len(state.rows)
+    rows, solved, seeds, q_prev, comp_prev = state
+    d, q, q_comp, _ = stream_step(FLOAT_OPS, q_prev, comp_prev, 0.0, m, 1.0)
+    k = len(rows)
     row = np.zeros(k + 1)
-    solved = state.solved
-    if state.q < 1.0:   # after exhaustion the row is (0, ..., 0, 1)
+    head = row[:k]
+    if q_prev < 1.0:    # after exhaustion the row is (0, ..., 0, 1)
         y = np.asarray(solved, dtype=float)
-        row[:k] = -m * y
+        np.multiply(-m, y, out=head)
         if q < 1.0:     # one forward-substitution step of L y = m
-            solved += (float((m - row[:k] @ y) / d),)
+            solved += ((m - float(head @ y)) / d,)
     row[k] = d
-    u = float(row[:k] @ np.asarray(state.seeds, dtype=float) + row[k] * fresh_seed)
-    return u, DenseCholesky(state.rows + (row,), solved,
-                            state.seeds + (fresh_seed,), q, q_comp)
+    u = float(head @ np.asarray(seeds, dtype=float)) + d * fresh_seed
+    return u, DenseCholesky(rows + (row,), solved, seeds + (fresh_seed,), q, q_comp)

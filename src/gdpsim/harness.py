@@ -721,14 +721,17 @@ def canonical_cholesky_oracle(sigma) -> np.ndarray:
     n = a.shape[0]
     L = np.zeros((n, n))
     for j in range(n):
-        d2 = a[j, j] - L[j, :j] @ L[j, :j]
+        row = L[j, :j]
+        d2 = a[j, j] - row @ row
         if d2 <= _PIVOT_ZERO_TOL:
             if d2 < -_PIVOT_NEGATIVE_TOL:
                 raise NumericalIntegrityError(f"pivot {j} is negative: {d2}")
             continue
-        L[j, j] = math.sqrt(d2)
+        pivot = L[j, j] = math.sqrt(d2)
         if j + 1 < n:
-            L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+            col = L[j + 1:, j]
+            np.subtract(a[j + 1:, j], L[j + 1:, :j] @ row, out=col)
+            col /= pivot
     return L
 
 
@@ -784,8 +787,9 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
     to the empty vector; afterwards every tenth case exhausts the budget
     exactly, so a 1000-case run includes 100 boundary cases.
     """
-    if cases < 1:
-        raise ValueError("cases must be at least 1")
+    for name, value in (("cases", cases), ("max_len", max_len)):
+        if not _is_int(value) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if not _seed_ok(seed):
         raise ValueError(f"seed {_SEED_RULE}, got {seed!r}")
     max_factor = 0.0
@@ -809,18 +813,18 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
         seeds = rng.standard_normal(m.size)
         dense = DenseCholesky()
         stream = StreamingCholesky()
-        for mi, vi in zip(m, seeds):
-            u_dense, dense = next_noise(dense, float(mi), float(vi))
-            u_stream, stream = next_noise(stream, float(mi), float(vi))
+        for mi, vi in zip(m.tolist(), seeds.tolist()):
+            u_dense, dense = next_noise(dense, mi, vi)
+            u_stream, stream = next_noise(stream, mi, vi)
             max_stream = max(max_stream, abs(u_dense - u_stream))
         L = dense.matrix()
         sigma = np.eye(m.size) - np.outer(m, m)
         if m.size:
-            max_factor = max(max_factor, float(np.max(np.abs(L @ L.T - sigma))))
+            max_factor = max(max_factor, float(abs(L @ L.T - sigma).max()))
             oracle = canonical_cholesky_oracle(sigma)
-            max_canon = max(max_canon, float(np.max(np.abs(L - oracle))))
-        diag_ok = bool(np.all(np.diag(L) >= 0.0))
-        zero_cols = int(np.sum(np.all(L == 0.0, axis=0))) if m.size else 0
+            max_canon = max(max_canon, float(abs(L - oracle).max()))
+        diag_ok = bool((L.diagonal() >= 0.0).all())
+        zero_cols = int((L == 0.0).all(axis=0).sum()) if m.size else 0
         expected_zero = 1 if (m.size and dense.q >= 1.0) else 0
         if not diag_ok or zero_cols != expected_zero:
             canon_failures += 1

@@ -16,7 +16,7 @@ from gdpsim.cholesky import (
     next_noise,
     stream_step,
 )
-from gdpsim.errors import BudgetOverflowError
+from gdpsim.errors import BudgetOverflowError, NumericalIntegrityError
 from gdpsim.harness import (
     canonical_cholesky_oracle,
     random_admissible_spends,
@@ -38,6 +38,22 @@ def test_streaming_state_is_an_immutable_record():
     with pytest.raises(AttributeError):
         state.q = 0.0
     assert isinstance(extend(state, 0.8), StreamingCholesky)
+
+
+def test_dense_state_is_an_immutable_record():
+    assert issubclass(DenseCholesky, tuple)
+    assert DenseCholesky._fields == ("rows", "solved", "seeds", "q", "q_comp")
+    assert DenseCholesky._field_defaults == {
+        "rows": (), "solved": (), "seeds": (), "q": 0.0, "q_comp": 0.0}
+    assert tuple(DenseCholesky()) == ((), (), (), 0.0, 0.0)
+    state = extend(DenseCholesky(), 0.6)
+    assert state[0] is state.rows and state[1:] == (
+        state.solved, state.seeds, state.q, state.q_comp)
+    with pytest.raises(AttributeError):
+        state.q = 0.0
+    with pytest.raises(AttributeError):
+        state.rows = ()
+    assert isinstance(extend(state, 0.8), DenseCholesky)
 
 
 def grow(spends, mode="dense"):
@@ -152,6 +168,56 @@ def test_prefix_stability_against_oracle():
             assert np.max(np.abs(snapshots[i - 1].matrix() - oracle)) < 1e-9
             # extending never rewrites the leading block
             assert np.array_equal(final[:i, :i], snapshots[i - 1].matrix())
+
+
+@pytest.mark.parametrize("pivot", [1e-12, 5e-13, 0.0, -5e-9, -1e-8])
+def test_oracle_pivot_in_the_zero_band_gives_an_all_zero_column(pivot):
+    # Column 1's pivot is sigma[1, 1] exactly (L[1, 0] = 0); the 0.5 below it
+    # would fill the column if the pivot were taken.
+    sigma = np.array([[1.0, 0.0, 0.0], [0.0, pivot, 0.5], [0.0, 0.5, 2.0]])
+    L = canonical_cholesky_oracle(sigma)
+    assert np.array_equal(L, np.diag([1.0, 0.0, math.sqrt(2.0)]))
+    # The exhaustion (0.6, 0.8) and a zero spend after it: one zero column.
+    m = np.array([0.6, 0.8, 0.0])
+    L = canonical_cholesky_oracle(np.eye(3) - np.outer(m, m))
+    assert np.all(L[:, 1] == 0.0) and L[0, 0] > 0.0 and L[2, 2] == 1.0
+
+
+@pytest.mark.parametrize("pivot", [-1.0000001e-8, -1e-3])
+def test_oracle_pivot_below_the_band_raises(pivot):
+    with pytest.raises(NumericalIntegrityError, match="pivot 1 is negative"):
+        canonical_cholesky_oracle(np.diag([1.0, pivot, 1.0]))
+
+
+def textbook_oracle(sigma):
+    """The oracle's column formula, each column formed as a new array."""
+    a = np.asarray(sigma, dtype=float)
+    n = a.shape[0]
+    L = np.zeros((n, n))
+    for j in range(n):
+        d2 = a[j, j] - L[j, :j] @ L[j, :j]
+        if d2 <= 1e-12:
+            continue
+        L[j, j] = math.sqrt(d2)
+        if j + 1 < n:
+            L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def test_oracle_matches_the_textbook_column_formula_bitwise():
+    rng = generator(61, "oracle")
+    zero_columns = 0
+    for case in range(90):
+        m = random_admissible_spends(rng, exhaust=case % 3 == 0, max_len=48)
+        sigma = np.eye(m.size) - np.outer(m, m)
+        L = canonical_cholesky_oracle(sigma)
+        assert np.array_equal(L, textbook_oracle(sigma)), case
+        zero_columns += int(np.all(L == 0.0, axis=0).sum())
+    assert zero_columns == 30   # one per exhaustion case
+    for n in (1, 2, 7, 33):
+        g = rng.standard_normal((n, n))
+        sigma = g @ g.T / n + 0.1 * np.eye(n)
+        assert np.array_equal(canonical_cholesky_oracle(sigma), textbook_oracle(sigma)), n
 
 
 def forward_solve(rows, b):

@@ -1,6 +1,7 @@
 """Harness: config validation, experiment reports, transcript files, CLI."""
 
 import hashlib
+import math
 import importlib
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 
 import gdpsim
 from gdpsim import harness
+from gdpsim.cholesky import DenseCholesky, StreamingCholesky
 from gdpsim.cli import main
 from gdpsim.curator import KINDS, Round, Transcript
 from gdpsim.errors import ConfigError
@@ -277,6 +279,87 @@ def test_verify_cholesky_passes_only_within_every_tolerance(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(harness, name, 0.0)
             assert not verify_cholesky(seed=5, cases=10, max_len=24).passed, name
+
+
+@pytest.mark.parametrize("name, value", [
+    ("cases", 0), ("cases", True), ("cases", 2.0),
+    ("max_len", 0), ("max_len", 2.5), ("max_len", True),
+])
+def test_verify_cholesky_rejects_a_malformed_size(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
+        verify_cholesky(seed=5, **{name: value})
+
+
+def _shift_streaming_noise(next_noise):
+    def planted(state, m, v):
+        u, new = next_noise(state, m, v)
+        return (u + 1e-6 if isinstance(state, StreamingCholesky) else u), new
+    return planted
+
+
+def _negate_new_diagonal(next_noise):
+    def planted(state, m, v):
+        u, new = next_noise(state, m, v)
+        if isinstance(new, DenseCholesky):
+            row = new.rows[-1]
+            row[-1] = -row[-1]
+        return u, new
+    return planted
+
+
+def _scale_oracle(oracle):
+    return lambda sigma: oracle(sigma) * (1.0 + 1e-6)
+
+
+_TOLERANCES = {"max_factor_deviation": "_FACTOR_TOL",
+               "max_streaming_deviation": "_NOISE_TOL",
+               "max_canonical_deviation": "_CANONICAL_TOL"}
+
+
+@pytest.mark.parametrize("check, target, plant", [
+    ("max_streaming_deviation", "next_noise", _shift_streaming_noise),
+    ("canonical_failures", "next_noise", _negate_new_diagonal),
+    ("max_canonical_deviation", "canonical_cholesky_oracle", _scale_oracle),
+])
+def test_verify_cholesky_fails_on_a_planted_defect(monkeypatch, check, target, plant):
+    assert verify_cholesky(seed=5, cases=20, max_len=24).passed
+    bounds = {field: getattr(harness, tol) for field, tol in _TOLERANCES.items()}
+    monkeypatch.setattr(harness, target, plant(getattr(harness, target)))
+    # Every other tolerance is lifted, so only the named check can fail the suite.
+    for field, tol in _TOLERANCES.items():
+        if field != check:
+            monkeypatch.setattr(harness, tol, math.inf)
+    rep = verify_cholesky(seed=5, cases=20, max_len=24)
+    assert not rep.passed
+    if check == "canonical_failures":
+        assert rep.canonical_failures > 0
+    else:
+        assert rep.canonical_failures == 0
+        assert getattr(rep, check) > 10 * bounds[check]
+
+
+def test_verify_cholesky_grows_one_dense_row_per_spend(monkeypatch):
+    seed, cases, max_len = 11, 40, 24
+    calls = {"dense": 0, "streaming": 0, "oracle": 0}
+    next_noise, oracle = harness.next_noise, harness.canonical_cholesky_oracle
+
+    def counting_next_noise(state, m, v):
+        calls["dense" if isinstance(state, DenseCholesky) else "streaming"] += 1
+        return next_noise(state, m, v)
+
+    def counting_oracle(sigma):
+        calls["oracle"] += 1
+        return oracle(sigma)
+
+    monkeypatch.setattr(harness, "next_noise", counting_next_noise)
+    monkeypatch.setattr(harness, "canonical_cholesky_oracle", counting_oracle)
+    assert verify_cholesky(seed=seed, cases=cases, max_len=max_len).passed
+    # Case 0 is (0.6, 0.8), case 1 is empty, the rest come from the generator.
+    spends = 2 + sum(
+        harness.random_admissible_spends(
+            harness.generator(seed, "cholesky-verify", case), case % 10 == 0, max_len).size
+        for case in range(2, cases))
+    assert calls == {"dense": spends, "streaming": spends, "oracle": cases - 1}
 
 
 # --- transcript files --------------------------------------------------------
