@@ -8,10 +8,9 @@ knows which it runs, so it passes its op set as a kernel's first argument
 from ``batch._run_vector``), and the kernel spells every non-arithmetic
 step through it -- floats get ``math.sqrt``, builtin ``min``/``max``,
 ``bool`` and a conditional; arrays get ``np.sqrt``, ``np.minimum``/
-``np.maximum``, ``ndarray.any`` and ``np.where``.  ``full`` gives a constant the
-argument's shape.  IEEE arithmetic and both square roots are correctly
-rounded, so every lane of an array call is bitwise equal to the float call
-on that lane's values.
+``np.maximum``, ``ndarray.any`` and ``np.where``.  IEEE arithmetic and both
+square roots are correctly rounded, so every lane of an array call is
+bitwise equal to the float call on that lane's values.
 
 An argument of an array-op-set call may be a Python scalar, one value
 every lane shares (the vector engine holds lane-shared state that way), or
@@ -22,7 +21,8 @@ an array with one entry per lane; NumPy broadcasting mixes the two.  Each
 Python float or bool, bitwise what the scalar engine computes on it;
 otherwise it runs the NumPy form.  Since any argument may be either, a
 kernel never takes ``len`` of an argument, indexes it or reads its shape;
-only ``full`` does, to give a constant the argument's shape.
+a constant it returns is a plain value, which the vector engine holds as
+one every lane shares.
 
 Two rules keep the float form valid: combine conditions with ``&``/``|``
 and comparisons, never ``~`` (on a bool it is integer negation); and make
@@ -50,7 +50,6 @@ FLOAT_OPS = SimpleNamespace(
     any=bool,
     where=_pick,
     select=_pick,
-    full=lambda like, value: value,
 )
 
 
@@ -88,10 +87,6 @@ def _select(cond, a, b):
     return a if cond else b
 
 
-def _full(like, value):
-    return np.full(like.shape, value) if isinstance(like, np.ndarray) else value
-
-
 ARRAY_OPS = SimpleNamespace(
     sqrt=_sqrt,
     minimum=_minimum,
@@ -99,7 +94,6 @@ ARRAY_OPS = SimpleNamespace(
     any=_any,
     where=_where,
     select=_select,
-    full=_full,
 )
 
 

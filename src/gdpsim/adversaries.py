@@ -9,13 +9,13 @@ answer (NaN before the first) and the previous round's spend (NaN in round
 0).  Like the other shared kernels (see ``gdpsim._numeric``) it runs on
 floats for one scalar session and on arrays with one lane per trial for the
 vector engine, through the op set ``o`` its driver passes; lanes are
-independent, and the spend of a stopped lane is meaningless.  Policies are
-deterministic given those inputs and may deliberately emit inadmissible
-spends -- admissibility is the filter's job.  ``next_spend(prefix,
-remaining_sq)`` is the same rule in prefix form on floats (the spend, or
-None to stop); only tests and the benchmark's tracer call it.  The harness
-summarizes a transcript by the sum of its accepted answers
-(``BatchResult.summaries()``), whatever the policy.
+independent, and the spend of a stopped lane is meaningless.  A constant
+spend or stop is returned as a plain value, which the vector engine holds
+as one every lane shares.  Policies are deterministic given those inputs
+and may deliberately emit inadmissible spends -- admissibility is the
+filter's job.  The harness summarizes a transcript by the sum of its
+accepted answers (``BatchResult.summaries``, which both engines add up as
+rounds run), whatever the policy.
 
 The built-in suite covers the four interaction shapes the harness needs:
 nonadaptive replay (``fixed``), answer-adaptive spending (``sign_adaptive``),
@@ -27,40 +27,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
-from ._numeric import FLOAT_OPS
 from .budget import check_spend
 
 # Policies stop once less than this much squared budget remains.
 STOP_TOL = 1e-6
 
 
-def _next_spend(spends, prefix, remaining_sq) -> Optional[float]:
-    """Run the kernel ``spends`` on a transcript prefix."""
-    last = next((r.answer for r in reversed(prefix) if r.accepted), math.nan)
-    prev = prefix[-1].spend if prefix else math.nan
-    spend, stop = spends(FLOAT_OPS, len(prefix), remaining_sq, last, prev)
-    return None if stop else spend
-
-
 @dataclass
 class AdversaryPolicy:
     """A named policy kernel.  Not frozen, so a caller may wrap ``spends``
-    in place; ``next_spend`` defaults to the prefix form of ``spends``.
-    ``length``, when declared, is a bound on the rounds the policy runs on
-    any input (it stops at round ``length``), so an engine can size its
-    result matrices once."""
+    in place.  ``length``, when declared, is a bound on the rounds the
+    policy runs on any input (it stops at round ``length``), so an engine
+    can size its result matrices once.
+
+    ``next_spend`` is unused: nothing in the package sets or reads it.  It
+    stays because the benchmark's tracer (``perfbench/spans.py``) reads it
+    and passes it to ``dataclasses.replace``.
+    """
 
     name: str
     spends: Callable      # (o, i, remaining_sq, last_accepted, prev_spend) -> (spend, stop)
-    next_spend: Optional[Callable] = None   # (prefix, remaining_sq) -> float | None
+    next_spend: Optional[Callable] = None
     length: Optional[int] = None
-
-    def __post_init__(self):
-        if self.next_spend is None:
-            self.next_spend = partial(_next_spend, self.spends)
 
 
 def policy_fixed(spends: Sequence[float]) -> AdversaryPolicy:
@@ -69,8 +59,8 @@ def policy_fixed(spends: Sequence[float]) -> AdversaryPolicy:
 
     def kernel(o, i, remaining_sq, last_accepted, prev_spend):
         if i >= len(fixed):
-            return o.full(remaining_sq, math.nan), o.full(remaining_sq, True)
-        return o.full(remaining_sq, fixed[i]), o.full(remaining_sq, False)
+            return math.nan, True
+        return fixed[i], False
 
     return AdversaryPolicy("fixed", kernel, length=len(fixed))
 
@@ -91,7 +81,7 @@ def policy_sign_adaptive(hi: float, lo: float) -> AdversaryPolicy:
     def kernel(o, i, remaining_sq, last_accepted, prev_spend):
         stop = remaining_sq < STOP_TOL
         if i == 0:
-            return o.full(remaining_sq, hi / 2.0), stop
+            return hi / 2.0, stop
         base = o.where(last_accepted > 0.0, hi, lo)   # NaN -> lo
         return o.minimum(base, o.sqrt(remaining_sq)), stop
 

@@ -16,13 +16,15 @@ the answers and draws cost a lane each.  A refused lane draws nothing,
 steps the factor on spend 0 (admissible in any state) and keeps its state
 through ``np.where``; a fully refused round runs no factor step.  Each
 round writes its spends, decisions and answers into column r of the
-round-major result matrices.  A policy that declares its length gets
-matrices of that width once; others start at 16 columns and double when
-full; never-written capacity is never touched.  While every trial is
-live and shares a round's spend (or decision), that column is written once
-into a row; the n-row matrix is made at the first column that differs by
-trial or has a stopped trial, and an arm whose columns never differ
-returns a read-only view of the row (trial stride 0).
+round-major result matrices, and adds each accepted answer into its trial's
+summary: into the output vector while every trial is live, then into a
+per-lane running sum that leaves with its lane.  A policy that declares its
+length gets matrices of that width once; others start at 16 columns and
+double when full; never-written capacity is never touched.  While every
+trial is live and shares a round's spend (or decision), that column is
+written once into a row; the n-row matrix is made at the first column
+that differs by trial or has a stopped trial, and an arm whose columns
+never differ returns a read-only view of the row (trial stride 0).
 The filter rule (``budget.admit``), the streaming factor step
 (``cholesky.stream_step``) and the policy's ``spends`` kernel are the same
 functions a scalar ``gdpsim.curator.Session`` runs on floats, so per-trial
@@ -48,7 +50,8 @@ each trial through a real session and ``run_interaction``, drawing from its
 tableau row and growing the tableau when the row runs out (it never
 releases columns); it is the per-trial reference the vector engine is tested
 against, and produces the same BatchResult.  It writes each finished trial
-into its result matrices and drops the transcript.
+into its result matrices, adds its accepted answers into its summary and
+drops the transcript.
 """
 
 from __future__ import annotations
@@ -179,6 +182,10 @@ class BatchResult:
     a trial's refusal pattern is its row of ``decisions == 0``.  Answers
     are an order "F" matrix; spends and decisions are one too, or (from the
     vector engine) a read-only view of one row that every trial shares.
+    summaries: each trial's sum of accepted answers (the built-in policy
+    summary), added in round order from +0.0 by the engine as rounds run.
+    A sum that starts at +0.0 is never -0.0, so a round that adds +0.0
+    (refused, or past the trial's last) would leave it bitwise as it is.
     """
 
     bit: int
@@ -187,6 +194,7 @@ class BatchResult:
     spends: np.ndarray
     decisions: np.ndarray
     answers: np.ndarray
+    summaries: np.ndarray
     lengths: np.ndarray
     truncated: np.ndarray
     draws: np.ndarray
@@ -201,28 +209,6 @@ class BatchResult:
             rounds = [Round(i, spend, dec == 1, answer if dec == 1 else None)
                       for i, (spend, dec, answer) in enumerate(rows)]
             yield Transcript(self.budget, rounds, truncated)
-
-    def summaries(self) -> np.ndarray:
-        """Sum of accepted answers per trial (the built-in policy summary).
-        Added one round at a time, with no trials x rounds temporary, in the
-        order a row sum of the round-major matrices adds them, each trial
-        adding +0.0 for a round it did not answer.  A round every trial
-        accepted has its column added whole; with a decision row every
-        trial shares, any other round is skipped: the sum starts at +0.0,
-        so it is never -0.0, and adding +0.0 leaves it bitwise as it is."""
-        total = np.zeros(self.n_trials)
-        shared = self.decisions.strides[0] == 0
-        for r in range(self.answers.shape[1]):
-            if shared:
-                if self.decisions[0, r] == 1:
-                    total += self.answers[:, r]
-                continue
-            accepted = self.decisions[:, r] == 1
-            if accepted.all():
-                total += self.answers[:, r]
-            else:
-                total += np.where(accepted, self.answers[:, r], 0.0)
-        return total
 
 
 def run_trial_batch(
@@ -274,8 +260,11 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
     nothing, takes the factor step on spend 0 and keeps its state; a fully
     refused round runs no factor step.  The round cap is the loop's last
     turn.  Spends and decisions stay one row while every trial is live and
-    their round's value is shared; answers are always a matrix.  Both
-    engines return the BatchResult fields from ``spends`` on, in order."""
+    their round's value is shared; answers are always a matrix.  Accepted
+    answers are added into ``summaries`` while every trial is live, then
+    into ``acc``, the live lanes' running sums, which a stopping lane writes
+    out.  Both engines return the BatchResult fields from ``spends`` on, in
+    order."""
     o = ARRAY_OPS
     vec = make_vector_policy(policy_name, policy_params)
     budget_sq = mu0 * mu0
@@ -291,6 +280,7 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
     last = prev = math.nan
     lengths, draws = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     truncated = np.zeros(n, dtype=bool)
+    summaries = acc = np.zeros(n)
     # Spends, decisions and answers; round r is column r, written whole.
     # Spends and decisions start as one row that every trial shares.
     out = _result_matrices((1, 1, n), _first_width(vec, max_rounds))
@@ -303,9 +293,10 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
         if o.any(stop):   # stopped lanes leave every per-lane value at once
             stop = np.broadcast_to(stop, lane.shape)
             gone, keep = lane[stop], ~stop
-            lengths[gone], draws[gone] = r, _at(cursor, stop)
-            lane, cursor, spent, comp, last, sp, live_w0, q, qc, s = (
-                _at(a, keep) for a in (lane, cursor, spent, comp, last, sp, live_w0, q, qc, s))
+            lengths[gone], draws[gone], summaries[gone] = r, _at(cursor, stop), acc[stop]
+            lane, cursor, spent, comp, last, sp, live_w0, q, qc, s, acc = (
+                _at(a, keep)
+                for a in (lane, cursor, spent, comp, last, sp, live_w0, q, qc, s, acc))
             if lane.size == 0:
                 break
         if isinstance(sp, np.ndarray) and sp.ndim:
@@ -343,7 +334,9 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
                 ans = m * live_w0 + u
             if whole:
                 last = ans
+                acc += ans
             else:
+                acc += np.where(admitted, ans, 0.0)
                 ans = np.where(admitted, ans, np.nan)
                 last = np.where(admitted, ans, last)
         prev = sp
@@ -362,7 +355,7 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
                 col = mat[:, r]
                 col.fill(fill)
                 col[lane] = vals
-    return (*(_trials(mat, n, r) for mat in out), lengths, truncated, draws, w0)
+    return (*(_trials(mat, n, r) for mat in out), summaries, lengths, truncated, draws, w0)
 
 
 def _at(x, sel):
@@ -415,19 +408,26 @@ def _run_scalar(kind, bit, mu0, policy_name, policy_params,
                 n_trials, max_rounds, tableau: DrawTableau):
     """Reference engine: real sessions, one trial at a time, same draw rows.
     Each finished trial is written into the result matrices and dropped;
-    after the last, the cells past each trial's length are marked absent."""
+    after the last, the cells past each trial's length are marked absent.
+    Its summary adds the accepted answers one by one in round order, not
+    by ``sum()``, which compensates float sums from Python 3.12 on."""
     policy = make_policy(policy_name, **policy_params)
     out = _result_matrices((n_trials,) * 3, _first_width(policy, max_rounds))
-    lengths, truncated, draws, w0s = [], [], [], []
+    summaries, lengths, truncated, draws, w0s = [], [], [], [], []
     for t in range(n_trials):
         session = Session(kind, bit, mu0, _RowDraws(tableau, t))
         tr = run_interaction(session, policy, max_rounds=max_rounds)
         k = len(tr.rounds)
         if k > out[0].shape[1]:
             _widen(out, min(max_rounds, max(k, 2 * out[0].shape[1])))
+        total = 0.0
         if k:   # a refused round's None answer reads as NaN
             _, spend, accepted, answer = zip(*tr.rounds)
             out[0][t, :k], out[1][t, :k], out[2][t, :k] = spend, accepted, answer
+            for a in answer:
+                if a is not None:
+                    total += a
+        summaries.append(total)
         lengths.append(k)
         truncated.append(tr.truncated)
         draws.append(session.draws)
@@ -438,5 +438,6 @@ def _run_scalar(kind, bit, mu0, policy_name, policy_params,
     out = [mat[:, :r_max] for mat in out]
     for mat, fill in zip(out, _FILLS):
         mat[absent] = fill
-    return (*out, lengths, np.array(truncated, dtype=bool), np.array(draws, dtype=np.int64),
+    return (*out, np.array(summaries), lengths, np.array(truncated, dtype=bool),
+            np.array(draws, dtype=np.int64),
             np.array(w0s, dtype=float) if kind == "simulated" else None)

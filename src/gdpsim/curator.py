@@ -94,10 +94,6 @@ class Session:
         self.draws += 1
         return self.rng.standard_normal()
 
-    @property
-    def remaining_sq(self) -> float:
-        return remaining_sq(self.filter_state)
-
     def ask(self, spend) -> float | None:
         """Answer an admitted spend, or return None on refusal.
 

@@ -328,7 +328,7 @@ class _Arm(NamedTuple):
 
 def _shrink(res) -> _Arm:
     return _Arm(res.bit, res.answers, res.decisions, res.spends[0].copy(),
-                _uniform_shape(res), res.summaries(), int(np.sum(res.truncated)),
+                _uniform_shape(res), res.summaries, int(np.sum(res.truncated)),
                 int(np.sum(res.draws)), res.n_trials * int(np.max(res.draws)))
 
 

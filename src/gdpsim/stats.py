@@ -156,9 +156,9 @@ def normality_check(sample, alpha: float = 0.001, name: str = "normality") -> Te
     ``_CDF_MARGIN``, computed slice by slice into one array: D+ is the
     largest gap and D- is 1/n minus the smallest.  Only the indices within
     twice the margin of either extreme can hold the exact maximum, and only
-    they (a few in a random sample) get the exact ``normal_cdf`` by
-    math.erfc and the exact D+ and D- formulas.  So D and p are bitwise
-    those of evaluating ``normal_cdf`` at every value.
+    they (a few in a random sample) get the exact ``normal_cdf`` and the
+    exact D+ and D- formulas.  So D and p are bitwise those of evaluating
+    ``normal_cdf`` at every value.
     """
     z = _finite_sorted(sample, "sample")
     n = z.size
@@ -169,7 +169,7 @@ def normality_check(sample, alpha: float = 0.001, name: str = "normality") -> Te
                     out=gap[i:i + chunk.size])
     near = 2.0 * _CDF_MARGIN
     idx = np.flatnonzero((gap >= gap.max() - near) | (gap <= gap.min() + near))
-    f = 0.5 * np.array(list(map(math.erfc, (-z[idx] / _SQRT2).tolist())))
+    f = np.array(list(map(normal_cdf, z[idx].tolist())))
     grid = (idx + 1) / n
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / n)))

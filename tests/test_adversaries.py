@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from gdpsim._numeric import FLOAT_OPS
 from gdpsim.adversaries import (
     STOP_TOL,
     make_policy,
@@ -14,7 +15,8 @@ from gdpsim.adversaries import (
     policy_sign_adaptive,
 )
 from gdpsim.batch import run_trial_batch
-from gdpsim.curator import Round, open_session, run_interaction
+from gdpsim.budget import remaining_sq
+from gdpsim.curator import open_session, run_interaction
 
 
 def decisions_of(transcript):
@@ -39,19 +41,17 @@ def test_fixed_policy_validates_spends():
 
 
 def test_sign_adaptive_spend_rules():
-    pol = policy_sign_adaptive(hi=0.8, lo=0.2)
-    assert pol.next_spend([], 1.0) == 0.4
-    neg = [Round(0, 0.4, True, -0.5)]
-    assert pol.next_spend(neg, 0.84) == 0.2
-    pos = [Round(0, 0.4, True, 0.5)]
-    assert pol.next_spend(pos, 0.84) == 0.8
+    # spends(o, round, remaining_sq, last accepted answer, previous spend)
+    spends = policy_sign_adaptive(hi=0.8, lo=0.2).spends
+    assert spends(FLOAT_OPS, 0, 1.0, math.nan, math.nan) == (0.4, False)
+    assert spends(FLOAT_OPS, 1, 0.84, -0.5, 0.4) == (0.2, False)
+    assert spends(FLOAT_OPS, 1, 0.84, 0.5, 0.4) == (0.8, False)
     # cap at sqrt of remaining budget
-    assert pol.next_spend(pos, 0.09) == 0.3
+    assert spends(FLOAT_OPS, 1, 0.09, 0.5, 0.4) == (0.3, False)
     # stop rule
-    assert pol.next_spend(pos, STOP_TOL / 2) is None
-    # no accepted answer yet -> lo branch
-    refused = [Round(0, 2.0, False, None)]
-    assert pol.next_spend(refused, 1.0) == min(0.2, 1.0)
+    assert spends(FLOAT_OPS, 1, STOP_TOL / 2, 0.5, 0.4)[1] is True
+    # no accepted answer yet (round 0 refused a spend of 2.0) -> lo branch
+    assert spends(FLOAT_OPS, 1, 1.0, math.nan, 2.0) == (min(0.2, 1.0), False)
 
 
 def test_sign_adaptive_validates_bounds():
@@ -90,7 +90,7 @@ def test_greedy_halving_geometric_schedule():
     assert all(r.accepted for r in tr.rounds)
     # after k rounds the remaining squared budget is ~2**-k; stops at 20
     assert len(tr.rounds) == 20
-    remaining = session.remaining_sq
+    remaining = remaining_sq(session.filter_state)
     assert remaining < 1e-6
     assert math.isclose(remaining, 2.0 ** -20, rel_tol=1e-6)
 
@@ -129,14 +129,14 @@ def test_refusal_pattern_independent_of_session_kind():
 
 
 def test_policies_deterministic_given_prefix():
-    prefix = [Round(0, 0.4, True, 0.3), Round(1, 0.8, False, None)]
+    # the prefix: round 0 spent 0.4 and was answered 0.3, round 1 refused 0.8
     for name, params in [("fixed", {"spends": [0.1, 0.2, 0.3]}),
                          ("sign_adaptive", {"hi": 0.8, "lo": 0.2}),
                          ("greedy_halving", {}),
                          ("overspend_prober", {})]:
-        pol = make_policy(name, **params)
-        a = pol.next_spend(prefix, 0.5)
-        b = pol.next_spend(prefix, 0.5)
+        spends = make_policy(name, **params).spends
+        a = spends(FLOAT_OPS, 2, 0.5, 0.3, 0.8)
+        b = spends(FLOAT_OPS, 2, 0.5, 0.3, 0.8)
         assert a == b
 
 

@@ -3,6 +3,7 @@ contract, not approximation."""
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from gdpsim.adversaries import AdversaryPolicy
 from gdpsim.batch import DrawTableau, make_vector_policy, policy_stream_id, run_trial_batch
 from gdpsim.budget import REL_SLACK
 from gdpsim.cli import main
-from gdpsim.curator import KINDS
+from gdpsim.curator import KINDS, Round, Transcript
 from gdpsim.harness import _REPORT_SCHEMA, _evaluate_pair, _shrink, _uniform_shape
 from gdpsim.rng import derive_key, generator
 
@@ -49,13 +50,12 @@ def assert_identical(a, b):
         assert np.array_equal(a.w0, b.w0)
     # Answers are F-order on both engines.  Spends and decisions are F-order
     # on the scalar engine; the vector engine's may instead be a read-only
-    # row every trial shares.  summaries() reads the answers one column at
-    # a time, so no layout moves a bit of it.
+    # row every trial shares.
     assert a.answers.flags.f_contiguous and b.answers.flags.f_contiguous
     for m in ("spends", "decisions"):
         assert getattr(a, m).flags.f_contiguous or lane_shared(getattr(a, m))
         assert getattr(b, m).flags.f_contiguous
-    assert np.array_equal(a.summaries(), b.summaries())
+    assert a.summaries.tobytes() == b.summaries.tobytes()
 
 
 def lane_shared(mat):
@@ -222,15 +222,6 @@ def test_transcripts_round_trip_matrix_form():
                 assert r.answer is None
 
 
-def test_summaries_match_policy_summary():
-    res = run_trial_batch("direct", 1, 1.0, "sign_adaptive",
-                          {"hi": 0.8, "lo": 0.2}, 12, 6)
-    sums = res.summaries()
-    for t, tr in enumerate(res.transcripts()):
-        answers = [r.answer for r in tr.rounds if r.accepted]
-        assert np.isclose(sums[t], sum(answers), rtol=0, atol=1e-12)
-
-
 def test_refusal_rows():
     res = run_trial_batch("direct", 0, 1.0, "overspend_prober", {}, 5, 4)
     # overspend_prober's odd rounds repeat a spend and are refused while
@@ -342,13 +333,53 @@ def test_bitwise_equality_across_shared_state_transitions(case, kind, bit):
                      run_trial_batch(*args, engine="scalar"))
 
 
+def reference_summaries(res):
+    """Each trial's accepted answers added one round column at a time,
+    starting from +0.0."""
+    want = np.zeros(res.n_trials)
+    for r in range(res.answers.shape[1]):
+        want += np.where(res.decisions[:, r] == 1, res.answers[:, r], 0.0)
+    return want
+
+
+@pytest.mark.parametrize("arm", [*((name, params, 1.0, 30, 64) for name, params in POLICIES),
+                                 *SHAPE_CASES.values()])
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+def test_summaries_are_the_round_order_sum_of_accepted_answers(arm, kind, engine):
+    name, params, budget, n_trials, max_rounds = arm
+    for bit in (0, 1):
+        res = run_trial_batch(kind, bit, budget, name, params, n_trials, 31, max_rounds, engine)
+        assert res.summaries.dtype == np.float64 and res.summaries.shape == (n_trials,)
+        assert res.summaries.tobytes() == reference_summaries(res).tobytes()
+
+
+def test_scalar_summaries_add_in_round_order_without_compensation(monkeypatch):
+    # 1e16 + 1.0 rounds back to 1e16, so the round-order sum of the accepted
+    # answers is 0.0; a compensated sum (math.fsum, or sum() from Python
+    # 3.12 on) gives 1.0.  The refused round adds nothing.
+    accepted = [1e16, 1.0, -1e16]
+    assert math.fsum(accepted) == 1.0
+
+    def planted(session, policy, *, max_rounds):
+        rounds = [Round(0, 0.1, True, accepted[0]), Round(1, 2.0, False, None),
+                  Round(2, 0.1, True, accepted[1]), Round(3, 0.1, True, accepted[2])]
+        return Transcript(session.mu0, rounds)
+
+    monkeypatch.setattr(batch, "run_interaction", planted)
+    res = run_trial_batch("direct", 1, 1.0, "fixed", {"spends": [0.1] * 4}, 3, 5,
+                          engine="scalar")
+    assert res.summaries.tobytes() == np.zeros(3).tobytes()
+    assert res.summaries.tobytes() == reference_summaries(res).tobytes()
+
+
 def policy_uncapped():
     """Spend 2.0 after a positive answer and 0.5 otherwise, uncapped, for six
     rounds.  At budget 1 its round 1 is refused on some lanes and admitted on
     others while every lane still holds the same ledger."""
 
     def kernel(o, i, remaining_sq, last_accepted, prev_spend):
-        return o.where(last_accepted > 0.0, 2.0, 0.5), o.full(remaining_sq, i >= 6)
+        return o.where(last_accepted > 0.0, 2.0, 0.5), i >= 6
 
     return AdversaryPolicy("uncapped", kernel)
 
@@ -375,8 +406,8 @@ def policy_leapfrog():
 
     def kernel(o, i, remaining_sq, last_accepted, prev_spend):
         if i == 2:
-            return 2.5 - prev_spend, o.full(remaining_sq, False)
-        return o.where((i == 1) & (last_accepted > 0.0), 2.0, 0.5), o.full(remaining_sq, i >= 3)
+            return 2.5 - prev_spend, False
+        return o.where((i == 1) & (last_accepted > 0.0), 2.0, 0.5), i >= 3
 
     return AdversaryPolicy("leapfrog", kernel)
 
@@ -404,7 +435,7 @@ def policy_malformed(value):
     """Spend 0.1 each round for four rounds, but ``value`` at round 2."""
 
     def kernel(o, i, remaining_sq, last_accepted, prev_spend):
-        return o.full(remaining_sq, value if i == 2 else 0.1), o.full(remaining_sq, i >= 4)
+        return value if i == 2 else 0.1, i >= 4
 
     return AdversaryPolicy("malformed", kernel)
 
@@ -427,7 +458,7 @@ def policy_negated():
     above 1.0: malformed on some lanes only, at rounds that differ by lane."""
 
     def kernel(o, i, remaining_sq, last_accepted, prev_spend):
-        return o.where(last_accepted > 1.0, -last_accepted, 0.1), o.full(remaining_sq, i >= 6)
+        return o.where(last_accepted > 1.0, -last_accepted, 0.1), i >= 6
 
     return AdversaryPolicy("negated", kernel)
 
@@ -771,27 +802,3 @@ def test_uniform_shape_on_planted_differences(monkeypatch, block):
             shared = SimpleNamespace(decisions=dec, spends=np.broadcast_to(sp[:1], sp.shape))
             assert _uniform_shape(shared) is uniform_shape_whole(res)
     assert _uniform_shape(SimpleNamespace(decisions=base_dec, spends=base_sp))
-
-
-def test_summaries_add_fully_accepted_columns_bitwise_as_the_masked_sum():
-    # columns: every trial accepted, partly refused, absent for some trials,
-    # refused by all, absent for all; answers carry -0.0 and values whose
-    # sum rounds
-    dec = np.array([[1, 1, 1, 0, -1, 1],
-                    [1, 0, -1, 0, -1, 1],
-                    [1, 1, 1, 0, -1, 1],
-                    [1, 0, -1, 0, -1, 1]], dtype=np.int8, order="F")
-    answers = np.array([[-0.0, 0.1, 1e16, np.nan, np.nan, 0.2],
-                        [-0.0, np.nan, np.nan, np.nan, np.nan, -0.0],
-                        [0.7, 1.0, -1e16, np.nan, np.nan, 3.0],
-                        [1e-300, np.nan, np.nan, np.nan, np.nan, -0.0]], order="F")
-    n, rounds = answers.shape
-    res = batch.BatchResult(1, 1.0, n, np.full((n, rounds), 0.5, order="F"),
-                            dec, answers, np.full(n, rounds),
-                            np.zeros(n, dtype=bool), np.full(n, rounds), None)
-    want = np.zeros(n)
-    for r in range(rounds):
-        want += np.where(dec[:, r] == 1, answers[:, r], 0.0)
-    assert res.summaries().tobytes() == want.tobytes()
-    # a trial that answered only -0.0 sums to +0.0, as the masked sum does
-    assert res.summaries()[1] == 0.0 and not np.signbit(res.summaries()[1])

@@ -23,7 +23,8 @@ from gdpsim.errors import BudgetOverflowError
 def assert_lanes_match(kernel, *args):
     """Call ``kernel`` once on the array arguments with ``ARRAY_OPS`` and
     once per lane on floats with ``FLOAT_OPS``; every output must agree
-    bitwise lane by lane."""
+    bitwise lane by lane, or be a shared Python float or bool (a constant)
+    equal bitwise to every lane's float call."""
     n = next(len(a) for a in args if isinstance(a, np.ndarray))
     whole = kernel(ARRAY_OPS, *args)
     for lane in range(n):
@@ -32,9 +33,17 @@ def assert_lanes_match(kernel, *args):
         assert len(one) == len(whole)
         for w, f in zip(whole, one):
             assert type(f) in (float, bool), type(f)   # no NumPy on the float path
-            w = np.asarray(w)
-            assert w.shape == (n,)
-            assert w[lane].tobytes() == np.asarray(f, dtype=w.dtype).tobytes(), (lane, w[lane], f)
+            if isinstance(w, np.ndarray):
+                assert w.shape == (n,)
+                assert w[lane].tobytes() == np.asarray(f, dtype=w.dtype).tobytes(), (lane, w, f)
+            else:
+                assert same_float(w, f), (lane, w, f)
+
+
+def test_both_op_sets_have_the_same_ops():
+    # a kernel spells every non-arithmetic step through its op set, so an op
+    # in only one set would fail on the other engine
+    assert sorted(vars(FLOAT_OPS)) == sorted(vars(ARRAY_OPS))
 
 
 TIGHT = math.sqrt(0.64) * (1.0 + 2.0 ** -42)   # admitted only through the slack
