@@ -623,8 +623,9 @@ def test_lockstep_section_holds_its_answers_and_per_trial_vectors_only():
     # lane state while the second arm runs (lane ids, W0, draws, lengths,
     # one tableau column, the draw and the factor step's temporaries) stays
     # under 16; evaluation, after both arms, holds the two summaries, one
-    # round's two samples and one two-sample KS test, which merges 2n
-    # values into at most four arrays of 2n (8 vectors), 12 in all.  8 more
+    # round's two samples and one two-sample KS test, which sorts the 2n
+    # values (2 vectors) and merges the ones near its maximum, about a
+    # sixth of them here (under 3 vectors), under 12 in all.  8 more
     # cover what is not per trial: the per-round records, the R x R
     # covariances (one vector each at R = 64, n = 4000) and the refusal
     # keys of one bit per trial and round.

@@ -186,12 +186,90 @@ def test_ks_merge_bitwise_equals_searchsorted_reference():
     ]
     pairs += [(rng.standard_normal(int(n)), rng.standard_normal(int(m)) + 0.1)
               for n, m in rng.integers(1, 60, size=(40, 2))]
-    for a, b in pairs:
+    # From _KS_GRID_MIN values on, only the grid intervals that can hold the
+    # maximum reach the merge.
+    big, other = rng.standard_normal(8000), rng.standard_normal(20000)
+    bounded = [
+        (big, other[:6000] + 0.05),
+        (np.rint(big), np.rint(other[:5000] * 1.5)),                 # heavy ties
+        (big, big.copy()),                                             # identical
+        (big, big + 100.0),                                            # disjoint supports
+        (big[:3000] + 100.0, other[:4000]),
+        (big[:5], other),                                              # 5 against 20k
+        (other, big[:1]),
+        (np.rint(big) * 0.0, np.rint(other[:6000])),                   # signed zeros tie
+        (2.0 * np.arange(4000), 2.0 * np.arange(4000) + 1.0),          # interleaved
+        (2.0 * np.arange(3000), 2.0 * np.arange(5000) + 1.0),
+    ]
+    assert all(len(a) + len(b) >= stats._KS_GRID_MIN for a, b in bounded)
+    for a, b in pairs + bounded:
         rep = ks_two_sample(a, b)
         ref = searchsorted_ks_two_sample(a, b)
         assert rep == ref
         assert rep.statistic.hex() == ref.statistic.hex()
         assert rep.p_value.hex() == ref.p_value.hex()
+
+
+def counted_ks_two_sample(x, y, monkeypatch):
+    """ks_two_sample with the values that reach its merge counted."""
+    seen = []
+    max_gap = stats._max_gap
+
+    def counting(data, *args):
+        seen.append(data.size)
+        return max_gap(data, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(stats, "_max_gap", counting)
+        rep = ks_two_sample(x, y)
+    return rep, sum(seen)
+
+
+def test_ks_merges_only_near_the_maximum(monkeypatch):
+    rng = generator(12, "ks-merge")
+    x, y = rng.standard_normal(5000), rng.standard_normal(5000)
+    rep, seen = counted_ks_two_sample(x, y, monkeypatch)
+    assert rep.statistic.hex() == searchsorted_ks_two_sample(x, y).statistic.hex()
+    assert seen < 5000
+    # Below the size rule the merge sees every value.
+    x, y = x[:2000], y[:2000]
+    rep, seen = counted_ks_two_sample(x, y, monkeypatch)
+    assert rep.statistic.hex() == searchsorted_ks_two_sample(x, y).statistic.hex()
+    assert seen == 4000
+
+
+def test_ks_peak_memory_is_below_two_samples():
+    # The merge of every value peaked at 4.25x the bytes of both samples.
+    rng = generator(13, "ks-mem")
+    x, y = rng.standard_normal(100000), rng.standard_normal(100000)
+    ks_two_sample(x, y)
+    tracemalloc.start()
+    try:
+        ks_two_sample(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (x.nbytes + y.nbytes)
+
+
+def test_ks_statistic_matches_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = generator(14, "ks-scipy")
+    for n, m in ((300, 500), (2000, 2000), (5000, 5000), (40000, 30000)):
+        x, y = rng.standard_normal(n), rng.standard_normal(m) + 0.02
+        for a, b in ((x, y), (np.rint(4 * x), np.rint(4 * y))):
+            want = scipy_stats.ks_2samp(a, b, method="asymp").statistic
+            assert abs(ks_two_sample(a, b).statistic - want) <= 1e-15
+
+
+def test_normality_statistic_matches_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = generator(15, "norm-scipy")
+    for n in (50, 10000, 100000):
+        z = rng.standard_normal(n)
+        for sample in (z, 1.02 * z + 0.01):
+            want = scipy_stats.kstest(sample, "norm").statistic
+            assert abs(normality_check(sample).statistic - want) <= 1e-15
 
 
 def test_non_finite_samples_rejected():
@@ -333,6 +411,21 @@ def test_normality_calls_erfc_only_near_the_maximum(case, monkeypatch):
         assert np.argmax(f - (grid - 1.0 / n)) == 0 and ref.statistic == f[0]
     if case == "max at index n-1":
         assert np.argmax(grid - f) == n - 1 and ref.statistic == 1.0 - f[-1]
+
+
+def test_normality_approximates_only_blocks_near_the_maximum(monkeypatch):
+    sample = normal_sample("random")
+    sizes = []
+    approx = stats._approx_normal_cdf
+
+    def counting(z):
+        sizes.append(z.size)
+        return approx(z)
+
+    monkeypatch.setattr(stats, "_approx_normal_cdf", counting)
+    rep = normality_check(sample)
+    assert rep.statistic.hex() == per_value_normality_check(sample).statistic.hex()
+    assert sum(sizes) <= sample.size // 4
 
 
 def test_normality_peak_memory_is_a_few_samples():
