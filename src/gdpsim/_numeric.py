@@ -1,4 +1,5 @@
-"""Shared floating-point helpers and the float/array op sets.
+"""Shared numeric helpers, the integer-argument rule and the float/array
+op sets.
 
 The filter rule, the streaming factor step and the policies are each written
 once and run on both engines: the scalar session passes Python floats, the
@@ -95,6 +96,12 @@ ARRAY_OPS = SimpleNamespace(
     where=_where,
     select=_select,
 )
+
+
+def is_int(x) -> bool:
+    """An integer argument: a Python int or a NumPy integer, not a bool
+    (JSON true/false load as bool, which Python counts as an int)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def kahan_step(total, comp, x):

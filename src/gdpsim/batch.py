@@ -35,7 +35,8 @@ across workers.
 Randomness: one arm key is derived from (master seed, kind, policy id, bit).
 Column j of the arm's tableau is ``n_trials`` standard normals from the
 stream of (arm key, "col", j), drawn when a trial's cursor first reaches it
-by the arm's one generator re-keyed for that column (``gdpsim.rng.rekey``);
+by the arm's one generator re-keyed for that column (``gdpsim.rng.rekeyer``,
+which hashes the columns' shared label prefix once per tableau);
 trial t consumes entry t of columns 0, 1, ... in order, so its draws do not
 depend on n_trials.  Refused rounds consume nothing.  Each round in which
 some trial draws, the vector engine first releases the columns below every
@@ -63,12 +64,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import ARRAY_OPS
+from ._numeric import ARRAY_OPS, is_int
 from .adversaries import make_policy
 from .budget import admit, check_budget, check_spend
 from .cholesky import stream_step
 from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Session, Transcript, run_interaction
-from .rng import derive_key, generator, rekey
+from .rng import derive_key, generator, rekeyer
 
 
 def policy_stream_id(name: str, params: dict) -> str:
@@ -91,7 +92,7 @@ class DrawTableau:
     a plain slice."""
 
     def __init__(self, key: int, n_trials: int):
-        self._key = key
+        self._rekey = rekeyer(key, "col")
         self._rng = generator(key)
         self._n = n_trials
         self._base = 0
@@ -107,7 +108,7 @@ class DrawTableau:
             j = self._width
             if j - self._base == len(self._data):
                 self._grow()
-            rekey(self._rng, self._key, "col", j).standard_normal(
+            self._rekey(self._rng, j).standard_normal(
                 out=self._data[j & (len(self._data) - 1)])
             self._width = j + 1
 
@@ -229,15 +230,20 @@ def run_trial_batch(
     it to keep mechanism arms on streams disjoint from policy arms.  A
     malformed policy spend raises ``ValueError`` on both engines, which may
     name different values when the spends differ by lane: the vector engine
-    meets them round by round, the scalar engine trial by trial.
+    meets them round by round, the scalar engine trial by trial.  ``bit``,
+    ``n_trials`` and ``max_rounds`` must be integers (a NumPy integer will
+    do, a bool or a float will not), checked before anything uses them.
     """
     policy_params = dict(policy_params or {})
     if kind not in KINDS:
         raise ValueError(f"unknown session kind {kind!r}")
-    if bit not in (0, 1):
+    if not is_int(bit) or bit not in (0, 1):
         raise ValueError(f"secret bit must be 0 or 1, got {bit!r}")
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    if not is_int(n_trials) or n_trials < 1:
+        raise ValueError(f"n_trials must be an integer >= 1, got {n_trials!r}")
+    if not is_int(max_rounds) or max_rounds < 0:
+        raise ValueError(f"max_rounds must be an integer >= 0, got {max_rounds!r}")
+    bit, n_trials, max_rounds = int(bit), int(n_trials), int(max_rounds)
     label = stream_label or policy_stream_id(policy_name, policy_params)
     arm_key = derive_key(master_seed, kind, label, bit)
     tableau = DrawTableau(arm_key, n_trials)
@@ -291,8 +297,11 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
         if r == max_rounds:   # the cap; lanes that would go on are truncated
             truncated[lane], stop = np.logical_not(stop), True
         if o.any(stop):   # stopped lanes leave every per-lane value at once
-            stop = np.broadcast_to(stop, lane.shape)
-            gone, keep = lane[stop], ~stop
+            if not (isinstance(stop, np.ndarray) and stop.ndim):   # every lane
+                live = slice(None) if lane.size == n else lane
+                lengths[live], draws[live], summaries[live] = r, cursor, acc
+                break
+            gone, keep = lane[stop], np.flatnonzero(~stop)
             lengths[gone], draws[gone], summaries[gone] = r, _at(cursor, stop), acc[stop]
             lane, cursor, spent, comp, last, sp, live_w0, q, qc, s, acc = (
                 _at(a, keep)
@@ -301,7 +310,7 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
                 break
         if isinstance(sp, np.ndarray) and sp.ndim:
             sp = sp.astype(float, copy=False)
-            if not np.all(np.isfinite(sp) & (sp >= 0.0)):
+            if not ((sp >= 0.0).all() and sp.max() < math.inf):   # NaN fails >=
                 for x in sp:   # raises as the scalar session does
                     check_spend(x)
         else:
@@ -310,7 +319,8 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
         admitted, total, new_comp = admit(spent, comp, budget_sq, sp)
         spent, comp = o.select(admitted & (sp != 0.0), (total, new_comp), (spent, comp))
         if isinstance(admitted, np.ndarray):
-            whole, some = admitted.all(), admitted.any()
+            whole = admitted.all()
+            some = whole or admitted.any()
         else:
             whole = some = admitted
         if not some:   # nothing drawn, no factor step; every lane keeps ``last``
@@ -359,8 +369,9 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
 
 
 def _at(x, sel):
-    """Lanes ``sel`` (a boolean lane mask) of a per-lane value; a shared
-    value (not an array) is every lane's, so it stays as it is."""
+    """Lanes ``sel`` (a boolean lane mask or lane indices) of a per-lane
+    value; a shared value (not an array) is every lane's, so it stays as
+    it is."""
     return x[sel] if isinstance(x, np.ndarray) else x
 
 
@@ -390,9 +401,15 @@ def _spread(row, n, r):
 
 
 def _trials(mat, n, r):
-    """The first ``r`` columns of ``mat`` for all ``n`` trials: a read-only
-    view with trial stride 0 if ``mat`` is still a row every trial shares."""
-    return mat[:, :r] if mat.shape[0] == n else np.broadcast_to(mat[:, :r], (n, r))
+    """The first ``r`` columns of ``mat`` for all ``n`` trials.  If ``mat``
+    is still a row every trial shares, that is a read-only view of the row
+    with trial stride 0: what ``np.broadcast_to`` returns, made directly at
+    about half its cost."""
+    if mat.shape[0] == n:
+        return mat[:, :r]
+    view = np.ndarray((n, r), mat.dtype, mat, 0, (0, mat.strides[1]))
+    view.flags.writeable = False
+    return view
 
 
 def _widen(out, cap):

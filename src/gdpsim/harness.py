@@ -54,6 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._numeric import is_int
 from .adversaries import make_policy
 from .batch import run_trial_batch, policy_stream_id
 from .budget import check_budget, check_spend
@@ -61,7 +62,7 @@ from .cholesky import DenseCholesky, StreamingCholesky, next_noise
 from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Transcript
 from .errors import ConfigError, NumericalIntegrityError
 from .mechanisms import make_mechanism
-from .rng import derive_key, generator, rekey
+from .rng import derive_key, generator, rekeyer
 from .stats import (
     empirical_moments,
     covariance_deviation,
@@ -112,13 +113,7 @@ _DEFAULTS = {f.name: list(f.default) if isinstance(f.default, tuple) else f.defa
 _REQUIRED = [f.name for f in fields(ExperimentConfig) if f.name not in _DEFAULTS]
 
 # The integers ``derive_key`` encodes (16 signed bytes).
-_SEED_RANGE = range(-2**127, 2**127)
 _SEED_RULE = "must be an integer in [-2**127, 2**127)"
-
-
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, which Python counts as an int.
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:
@@ -129,14 +124,16 @@ def _is_number(x) -> bool:
 
 
 def _seed_ok(seed) -> bool:
-    return _is_int(seed) and seed in _SEED_RANGE
+    return is_int(seed) and -2**127 <= seed < 2**127
 
 
 def with_seed(config: ExperimentConfig, master_seed: int) -> ExperimentConfig:
-    master_seed = int(master_seed)
+    """``config`` with another master seed, which the config loader's rule
+    checks before it is used: a bool, a float or a string is refused, not
+    converted."""
     if not _seed_ok(master_seed):
         raise ConfigError(f"master_seed: {_SEED_RULE}, got {master_seed!r}")
-    return replace(config, master_seed=master_seed)
+    return replace(config, master_seed=int(master_seed))
 
 
 def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
@@ -169,15 +166,15 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     except ValueError as exc:
         fail("budget", exc)
     n_trials = data["n_trials"]
-    if not _is_int(n_trials) or n_trials < 1:
+    if not is_int(n_trials) or n_trials < 1:
         fail("n_trials", f"must be a positive integer, got {n_trials!r}")
     bits = data["bits"]
     if (not isinstance(bits, list) or not bits
-            or any(not _is_int(b) or b not in (0, 1) for b in bits)
+            or any(not is_int(b) or b not in (0, 1) for b in bits)
             or len(set(bits)) != len(bits)):
         fail("bits", f"must be a nonempty subset of [0, 1], got {bits!r}")
     max_rounds = data["max_rounds"]
-    if not _is_int(max_rounds) or max_rounds < 1:
+    if not is_int(max_rounds) or max_rounds < 1:
         fail("max_rounds", f"must be a positive integer, got {max_rounds!r}")
     master_seed = data["master_seed"]
     if not _seed_ok(master_seed):
@@ -186,7 +183,7 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     if not _is_number(alpha) or not 0.0 < alpha < 1.0:
         fail("alpha", f"must lie in (0, 1), got {alpha!r}")
     min_test_samples = data["min_test_samples"]
-    if not _is_int(min_test_samples) or min_test_samples < 2:
+    if not is_int(min_test_samples) or min_test_samples < 2:
         fail("min_test_samples", f"must be an integer >= 2, got {min_test_samples!r}")
 
     for key in ("policies", "mechanisms"):
@@ -235,14 +232,14 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
 
     return ExperimentConfig(
         budget=budget,
-        n_trials=n_trials,
-        bits=tuple(bits),
+        n_trials=int(n_trials),
+        bits=tuple(map(int, bits)),
         policies=tuple(policies),
         mechanisms=tuple(mechanisms),
-        max_rounds=max_rounds,
-        master_seed=master_seed,
+        max_rounds=int(max_rounds),
+        master_seed=int(master_seed),
         alpha=float(alpha),
-        min_test_samples=min_test_samples,
+        min_test_samples=int(min_test_samples),
     )
 
 
@@ -320,7 +317,7 @@ class _Arm(NamedTuple):
                 return col[:0]
         else:
             accepted = self.decisions[:, r] == 1
-            if not np.all(accepted):
+            if not accepted.all():
                 return col[accepted]
         col.flags.writeable = False
         return col
@@ -328,8 +325,8 @@ class _Arm(NamedTuple):
 
 def _shrink(res) -> _Arm:
     return _Arm(res.bit, res.answers, res.decisions, res.spends[0].copy(),
-                _uniform_shape(res), res.summaries, int(np.sum(res.truncated)),
-                int(np.sum(res.draws)), res.n_trials * int(np.max(res.draws)))
+                _uniform_shape(res), res.summaries, int(np.count_nonzero(res.truncated)),
+                int(res.draws.sum()), res.n_trials * int(res.draws.max()))
 
 
 # Trial-rounds in the first block ``_uniform_shape`` checks: about what one
@@ -340,21 +337,23 @@ _SHAPE_BLOCK = 1 << 15
 
 def _uniform_shape(res) -> bool:
     """True when all trials share the same rounds, spends and decisions.
-    With no round absent anywhere, every trial ran every round.  A matrix
-    whose trials all read one row (trial stride 0) is checked as that row.
-    The columns are checked in blocks that double in width, up to the
-    first block with a round absent for some trial or differing by trial,
-    so an arm that differs early costs about the columns up to that
+    With no round absent anywhere, every trial ran every round.  Trial 0's
+    row is checked first, whole: no round absent and no NaN spend, which
+    would match no row.  A matrix whose trials all read one row (trial
+    stride 0) is then done.  The other rows of a matrix are compared with
+    trial 0's in blocks of columns that double in width, up to the first
+    block that differs by trial (a -1 outside trial 0's row differs from
+    it), so an arm that differs early costs about the columns up to that
     point.  The first block holds at least ``_SHAPE_BLOCK`` trial-rounds,
     so a small arm takes one or a few whole-block checks, not a NumPy call
     per column."""
-    n = res.decisions.shape[0]
-    dec, sp = (m[:1] if m.strides[0] == 0 else m for m in (res.decisions, res.spends))
-    lo, width = 0, max(1, _SHAPE_BLOCK // max(n, 1))
-    while lo < dec.shape[1]:
-        d, s = dec[:, lo:lo + width], sp[:, lo:lo + width]
-        # a -1 outside trial 0's row differs from that row
-        if np.any(d[0] == -1) or np.any(d != d[0]) or np.any(s != s[0]):
+    dec, sp = res.decisions, res.spends
+    if (dec[0] == -1).any() or (sp[0] != sp[0]).any():
+        return False
+    rows = [m for m in (dec, sp) if m.strides[0] != 0]
+    lo, width = 0, max(1, _SHAPE_BLOCK // dec.shape[0])
+    while rows and lo < dec.shape[1]:
+        if any((m[:, lo:lo + width] != m[0, lo:lo + width]).any() for m in rows):
             return False
         lo, width = lo + width, 2 * width
     return True
@@ -444,8 +443,8 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
     moments_ok = True
     uniform = direct.uniform and sim.uniform \
         and direct.decisions.shape == sim.decisions.shape \
-        and bool(np.all(direct.decisions[0] == sim.decisions[0])) \
-        and bool(np.all(direct.first_spends == sim.first_spends))
+        and bool((direct.decisions[0] == sim.decisions[0]).all()) \
+        and bool((direct.first_spends == sim.first_spends).all())
     if uniform and n >= 2:
         acc_cols = np.flatnonzero(direct.decisions[0] == 1)
         if acc_cols.size:
@@ -457,8 +456,8 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
             mean_d, cov_d = empirical_moments(direct.answers, acc_cols, overwrite=True)
             mean_s, cov_s = empirical_moments(sim.answers, acc_cols, overwrite=True)
             mean_dev = max(
-                float(np.max(np.abs(mean_d - targets))),
-                float(np.max(np.abs(mean_s - targets))),
+                float(np.abs(mean_d - targets).max()),
+                float(np.abs(mean_s - targets).max()),
             )
             moments = {
                 "accepted_rounds": [int(c) for c in acc_cols],
@@ -549,9 +548,9 @@ def _mechanism_section(config, name, mu, params, bit, seed, engine) -> dict:
     if out_d.size == 0 or out_s.size == 0:
         section["test"] = "all queries refused"
     elif mech.binary:
-        success = float(max(np.max(out_d), np.max(out_s)))
-        k_d = int(np.sum(out_d == success))
-        k_s = int(np.sum(out_s == success))
+        success = float(max(out_d.max(), out_s.max()))
+        k_d = int(np.count_nonzero(out_d == success))
+        k_s = int(np.count_nonzero(out_s == success))
         section["success_value"] = success
         section["freq_direct"] = k_d / out_d.size
         section["freq_simulated"] = k_s / out_s.size
@@ -788,18 +787,20 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
     exactly, so a 1000-case run includes 100 boundary cases.
     """
     for name, value in (("cases", cases), ("max_len", max_len)):
-        if not _is_int(value) or value < 1:
+        if not is_int(value) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if not _seed_ok(seed):
         raise ValueError(f"seed {_SEED_RULE}, got {seed!r}")
+    seed = int(seed)
     max_factor = 0.0
     max_stream = 0.0
     max_canon = 0.0
     canon_failures = 0
     exhaust_count = 0
     rng = generator(seed)   # re-keyed for each case
+    rekey_case = rekeyer(seed, "cholesky-verify")
     for case in range(cases):
-        rekey(rng, seed, "cholesky-verify", case)
+        rekey_case(rng, case)
         if case == 0:
             exhaust = True
             m = np.array([0.6, 0.8])

@@ -10,30 +10,40 @@ and string parts as ``b"s"`` plus the UTF-8 bytes plus ``b"\\x00"``.  The
 64-bit key of the tuple is the digest's first 8 bytes (big-endian).  Its
 stream is the PCG64 whose 128-bit state is the digest's first 16 bytes and
 whose increment is its last 16 bytes with the low bit set (PCG64 needs an
-odd increment), both big-endian, with no buffered 32-bit half.  Setting the
-state straight from the digest skips numpy's SeedSequence seeding, which
-costs several times the hash.  The rule is platform-independent, so a
-(master seed, label, ...) tuple always denotes the same stream.
+odd increment), both big-endian, with no buffered 32-bit half.  The state
+is set straight from the digest.  NumPy's PCG64 still seeds every new bit
+generator from a SeedSequence before that; building a SeedSequence costs
+several times the hash, so one, built on the first call of ``generator``,
+serves every generator: its output is overwritten at once.  (Built at
+import, it would move NumPy's ``numpy.random`` import into gdpsim's.)
+The rule is platform-independent, so a (master seed, label, ...) tuple
+always denotes the same stream.
 
 The experiment harness derives one key per (component, policy, bit) arm;
 column ``j`` of its tableau is the stream of ``(arm_key, "col", j)``, whose
 draw ``t`` goes to trial ``t`` (see ``gdpsim.batch``); one generator per arm
-is re-keyed for each column.  Sessions opened with a plain integer seed use
-``PCG64(seed)`` directly.
+is re-keyed for each column.  The labels of an arm's columns share the
+prefix ``(arm_key, "col")``, so ``rekeyer`` feeds the hash that prefix
+once and each column hashes only its own index into a copy: SHA-256 reads
+its input in order, so the digest, and the stream, are the same bytes.
+Sessions opened with a plain integer seed use ``PCG64(seed)`` directly.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 
 import numpy as np
 
 _TAG = b"gdpsim.v1"
 
 
-def _digest(parts) -> bytes:
-    """SHA-256 of the tagged label encoding of ``parts``."""
-    h = hashlib.sha256(_TAG)
+def _hasher(parts, h=None):
+    """``h``, by default a new SHA-256 fed the tag, fed the label encoding
+    of ``parts``."""
+    if h is None:
+        h = hashlib.sha256(_TAG)
     for part in parts:
         if isinstance(part, bool):
             raise TypeError("boolean labels are ambiguous; use 0/1 ints")
@@ -43,18 +53,15 @@ def _digest(parts) -> bytes:
             h.update(b"s" + part.encode("utf-8") + b"\x00")
         else:
             raise TypeError(f"unsupported label type: {type(part).__name__}")
-    return h.digest()
+    return h
 
 
 def derive_key(*parts: int | str) -> int:
     """Stable 64-bit key for a tuple of integer/string labels."""
-    return int.from_bytes(_digest(parts)[:8], "big")
+    return int.from_bytes(_hasher(parts).digest()[:8], "big")
 
 
-def rekey(gen: np.random.Generator, *parts: int | str) -> np.random.Generator:
-    """Set ``gen``'s PCG64 to the stream of ``parts`` and return it; what it
-    drew before, a buffered 32-bit half included, leaves no trace."""
-    d = _digest(parts)
+def _set_stream(gen: np.random.Generator, d: bytes) -> np.random.Generator:
     gen.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": int.from_bytes(d[:16], "big"),
@@ -65,6 +72,32 @@ def rekey(gen: np.random.Generator, *parts: int | str) -> np.random.Generator:
     return gen
 
 
+def rekey(gen: np.random.Generator, *parts: int | str) -> np.random.Generator:
+    """Set ``gen``'s PCG64 to the stream of ``parts`` and return it; what it
+    drew before, a buffered 32-bit half included, leaves no trace."""
+    return _set_stream(gen, _hasher(parts).digest())
+
+
+def rekeyer(*prefix: int | str):
+    """``rekey`` for the label tuples that begin with ``prefix``: returns
+    ``f(gen, *parts)``, which sets ``gen`` to the stream of ``prefix +
+    parts``, bitwise as ``rekey(gen, *prefix, *parts)`` does.  The prefix is
+    hashed once; each call copies that hash and feeds it ``parts``."""
+    head = _hasher(prefix)
+
+    def rekey_parts(gen: np.random.Generator, *parts: int | str) -> np.random.Generator:
+        return _set_stream(gen, _hasher(parts, head.copy()).digest())
+
+    return rekey_parts
+
+
+@cache
+def _unused_seed() -> np.random.SeedSequence:
+    """The seeding PCG64 requires of a new bit generator; ``generator`` sets
+    the state from a digest straight after, so its output is never used."""
+    return np.random.SeedSequence(0)
+
+
 def generator(*parts: int | str) -> np.random.Generator:
     """A new PCG64 generator on the stream of ``parts``."""
-    return rekey(np.random.Generator(np.random.PCG64(0)), *parts)
+    return rekey(np.random.Generator(np.random.PCG64(_unused_seed())), *parts)

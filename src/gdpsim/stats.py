@@ -109,7 +109,8 @@ def _ks_p_value(d: float, effective_n: float) -> float:
 
 
 def _finite_sorted(sample, what: str) -> np.ndarray:
-    a = np.sort(np.asarray(sample, dtype=float))
+    a = np.array(sample, dtype=float)   # an owned copy, sorted in place
+    a.sort()
     if a.size == 0:
         raise ValueError(f"{what} must be nonempty")
     # Sorting puts -inf first and +inf, then NaN, last.
@@ -118,7 +119,7 @@ def _finite_sorted(sample, what: str) -> np.ndarray:
     return a
 
 
-def _max_gap(data, nx: int, n: int, m: int, x_below, y_below) -> float:
+def _max_gap(data, nx: int, n: int, m: int, below=None) -> float:
     """The largest ``|cx/n - cy/m|`` over ``data``, sorted values of ``x``
     (the first ``nx``) then sorted values of ``y``, where ``cx`` and ``cy``
     count the values at or below each one in the two samples, of sizes
@@ -127,13 +128,17 @@ def _max_gap(data, nx: int, n: int, m: int, x_below, y_below) -> float:
     A stable argsort of ``data`` merges the two runs, so a value's place in
     the merge and its index in its own run give both counts up to it; read
     at the last key of each tie group, they are the counts at every value.
-    ``x_below`` and ``y_below`` add, per merged value, the values of each
-    sample below it that ``data`` leaves out.  Beside ``data``, the argsort
-    and the merged values, the merge holds the tie-group-end mask and two
-    arrays of counts; the CDFs are written into its buffers."""
+    ``below``, when ``data`` leaves values out, is a pair of arrays that
+    add, per merged value, the values of ``x`` and of ``y`` below it that
+    it leaves out.  Beside ``data``, the argsort and the merged values, the
+    merge holds the tie-group-end mask and two arrays of counts; the CDFs
+    are written into its buffers.  The mask is a view of a buffer of ``n +
+    m`` bytes: NumPy keeps a few freed buffers of each size under 1024
+    bytes for reuse, so a mask sized by the values kept, which vary from
+    call to call, would make the process hold a growing set of them."""
     order = np.argsort(data, kind="stable")
     merged = data[order]
-    last = np.empty(data.size, dtype=bool)
+    last = np.empty(n + m, dtype=bool)[:data.size]
     np.not_equal(merged[1:], merged[:-1], out=last[:-1])
     last[-1] = True
     # At merged place j, x's i-th value (order i) has i + 1 = order + 1
@@ -148,12 +153,13 @@ def _max_gap(data, nx: int, n: int, m: int, x_below, y_below) -> float:
     count_y = np.maximum(order, other, out=order)
     del other
     count_y -= nx
-    count += x_below
-    count_y += y_below
+    if below is not None:
+        count += below[0]
+        count_y += below[1]
     cdf_x = np.divide(count, n, out=data)
     cdf_y = np.divide(count_y, m, out=merged)
     gap = np.abs(np.subtract(cdf_x, cdf_y, out=cdf_x), out=cdf_x)
-    return float(np.max(gap, where=last, initial=0.0))
+    return float(gap.max(where=last, initial=0.0))
 
 
 _INFINITIES = np.array([-math.inf, math.inf])
@@ -162,7 +168,7 @@ _INFINITIES = np.array([-math.inf, math.inf])
 def _near_max(x: np.ndarray, y: np.ndarray):
     """The values of sorted ``x`` and ``y`` that can hold the largest
     ``|m cx - n cy|``, with the counts of values below them that they leave
-    out, as ``_max_gap`` takes them (see ``ks_two_sample``)."""
+    out, as ``_max_gap``'s ``below`` takes them (see ``ks_two_sample``)."""
     n, m = x.size, y.size
     step = _KS_GRID_STEP
     grid = np.sort(np.concatenate((_INFINITIES, x[step - 1::step], y[step - 1::step])))
@@ -171,7 +177,7 @@ def _near_max(x: np.ndarray, y: np.ndarray):
     wx, wy = m * cx, n * cy
     # Interval k holds the values in (grid[k], grid[k + 1]], so no tie group
     # spans two intervals; a repeated grid value makes an empty one.
-    keep = np.maximum(wx[1:] - wy[:-1], wy[1:] - wx[:-1]) >= np.max(np.abs(wx - wy))
+    keep = np.maximum(wx[1:] - wy[:-1], wy[1:] - wx[:-1]) >= np.abs(wx - wy).max()
     size_x, size_y = np.diff(cx), np.diff(cy)
     x, y = x[np.repeat(keep, size_x)], y[np.repeat(keep, size_y)]
     size_x *= keep
@@ -179,7 +185,7 @@ def _near_max(x: np.ndarray, y: np.ndarray):
     size = size_x + size_y
     x_below = np.repeat(cx[1:] - np.cumsum(size_x), size)
     y_below = np.repeat(cy[1:] - np.cumsum(size_y), size)
-    return x, y, x_below, y_below
+    return x, y, (x_below, y_below)
 
 
 def ks_two_sample(x, y, alpha: float = 0.001, name: str = "ks_two_sample") -> TestReport:
@@ -214,13 +220,13 @@ def ks_two_sample(x, y, alpha: float = 0.001, name: str = "ks_two_sample") -> Te
     (4.25x when the merge saw every value)."""
     x, y = _finite_sorted(x, "x"), _finite_sorted(y, "y")
     n, m = x.size, y.size
-    x_below = y_below = 0
+    below = None
     if n + m >= _KS_GRID_MIN and n * m < 2 ** 50:
-        x, y, x_below, y_below = _near_max(x, y)
+        x, y, below = _near_max(x, y)
     nx = x.size
     data = np.concatenate([x, y])
     del x, y
-    d = _max_gap(data, nx, n, m, x_below, y_below)
+    d = _max_gap(data, nx, n, m, below)
     p = _ks_p_value(d, math.sqrt(n * m / (n + m)))
     return TestReport(name, d, p, alpha, p > alpha)
 
@@ -311,7 +317,7 @@ def empirical_moments(samples, cols=None, overwrite=False) -> tuple[np.ndarray, 
                 a[:, j] = a[:, c]
         a = a[:, :len(cols)]
     mean = a.mean(axis=0)
-    if not np.all(np.isfinite(mean)):
+    if not np.isfinite(mean).all():
         raise ValueError("sample matrix contains non-finite entries")
     a -= mean
     centered = a.T
@@ -328,7 +334,7 @@ def covariance_deviation(cov, target) -> float:
         raise ValueError(f"shape mismatch: {cov.shape} vs {target.shape}")
     if cov.size == 0:
         return 0.0
-    return float(np.max(np.abs(cov - target)))
+    return float(np.abs(cov - target).max())
 
 
 def two_proportion_z(

@@ -18,7 +18,7 @@ from gdpsim.budget import REL_SLACK
 from gdpsim.cli import main
 from gdpsim.curator import KINDS, Round, Transcript
 from gdpsim.harness import _REPORT_SCHEMA, _evaluate_pair, _shrink, _uniform_shape
-from gdpsim.rng import derive_key, generator
+from gdpsim.rng import derive_key, generator, rekey, rekeyer
 
 # SHA-256 of the little-endian float64 bytes of trials 0..7 x columns 0..3 of
 # DrawTableau(derive_key(1, "t"), 8), trial-major.  A change to the draw
@@ -151,6 +151,31 @@ def test_tableau_rekeys_one_generator_for_every_column(monkeypatch):
     assert len(made) == 1
 
 
+def column_state(key, j):
+    """PCG64 state of the stream of ``(key, "col", j)``, from the digest of
+    its label encoding written out in full."""
+    data = (b"gdpsim.v1" + b"i" + key.to_bytes(16, "big", signed=True) + b"scol\x00"
+            + b"i" + j.to_bytes(16, "big", signed=True))
+    d = hashlib.sha256(data).digest()
+    return {"bit_generator": "PCG64",
+            "state": {"state": int.from_bytes(d[:16], "big"),
+                      "inc": int.from_bytes(d[16:], "big") | 1},
+            "has_uint32": 0, "uinteger": 0}
+
+
+@pytest.mark.parametrize("key", [0, -2**127, 2**127 - 1, derive_key(1, "t")])
+def test_prefix_hashed_rekey_gives_the_label_digest_state(key):
+    rekey_column = rekeyer(key, "col")
+    gen, fresh = generator(5), generator(6)
+    # out of order and repeated: each call starts from the prefix's hash
+    for j in (0, 2**40, 1, 0):
+        gen.standard_normal(3)
+        assert rekey_column(gen, j) is gen
+        assert gen.bit_generator.state == column_state(key, j)
+        assert rekey(fresh, key, "col", j).bit_generator.state == column_state(key, j)
+        assert gen.standard_normal(4).tobytes() == fresh.standard_normal(4).tobytes()
+
+
 def test_tableau_draws_only_the_columns_read():
     tab = DrawTableau(derive_key(1, "t"), 8)
     assert tab.width == 0
@@ -251,6 +276,43 @@ def test_input_validation():
         run_trial_batch("direct", 3, 1.0, "fixed", {"spends": []}, 1, 0)
     with pytest.raises(ValueError):
         run_trial_batch("direct", 0, 1.0, "fixed", {"spends": []}, 0, 0)
+
+
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+def test_arm_arguments_are_checked_before_use(engine):
+    args = dict(kind="direct", bit=1, budget=1.0, policy_name="fixed",
+                policy_params={"spends": [0.5, 0.25]}, n_trials=4, master_seed=3,
+                max_rounds=5, engine=engine)
+    for key, bad, message in [("bit", True, "secret bit"), ("bit", 1.0, "secret bit"),
+                              ("n_trials", 2.5, "n_trials"), ("n_trials", True, "n_trials"),
+                              ("max_rounds", -1, "max_rounds"),
+                              ("max_rounds", 2.0, "max_rounds")]:
+        with pytest.raises(ValueError, match=message):
+            run_trial_batch(**{**args, key: bad})
+    # NumPy integers are integers: the arm is the one of the same Python ints
+    numpy_ints = {key: np.int64(args[key]) for key in ("bit", "n_trials", "max_rounds")}
+    got, want = run_trial_batch(**{**args, **numpy_ints}), run_trial_batch(**args)
+    assert type(got.bit) is int and type(got.n_trials) is int
+    for field in ("spends", "decisions", "answers", "summaries", "lengths", "draws"):
+        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+
+
+def test_lane_shared_results_are_read_only_rows_of_trial_stride_0():
+    res = run_trial_batch("simulated", 1, 1.0, "fixed", {"spends": [0.125] * 64}, 7, 4)
+    for mat in (res.spends, res.decisions):
+        assert lane_shared(mat) and mat.shape == (7, 64)
+        expect = np.broadcast_to(mat[:1], mat.shape)
+        assert mat.dtype == expect.dtype
+        assert np.array_equal(mat, expect, equal_nan=True)
+        with pytest.raises(ValueError):
+            mat[3, 0] = 0
+    for dtype in (float, np.int8):
+        row = np.arange(16, dtype=dtype).reshape(1, 16, order="F")
+        for r in (0, 1, 9, 16):
+            view = batch._trials(row, 5, r)
+            expect = np.broadcast_to(row[:, :r], (5, r))
+            assert lane_shared(view) and view.dtype == expect.dtype
+            assert view.shape == expect.shape and np.array_equal(view, expect)
 
 
 def test_ring_tableau_reads_each_column_stream_across_releases_and_wraps():
@@ -451,6 +513,29 @@ def test_both_engines_raise_the_same_error_on_a_malformed_spend(monkeypatch, val
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1] == (ValueError, f"spend must be a finite nonnegative real, "
                                                   f"got {float(value)!r}")
+
+
+def policy_one_bad_lane(value):
+    """Spend 0.1 a round for four rounds, but ``value`` at round 1 on the
+    lanes whose first answer was positive: a lane array malformed on some
+    lanes only."""
+
+    def kernel(o, i, remaining_sq, last_accepted, prev_spend):
+        if i == 1:
+            return o.where(last_accepted > 0.0, value, 0.1), False
+        return 0.1, i >= 4
+
+    return AdversaryPolicy("one_bad_lane", kernel)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5])
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_lane_spend_check_raises_check_spends_error(monkeypatch, value, kind):
+    monkeypatch.setitem(adversaries._REGISTRY, "one_bad_lane", lambda: policy_one_bad_lane(value))
+    for engine in ("vector", "scalar"):
+        with pytest.raises(ValueError) as info:
+            run_trial_batch(kind, 1, 1.0, "one_bad_lane", {}, 16, 9, 64, engine)
+        assert str(info.value) == f"spend must be a finite nonnegative real, got {float(value)!r}"
 
 
 def policy_negated():

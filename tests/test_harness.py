@@ -189,6 +189,22 @@ def test_config_load_and_seed_override(tmp_path):
     assert with_seed(config, 42).master_seed == 42
 
 
+def test_with_seed_checks_the_seed_before_converting_it():
+    config = config_from_dict({"budget": 1.0, "n_trials": 5})
+    for bad in (True, False, 2.9, 5.0, "5", None, 2**127, -2**127 - 1,
+                np.float64(3.0), np.bool_(True)):
+        with pytest.raises(ConfigError, match="master_seed"):
+            with_seed(config, bad)
+    for seed in (0, -2**127, 2**127 - 1, np.int64(7), np.uint8(3)):
+        got = with_seed(config, seed).master_seed
+        assert got == seed and type(got) is int
+    # the config loader takes the same rule, and stores a Python int
+    got = config_from_dict({"budget": 1.0, "n_trials": np.int64(5),
+                            "master_seed": np.int64(-9)})
+    assert (got.n_trials, got.master_seed) == (5, -9)
+    assert type(got.n_trials) is int and type(got.master_seed) is int
+
+
 # --- refusal checksum ----------------------------------------------------------
 
 def unique_rows_checksum(rows, width):
