@@ -35,24 +35,22 @@ across workers.
 Randomness: one arm key is derived from (master seed, kind, policy id, bit).
 Column j of the arm's tableau is ``n_trials`` standard normals from the
 stream of (arm key, "col", j), drawn when a trial's cursor first reaches it
-by the arm's one generator re-keyed for that column (``gdpsim.rng.rekeyer``,
-which hashes the columns' shared label prefix once per tableau);
-trial t consumes entry t of columns 0, 1, ... in order, so its draws do not
-depend on n_trials.  Refused rounds consume nothing.  Each round in which
-some trial draws, the vector engine first releases the columns below every
-live trial's cursor (refused trials included, since they read theirs later),
-so a lockstep arm holds one column however long it runs; a round admitted
-on every lane keeps their cursor one shared integer.  Both engines return
-round-major (order "F") answers; a row sum's last bit depends on memory
-order.
+(``gdpsim.rng.streams``); trial t consumes entry t of columns 0, 1, ... in
+order, so its draws do not depend on n_trials.  Refused rounds consume
+nothing.  Each round in which some trial draws, the vector engine first
+releases the columns below every live trial's cursor (refused trials
+included, since they read theirs later), so a lockstep arm holds one column
+however long it runs; a round admitted on every lane keeps their cursor one
+shared integer.  Both engines return round-major (order "F") answers; a row
+sum's last bit depends on memory order.
 
 Both engines run registered policies only.  ``engine="scalar"`` replays
-each trial through a real session and ``run_interaction``, drawing from its
-tableau row and growing the tableau when the row runs out (it never
-releases columns); it is the per-trial reference the vector engine is tested
-against, and produces the same BatchResult.  It writes each finished trial
-into its result matrices, adds its accepted answers into its summary and
-drops the transcript.
+each trial through a real session, whose draw function reads its tableau
+row and grows the tableau when the row runs out (it never releases
+columns), and ``run_interaction``; it is the per-trial reference the vector
+engine is tested against, and produces the same BatchResult.  It writes
+each finished trial into its result matrices, adds its accepted answers
+into its summary and drops the transcript.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ from .adversaries import make_policy
 from .budget import admit, check_budget, check_spend
 from .cholesky import stream_step
 from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Session, Transcript, run_interaction
-from .rng import derive_key, generator, rekeyer
+from .rng import SEED_RULE, derive_key, seed_ok, streams
 
 
 def policy_stream_id(name: str, params: dict) -> str:
@@ -80,20 +78,19 @@ def policy_stream_id(name: str, params: dict) -> str:
 
 
 class DrawTableau:
-    """Standard normals for one arm, column j drawn from its own stream on
-    first use by the tableau's one generator, re-keyed for that column.  The
-    columns still held, ``[base, width)``, are rows of a ring whose capacity
-    is a power of two: column j is row ``j % capacity``.  The ring doubles
-    only when the held window outgrows it.  ``release`` drops the columns
-    below a floor; reading one of them raises rather than return a wrapped
-    row.  ``take`` only reads; the caller sets what the ring holds through
+    """Standard normals for one arm, column j drawn on first use from the
+    stream ``streams(key, "col")(j)``.  The columns still held,
+    ``[base, width)``, are rows of a ring whose capacity is a power of two:
+    column j is row ``j % capacity``.  The ring doubles only when the held
+    window outgrows it.  ``release`` drops the columns below a floor;
+    reading one of them raises rather than return a wrapped row.  ``take``
+    only reads; the caller sets what the ring holds through
     ``release``, as the vector engine does each round it draws.  Until the
     first release the ring never wraps, so column j is row j and ``row`` is
     a plain slice."""
 
     def __init__(self, key: int, n_trials: int):
-        self._rekey = rekeyer(key, "col")
-        self._rng = generator(key)
+        self._column = streams(key, "col")
         self._n = n_trials
         self._base = 0
         self._width = 0
@@ -108,7 +105,7 @@ class DrawTableau:
             j = self._width
             if j - self._base == len(self._data):
                 self._grow()
-            self._rekey(self._rng, j).standard_normal(
+            self._column(j).standard_normal(
                 out=self._data[j & (len(self._data) - 1)])
             self._width = j + 1
 
@@ -127,7 +124,8 @@ class DrawTableau:
         """Gather one draw per (trial row, per-trial cursor) for distinct,
         nonempty trial ``rows`` in increasing order.  An integer ``cols``
         (not an array) is a cursor every row shares: that column's ring row
-        is read, as a contiguous copy when ``rows`` is every trial."""
+        is read, as a read-only view of the ring when ``rows`` is every
+        trial: read it before a later column reuses the ring row."""
         lanes = isinstance(cols, np.ndarray)
         self.ensure((int(cols.max()) if lanes else cols) + 1)
         if self._base:
@@ -138,7 +136,10 @@ class DrawTableau:
         if lanes:
             return self._data[cols, rows]
         row = self._data[cols]
-        return row.copy() if rows.size == self._n else row[rows]
+        if rows.size < self._n:
+            return row[rows]
+        row.flags.writeable = False
+        return row
 
     def row(self, t: int, width: int) -> np.ndarray:
         if self._base:
@@ -147,29 +148,22 @@ class DrawTableau:
         return self._data[:width, t]
 
 
-class _RowDraws:
-    """Draw source of one scalar session: trial ``t``'s tableau row, in
-    order, growing the tableau when the row runs out.  The row is read once
-    into a list (and again after a growth), so each draw is a Python float."""
-
-    def __init__(self, tableau: DrawTableau, t: int):
-        self._tableau = tableau
-        self._t = t
-        self._row = tableau.row(t, tableau.width).tolist()
-        self._taken = 0
-
-    def standard_normal(self) -> float:
-        if self._taken == len(self._row):
-            self._tableau.ensure(self._taken + 1)
-            self._row = self._tableau.row(self._t, self._tableau.width).tolist()
-        v = self._row[self._taken]
-        self._taken += 1
-        return v
+def _row_draws(tableau: DrawTableau, t: int) -> Iterator[float]:
+    """Trial ``t``'s tableau row in order, as Python floats; past the
+    tableau's width, each draw grows it by a column."""
+    row = tableau.row(t, tableau.width).tolist()
+    yield from row
+    width = len(row)
+    while True:
+        width += 1
+        yield tableau.row(t, width)[-1].item()
 
 
 def make_vector_policy(name: str, params: dict):
     """The registered policy, whose ``spends`` kernel the vector engine
-    calls on arrays of trial lanes."""
+    calls on lane arrays and the scalar engine on floats.  Both engines make
+    each arm's policy here, so one wrapper of this name (perfbench's tracer)
+    sees every arm's policy."""
     return make_policy(name, **params)
 
 
@@ -232,7 +226,8 @@ def run_trial_batch(
     name different values when the spends differ by lane: the vector engine
     meets them round by round, the scalar engine trial by trial.  ``bit``,
     ``n_trials`` and ``max_rounds`` must be integers (a NumPy integer will
-    do, a bool or a float will not), checked before anything uses them.
+    do, a bool or a float will not), ``master_seed`` one that passes
+    ``gdpsim.rng.seed_ok``; they and ``engine`` are checked before use.
     """
     policy_params = dict(policy_params or {})
     if kind not in KINDS:
@@ -243,12 +238,14 @@ def run_trial_batch(
         raise ValueError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     if not is_int(max_rounds) or max_rounds < 0:
         raise ValueError(f"max_rounds must be an integer >= 0, got {max_rounds!r}")
-    bit, n_trials, max_rounds = int(bit), int(n_trials), int(max_rounds)
-    label = stream_label or policy_stream_id(policy_name, policy_params)
-    arm_key = derive_key(master_seed, kind, label, bit)
-    tableau = DrawTableau(arm_key, n_trials)
+    if not seed_ok(master_seed):
+        raise ValueError(f"master_seed {SEED_RULE}, got {master_seed!r}")
     if engine not in ("vector", "scalar"):
         raise ValueError(f"unknown engine {engine!r}")
+    bit, n_trials, max_rounds = int(bit), int(n_trials), int(max_rounds)
+    label = stream_label or policy_stream_id(policy_name, policy_params)
+    arm_key = derive_key(int(master_seed), kind, label, bit)
+    tableau = DrawTableau(arm_key, n_trials)
     mu0 = check_budget(budget)
     run = _run_vector if engine == "vector" else _run_scalar
     return BatchResult(bit, mu0, n_trials, *run(kind, bit, mu0, policy_name, policy_params,
@@ -428,11 +425,11 @@ def _run_scalar(kind, bit, mu0, policy_name, policy_params,
     after the last, the cells past each trial's length are marked absent.
     Its summary adds the accepted answers one by one in round order, not
     by ``sum()``, which compensates float sums from Python 3.12 on."""
-    policy = make_policy(policy_name, **policy_params)
+    policy = make_vector_policy(policy_name, policy_params)
     out = _result_matrices((n_trials,) * 3, _first_width(policy, max_rounds))
     summaries, lengths, truncated, draws, w0s = [], [], [], [], []
     for t in range(n_trials):
-        session = Session(kind, bit, mu0, _RowDraws(tableau, t))
+        session = Session(kind, bit, mu0, _row_draws(tableau, t).__next__)
         tr = run_interaction(session, policy, max_rounds=max_rounds)
         k = len(tr.rounds)
         if k > out[0].shape[1]:

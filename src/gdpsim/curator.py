@@ -14,6 +14,8 @@ Since Var(W0) = 1, the simulated answer is already in raw units and its
 conditional law given any transcript prefix is N(b*mu, 1) -- the same as the
 direct curator's.  The Monte-Carlo harness certifies this equivalence.
 
+A session draws from a zero-argument function (a PCG64 generator's bound
+``standard_normal``, or a trial's tableau row in ``gdpsim.batch``).
 Refused queries consume no randomness, so for a fixed (kind, b, budget,
 seed, policy) the whole transcript is reproducible bit for bit.  Budgets
 other than 1 are handled natively by normalizing spends; running the same
@@ -66,12 +68,12 @@ class Transcript:
 class Session:
     """One curator endpoint holding the secret bit.
 
-    ``rng`` is any object whose ``standard_normal()`` returns a float; draws
-    are consumed strictly in session order (simulated: Z0 first, then one seed
+    ``draw()`` returns the next standard normal as a float; draws are
+    consumed strictly in session order (simulated: Z0 first, then one seed
     per admitted round), and ``draws`` counts them.
     """
 
-    def __init__(self, kind: str, b: int, budget, rng):
+    def __init__(self, kind: str, b: int, budget, draw):
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         if b not in (0, 1):
@@ -80,7 +82,7 @@ class Session:
         self.b = int(b)
         self.mu0 = check_budget(budget)
         self.filter_state = FilterState(self.mu0 * self.mu0)
-        self.rng = rng
+        self._next_draw = draw
         self.draws = 0
         self.w0 = None
         self.chol = None
@@ -92,7 +94,7 @@ class Session:
 
     def _draw(self) -> float:
         self.draws += 1
-        return self.rng.standard_normal()
+        return self._next_draw()
 
     def ask(self, spend) -> float | None:
         """Answer an admitted spend, or return None on refusal.
@@ -120,7 +122,7 @@ def open_session(kind: str, b: int, budget, seed: int) -> Session:
     """
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise TypeError(f"seed must be an integer, got {seed!r}")
-    return Session(kind, b, budget, np.random.Generator(np.random.PCG64(seed)))
+    return Session(kind, b, budget, np.random.Generator(np.random.PCG64(seed)).standard_normal)
 
 
 def run_interaction(session: Session, policy, *,

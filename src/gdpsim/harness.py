@@ -62,7 +62,7 @@ from .cholesky import DenseCholesky, StreamingCholesky, next_noise
 from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Transcript
 from .errors import ConfigError, NumericalIntegrityError
 from .mechanisms import make_mechanism
-from .rng import derive_key, generator, rekeyer
+from .rng import SEED_RULE, derive_key, generator, seed_ok, streams
 from .stats import (
     empirical_moments,
     covariance_deviation,
@@ -112,9 +112,6 @@ _DEFAULTS = {f.name: list(f.default) if isinstance(f.default, tuple) else f.defa
              for f in fields(ExperimentConfig) if f.default is not MISSING}
 _REQUIRED = [f.name for f in fields(ExperimentConfig) if f.name not in _DEFAULTS]
 
-# The integers ``derive_key`` encodes (16 signed bytes).
-_SEED_RULE = "must be an integer in [-2**127, 2**127)"
-
 
 def _is_number(x) -> bool:
     """A finite JSON number: not a boolean, a string, NaN or infinity
@@ -123,16 +120,12 @@ def _is_number(x) -> bool:
             and abs(x) <= sys.float_info.max)
 
 
-def _seed_ok(seed) -> bool:
-    return is_int(seed) and -2**127 <= seed < 2**127
-
-
 def with_seed(config: ExperimentConfig, master_seed: int) -> ExperimentConfig:
     """``config`` with another master seed, which the config loader's rule
     checks before it is used: a bool, a float or a string is refused, not
     converted."""
-    if not _seed_ok(master_seed):
-        raise ConfigError(f"master_seed: {_SEED_RULE}, got {master_seed!r}")
+    if not seed_ok(master_seed):
+        raise ConfigError(f"master_seed: {SEED_RULE}, got {master_seed!r}")
     return replace(config, master_seed=int(master_seed))
 
 
@@ -177,8 +170,8 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     if not is_int(max_rounds) or max_rounds < 1:
         fail("max_rounds", f"must be a positive integer, got {max_rounds!r}")
     master_seed = data["master_seed"]
-    if not _seed_ok(master_seed):
-        fail("master_seed", f"{_SEED_RULE}, got {master_seed!r}")
+    if not seed_ok(master_seed):
+        fail("master_seed", f"{SEED_RULE}, got {master_seed!r}")
     alpha = data["alpha"]
     if not _is_number(alpha) or not 0.0 < alpha < 1.0:
         fail("alpha", f"must lie in (0, 1), got {alpha!r}")
@@ -789,18 +782,17 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
     for name, value in (("cases", cases), ("max_len", max_len)):
         if not is_int(value) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    if not _seed_ok(seed):
-        raise ValueError(f"seed {_SEED_RULE}, got {seed!r}")
+    if not seed_ok(seed):
+        raise ValueError(f"seed {SEED_RULE}, got {seed!r}")
     seed = int(seed)
     max_factor = 0.0
     max_stream = 0.0
     max_canon = 0.0
     canon_failures = 0
     exhaust_count = 0
-    rng = generator(seed)   # re-keyed for each case
-    rekey_case = rekeyer(seed, "cholesky-verify")
+    case_stream = streams(seed, "cholesky-verify")
     for case in range(cases):
-        rekey_case(rng, case)
+        rng = case_stream(case)
         if case == 0:
             exhaust = True
             m = np.array([0.6, 0.8])

@@ -13,7 +13,7 @@ whose increment is its last 16 bytes with the low bit set (PCG64 needs an
 odd increment), both big-endian, with no buffered 32-bit half.  The state
 is set straight from the digest.  NumPy's PCG64 still seeds every new bit
 generator from a SeedSequence before that; building a SeedSequence costs
-several times the hash, so one, built on the first call of ``generator``,
+several times the hash, so one, built on the first call of ``streams``,
 serves every generator: its output is overwritten at once.  (Built at
 import, it would move NumPy's ``numpy.random`` import into gdpsim's.)
 The rule is platform-independent, so a (master seed, label, ...) tuple
@@ -21,12 +21,11 @@ always denotes the same stream.
 
 The experiment harness derives one key per (component, policy, bit) arm;
 column ``j`` of its tableau is the stream of ``(arm_key, "col", j)``, whose
-draw ``t`` goes to trial ``t`` (see ``gdpsim.batch``); one generator per arm
-is re-keyed for each column.  The labels of an arm's columns share the
-prefix ``(arm_key, "col")``, so ``rekeyer`` feeds the hash that prefix
-once and each column hashes only its own index into a copy: SHA-256 reads
-its input in order, so the digest, and the stream, are the same bytes.
-Sessions opened with a plain integer seed use ``PCG64(seed)`` directly.
+draw ``t`` goes to trial ``t`` (see ``gdpsim.batch``); ``streams(arm_key,
+"col")`` hashes the columns' shared label prefix once, and each column only
+its own index into a copy: SHA-256 reads its input in order, so the digest,
+and the stream, are the same bytes.  Sessions opened with a plain integer
+seed use ``PCG64(seed)`` directly.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ import hashlib
 from functools import cache
 
 import numpy as np
+
+from ._numeric import is_int
 
 _TAG = b"gdpsim.v1"
 
@@ -72,32 +73,38 @@ def _set_stream(gen: np.random.Generator, d: bytes) -> np.random.Generator:
     return gen
 
 
-def rekey(gen: np.random.Generator, *parts: int | str) -> np.random.Generator:
-    """Set ``gen``'s PCG64 to the stream of ``parts`` and return it; what it
-    drew before, a buffered 32-bit half included, leaves no trace."""
-    return _set_stream(gen, _hasher(parts).digest())
-
-
-def rekeyer(*prefix: int | str):
-    """``rekey`` for the label tuples that begin with ``prefix``: returns
-    ``f(gen, *parts)``, which sets ``gen`` to the stream of ``prefix +
-    parts``, bitwise as ``rekey(gen, *prefix, *parts)`` does.  The prefix is
-    hashed once; each call copies that hash and feeds it ``parts``."""
-    head = _hasher(prefix)
-
-    def rekey_parts(gen: np.random.Generator, *parts: int | str) -> np.random.Generator:
-        return _set_stream(gen, _hasher(parts, head.copy()).digest())
-
-    return rekey_parts
-
-
 @cache
 def _unused_seed() -> np.random.SeedSequence:
-    """The seeding PCG64 requires of a new bit generator; ``generator`` sets
-    the state from a digest straight after, so its output is never used."""
+    """The seeding PCG64 requires of a new bit generator; ``streams`` sets
+    its generator to a digest's stream before any draw, so this output is
+    never used."""
     return np.random.SeedSequence(0)
+
+
+def streams(*prefix: int | str):
+    """The streams of the label tuples that begin with ``prefix``: returns
+    ``f(*parts)``, which sets one unkeyed generator of its own to the stream
+    of ``prefix + parts`` and returns it, bitwise the same generator as
+    ``generator(*prefix, *parts)``; what it drew before, a buffered 32-bit
+    half included, leaves no trace.  The prefix is hashed once; each call
+    copies that hash and feeds it ``parts``."""
+    head = _hasher(prefix)
+    gen = np.random.Generator(np.random.PCG64(_unused_seed()))
+
+    def stream(*parts: int | str) -> np.random.Generator:
+        return _set_stream(gen, _hasher(parts, head.copy()).digest())
+
+    return stream
 
 
 def generator(*parts: int | str) -> np.random.Generator:
     """A new PCG64 generator on the stream of ``parts``."""
-    return rekey(np.random.Generator(np.random.PCG64(_unused_seed())), *parts)
+    return streams(*parts)()
+
+
+# The master seeds: the integers a label encodes (16 signed bytes).
+SEED_RULE = "must be an integer in [-2**127, 2**127)"
+
+
+def seed_ok(seed) -> bool:
+    return is_int(seed) and -2**127 <= int(seed) < 2**127

@@ -18,7 +18,7 @@ from gdpsim.budget import REL_SLACK
 from gdpsim.cli import main
 from gdpsim.curator import KINDS, Round, Transcript
 from gdpsim.harness import _REPORT_SCHEMA, _evaluate_pair, _shrink, _uniform_shape
-from gdpsim.rng import derive_key, generator, rekey, rekeyer
+from gdpsim.rng import _set_stream, derive_key, generator, streams
 
 # SHA-256 of the little-endian float64 bytes of trials 0..7 x columns 0..3 of
 # DrawTableau(derive_key(1, "t"), 8), trial-major.  A change to the draw
@@ -139,16 +139,27 @@ def test_tableau_column_is_its_own_stream():
 
 
 def test_tableau_rekeys_one_generator_for_every_column(monkeypatch):
-    made = []
+    # one stream family, (key, "col", ...), and every stream keyed is a
+    # column drawn: the key's own stream is never keyed
+    families, keyed = [], []
 
-    def recording(*parts):
-        made.append(parts)
-        return generator(*parts)
+    def recording_streams(*prefix):
+        families.append(prefix)
+        return streams(*prefix)
 
-    monkeypatch.setattr(batch, "generator", recording)
-    tab = DrawTableau(derive_key(1, "t"), 8)
+    def recording_set_stream(gen, d):
+        gen = _set_stream(gen, d)
+        keyed.append((id(gen), gen.bit_generator.state))
+        return gen
+
+    monkeypatch.setattr(batch, "streams", recording_streams)
+    monkeypatch.setattr("gdpsim.rng._set_stream", recording_set_stream)
+    key = derive_key(1, "t")
+    tab = DrawTableau(key, 8)
+    assert families == [(key, "col")] and keyed == []
     tab.ensure(40)
-    assert len(made) == 1
+    assert len({gen for gen, _ in keyed}) == 1
+    assert [state for _, state in keyed] == [column_state(key, j) for j in range(40)]
 
 
 def column_state(key, j):
@@ -165,14 +176,17 @@ def column_state(key, j):
 
 @pytest.mark.parametrize("key", [0, -2**127, 2**127 - 1, derive_key(1, "t")])
 def test_prefix_hashed_rekey_gives_the_label_digest_state(key):
-    rekey_column = rekeyer(key, "col")
-    gen, fresh = generator(5), generator(6)
-    # out of order and repeated: each call starts from the prefix's hash
+    column = streams(key, "col")
+    gen = column(7)
+    # out of order and repeated, each after a partial draw that leaves a
+    # buffered 32-bit half: each call starts from the prefix's hash
     for j in (0, 2**40, 1, 0):
         gen.standard_normal(3)
-        assert rekey_column(gen, j) is gen
-        assert gen.bit_generator.state == column_state(key, j)
-        assert rekey(fresh, key, "col", j).bit_generator.state == column_state(key, j)
+        gen.integers(0, 2**32, dtype=np.uint32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        assert column(j) is gen
+        fresh = generator(key, "col", j)
+        assert gen.bit_generator.state == fresh.bit_generator.state == column_state(key, j)
         assert gen.standard_normal(4).tobytes() == fresh.standard_normal(4).tobytes()
 
 
@@ -279,22 +293,60 @@ def test_input_validation():
 
 
 @pytest.mark.parametrize("engine", ["vector", "scalar"])
-def test_arm_arguments_are_checked_before_use(engine):
+def test_arm_arguments_are_checked_before_use(monkeypatch, engine):
     args = dict(kind="direct", bit=1, budget=1.0, policy_name="fixed",
                 policy_params={"spends": [0.5, 0.25]}, n_trials=4, master_seed=3,
                 max_rounds=5, engine=engine)
-    for key, bad, message in [("bit", True, "secret bit"), ("bit", 1.0, "secret bit"),
-                              ("n_trials", 2.5, "n_trials"), ("n_trials", True, "n_trials"),
-                              ("max_rounds", -1, "max_rounds"),
-                              ("max_rounds", 2.0, "max_rounds")]:
-        with pytest.raises(ValueError, match=message):
-            run_trial_batch(**{**args, key: bad})
+
+    def keyed(*_):
+        raise AssertionError("the arm was keyed before its arguments were checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(batch, "derive_key", keyed)
+        for key, bad, message in [("bit", True, "secret bit"), ("bit", 1.0, "secret bit"),
+                                  ("n_trials", 2.5, "n_trials"), ("n_trials", True, "n_trials"),
+                                  ("max_rounds", -1, "max_rounds"),
+                                  ("max_rounds", 2.0, "max_rounds"),
+                                  ("master_seed", True, "master_seed"),
+                                  ("master_seed", 2.0, "master_seed"),
+                                  ("master_seed", 2**127, "master_seed"),
+                                  ("master_seed", -2**127 - 1, "master_seed"),
+                                  ("engine", "threads", "unknown engine")]:
+            with pytest.raises(ValueError, match=message):
+                run_trial_batch(**{**args, key: bad})
     # NumPy integers are integers: the arm is the one of the same Python ints
-    numpy_ints = {key: np.int64(args[key]) for key in ("bit", "n_trials", "max_rounds")}
+    numpy_ints = {key: np.int64(args[key])
+                  for key in ("bit", "n_trials", "max_rounds", "master_seed")}
     got, want = run_trial_batch(**{**args, **numpy_ints}), run_trial_batch(**args)
     assert type(got.bit) is int and type(got.n_trials) is int
     for field in ("spends", "decisions", "answers", "summaries", "lengths", "draws"):
         assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+
+
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+def test_each_arm_makes_its_policy_once_on_both_engines(monkeypatch, engine):
+    # both engines make the policy through make_vector_policy, so a wrapper
+    # of that one name (as perfbench's tracer installs) sees every spends call
+    made, calls = [], []
+    orig = batch.make_vector_policy
+
+    def recording(name, params):
+        made.append((name, params))
+        vec = orig(name, params)
+        spends = vec.spends
+
+        def counted(*args):
+            calls.append(args[1])
+            return spends(*args)
+
+        vec.spends = counted
+        return vec
+
+    monkeypatch.setattr(batch, "make_vector_policy", recording)
+    res = run_trial_batch("direct", 1, 1.0, "fixed", {"spends": [0.6, 0.8]}, 3, 5,
+                          engine=engine)
+    assert made == [("fixed", {"spends": [0.6, 0.8]})]
+    assert len(calls) == (3 if engine == "vector" else 3 * res.n_trials)
 
 
 def test_lane_shared_results_are_read_only_rows_of_trial_stride_0():
@@ -613,8 +665,8 @@ def test_sign_adaptive_ledger_is_shared_until_its_spends_differ(monkeypatch, kin
 
 
 def test_tableau_take_on_a_shared_cursor_matches_the_gather():
-    # an integer cursor reads one ring row, across releases and wraps; the
-    # read is the tableau's own copy
+    # an integer cursor reads one ring row, across releases and wraps; for
+    # every trial the read is a read-only view of the ring, for some a copy
     key, n = derive_key(2, "t"), 8
     shared, gathered = DrawTableau(key, n), DrawTableau(key, n)
     for j in range(40):
@@ -624,7 +676,10 @@ def test_tableau_take_on_a_shared_cursor_matches_the_gather():
             got = shared.take(rows, j)
             want = gathered.take(rows, np.full(rows.size, j))
             assert np.array_equal(got, want)
-            got[:] = np.nan
+            if rows.size == n:
+                assert not got.flags.writeable and np.shares_memory(got, shared._data)
+            else:
+                got[:] = np.nan
     assert shared._base > 0 and shared.width > 2 * len(shared._data)
     assert np.array_equal(shared.take(np.arange(n), 39),
                           generator(key, "col", 39).standard_normal(n))

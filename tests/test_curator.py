@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gdpsim.adversaries import policy_fixed
-from gdpsim.batch import DrawTableau, _RowDraws, run_trial_batch
+from gdpsim.batch import DrawTableau, _row_draws, run_trial_batch
 from gdpsim.cholesky import StreamingCholesky
 from gdpsim.curator import Round, Session, open_session, run_interaction
 from gdpsim.cholesky import next_noise
@@ -132,7 +132,7 @@ def test_scalar_engine_sessions_hold_plain_floats():
     # A tableau row read as NumPy scalars would leak np.float64 into every
     # answer and state; the row is read as Python floats, also after growth.
     for kind in ("direct", "simulated"):
-        session = Session(kind, 1, 1.0, _RowDraws(DrawTableau(5, 2), 1))
+        session = Session(kind, 1, 1.0, _row_draws(DrawTableau(5, 2), 1).__next__)
         tr = run_interaction(session, policy_fixed([0.6, 2.0, 0.8]))
         assert [type(r.answer) for r in tr.rounds] == [float, type(None), float]
         assert all(type(v) is float for v in session.filter_state)

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gdpsim.rng import derive_key, generator, rekey
+from gdpsim.rng import derive_key, generator, streams
 
 
 def label_digest(*parts):
@@ -36,19 +36,24 @@ def test_generator_state_is_the_two_halves_of_the_digest(parts):
 
 
 def test_rekey_after_a_partial_draw_matches_a_fresh_generator():
-    gen = generator(1, "a")
-    gen.standard_normal(5)
-    gen.integers(0, 2**32, dtype=np.uint32)
-    assert gen.bit_generator.state["has_uint32"] == 1   # a buffered 32-bit half
-    assert rekey(gen, 2, "b") is gen
-    fresh = generator(2, "b")
-    assert gen.bit_generator.state == fresh.bit_generator.state
-    for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
-                 lambda g: g.standard_normal(7), lambda g: g.random(4)):
-        assert draw(gen).tobytes() == draw(fresh).tobytes()
+    # streams(*prefix) re-keys one generator of its own for every label
+    for prefix in ((), (1,), (1, "x")):
+        stream = streams(*prefix)
+        gen = stream("a")
+        gen.standard_normal(5)
+        gen.integers(0, 2**32, dtype=np.uint32)
+        assert gen.bit_generator.state["has_uint32"] == 1   # a buffered 32-bit half
+        assert stream(2, "b") is gen
+        fresh = generator(*prefix, 2, "b")
+        assert gen.bit_generator.state == fresh.bit_generator.state
+        for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+                     lambda g: g.standard_normal(7), lambda g: g.random(4)):
+            assert draw(gen).tobytes() == draw(fresh).tobytes()
 
 
 def test_labels_must_be_ints_or_strings():
     for bad in (True, 1.0, b"x", None):
         with pytest.raises(TypeError):
             generator(1, bad)
+        with pytest.raises(TypeError):
+            streams(1)(bad)
