@@ -22,8 +22,8 @@ lanes (see ``gdpsim._numeric``); :func:`try_spend` applies it to one
 Refusal is per-query and never terminates an interaction; a later, smaller
 spend may still be admitted.  States are immutable values (a
 :class:`FilterState` is a ``NamedTuple``, built anew for each admitted
-positive spend); operations return new states, so sharing across threads is
-safe.
+positive spend by ``tuple.__new__``, as namedtuple's own ``_make`` does);
+operations return new states, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from ._numeric import kahan_step
 # Relative slack on the admission comparison, wide enough to absorb rounding
 # in the compensated sum but far below any meaningful privacy quantity.
 REL_SLACK = 2.0 ** -40
+
+_record = tuple.__new__
 
 
 class FilterState(NamedTuple):
@@ -98,9 +100,12 @@ def try_spend(state: FilterState, mu) -> tuple[bool, FilterState]:
     admitted, total, comp = admit(spent_sq, comp, budget_sq, mu)
     if not admitted or mu == 0.0:
         return admitted, state
-    return True, FilterState(budget_sq, total, comp)
+    return True, _record(FilterState, (budget_sq, total, comp))
 
 
 def remaining_sq(state: FilterState) -> float:
-    """Unspent squared budget, floored at zero."""
-    return max(0.0, state.budget_sq - state.spent_sq)
+    """Unspent squared budget, floored at zero: ``max(0.0, budget_sq -
+    spent_sq)`` spelled as a conditional, since the scalar engine asks once
+    a round and the builtin costs several times as much."""
+    rem = state.budget_sq - state.spent_sq
+    return rem if rem > 0.0 else 0.0

@@ -58,6 +58,8 @@ from .errors import BudgetOverflowError
 # never trip the checks below.
 CLAMP_BAND = 1e-12
 
+_record = tuple.__new__
+
 
 class DenseCholesky(NamedTuple):
     """Reference mode: the factor held row by row."""
@@ -130,7 +132,7 @@ def next_noise(state, m, fresh_seed):
 
     if isinstance(state, StreamingCholesky):
         u, q, q_comp, s = stream_step(FLOAT_OPS, *state, m, fresh_seed)
-        return u, StreamingCholesky(q, q_comp, s)
+        return u, _record(StreamingCholesky, (q, q_comp, s))
 
     # The diagonal entry d_i is the coefficient of the fresh seed: the
     # streaming U at s = 0, V = 1.

@@ -25,8 +25,13 @@ values (the scaling-coherence tests assert this exactly).
 Sessions are single-threaded state machines.  Distinct sessions with
 independent streams may run in parallel.  A session's filter and factor
 states and each recorded :class:`Round` are immutable ``NamedTuple``
-values: the per-trial reference engine builds up to three of them every
-round, and a ``NamedTuple`` is the cheapest immutable record to build.
+values; an admitted simulated round builds three of them, a refused round
+its ``Round`` alone.  The per-round builds call ``tuple.__new__`` on the
+class, as namedtuple's own ``_make`` does, and so skip the class's
+Python-level ``__new__``: about 0.16 against 0.33 us a record (best of
+five ``timeit`` runs, CPython 3.11.7 on a 2-core Xeon VM).  That build
+checks neither the length nor the field types, so the callers pass exactly
+the fields, as Python floats.
 """
 
 from __future__ import annotations
@@ -37,13 +42,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import FLOAT_OPS
+from ._numeric import FLOAT_OPS, is_int
 from .budget import FilterState, check_budget, remaining_sq, try_spend
 from .cholesky import StreamingCholesky, next_noise
 
 KINDS = ("direct", "simulated")
 
 DEFAULT_MAX_ROUNDS = 256
+
+_record = tuple.__new__
 
 
 class Round(NamedTuple):
@@ -65,18 +72,27 @@ class Transcript:
     truncated: bool = False
 
 
+# Every simulated session starts from this factor; records are immutable, so
+# one serves them all.
+_FRESH_FACTOR = StreamingCholesky()
+
+
 class Session:
     """One curator endpoint holding the secret bit.
 
     ``draw()`` returns the next standard normal as a float; draws are
     consumed strictly in session order (simulated: Z0 first, then one seed
-    per admitted round), and ``draws`` counts them.
+    per admitted round), and ``draws`` counts them.  The bit ``b`` is the
+    integer 0 or 1 (a NumPy integer will do, a bool or a float will not).
     """
+
+    __slots__ = ("kind", "b", "mu0", "filter_state", "draws", "w0", "chol",
+                 "_next_draw", "_norm")
 
     def __init__(self, kind: str, b: int, budget, draw):
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        if b not in (0, 1):
+        if not is_int(b) or b not in (0, 1):
             raise ValueError(f"secret bit must be 0 or 1, got {b!r}")
         self.kind = kind
         self.b = int(b)
@@ -84,17 +100,12 @@ class Session:
         self.filter_state = FilterState(self.mu0 * self.mu0)
         self._next_draw = draw
         self.draws = 0
-        self.w0 = None
-        self.chol = None
+        self.w0 = self.chol = None
         if kind == "simulated":
             self._norm = self.mu0 if self.mu0 > 0.0 else 1.0
-            z0 = self._draw()
-            self.w0 = self.b * self.mu0 + z0
-            self.chol = StreamingCholesky()
-
-    def _draw(self) -> float:
-        self.draws += 1
-        return self._next_draw()
+            self.draws = 1
+            self.w0 = self.b * self.mu0 + draw()
+            self.chol = _FRESH_FACTOR
 
     def ask(self, spend) -> float | None:
         """Answer an admitted spend, or return None on refusal.
@@ -105,11 +116,12 @@ class Session:
         if not accepted:
             return None
         self.filter_state = new_state
+        self.draws += 1
         spend = float(spend)
         if self.kind == "direct":
-            return self.b * spend + self._draw()
+            return self.b * spend + self._next_draw()
         m = spend / self._norm
-        u, self.chol = next_noise(self.chol, m, self._draw())
+        u, self.chol = next_noise(self.chol, m, self._next_draw())
         return m * self.w0 + u
 
 
@@ -133,21 +145,24 @@ def run_interaction(session: Session, policy, *,
     Calls the policy's ``spends`` kernel on floats (``FLOAT_OPS``), carrying
     the last accepted answer and the previous spend as the vector engine
     does.  If the cap fires while the policy would continue, the transcript
-    carries a truncation marker.
+    carries a truncation marker.  ``max_rounds`` must be an integer >= 0 (a
+    NumPy integer will do, a bool or a float will not).
     """
-    transcript = Transcript(budget=session.mu0)
-    record = transcript.rounds.append
+    if not is_int(max_rounds) or max_rounds < 0:
+        raise ValueError(f"max_rounds must be an integer >= 0, got {max_rounds!r}")
+    max_rounds = int(max_rounds)
+    rounds = []
+    record = rounds.append
     spends, ask = policy.spends, session.ask
     last = prev = math.nan
     for i in range(max_rounds):
         spend, stop = spends(FLOAT_OPS, i, remaining_sq(session.filter_state), last, prev)
         if stop:
-            return transcript
+            return Transcript(session.mu0, rounds)
         answer = ask(spend)
-        record(Round(i, float(spend), answer is not None, answer))
+        record(_record(Round, (i, float(spend), answer is not None, answer)))
         if answer is not None:
             last = answer
         prev = spend
     _, stop = spends(FLOAT_OPS, max_rounds, remaining_sq(session.filter_state), last, prev)
-    transcript.truncated = not stop
-    return transcript
+    return Transcript(session.mu0, rounds, not stop)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gdpsim import adversaries, batch, harness
+from gdpsim import adversaries, batch, curator, harness
 from gdpsim._numeric import ARRAY_OPS, kahan_step
 from gdpsim.adversaries import AdversaryPolicy
 from gdpsim.batch import DrawTableau, make_vector_policy, policy_stream_id, run_trial_batch
@@ -347,6 +347,34 @@ def test_each_arm_makes_its_policy_once_on_both_engines(monkeypatch, engine):
                           engine=engine)
     assert made == [("fixed", {"spends": [0.6, 0.8]})]
     assert len(calls) == (3 if engine == "vector" else 3 * res.n_trials)
+
+
+@pytest.mark.parametrize("name,params", POLICIES)
+@pytest.mark.parametrize("kind", ["direct", "simulated"])
+def test_scalar_engine_crosses_each_traced_seam_once_per_use(monkeypatch, name, params, kind):
+    # perfbench's tracer reports these calls as budget.calls, cholesky.calls
+    # and curator.sessions: one try_spend per decision, one next_noise per
+    # admitted simulated round and one run_interaction per trial
+    calls = dict.fromkeys(("try_spend", "next_noise", "run_interaction"), 0)
+
+    def count(owner, attr):
+        fn = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(curator, "try_spend")
+    count(curator, "next_noise")
+    count(batch, "run_interaction")
+    res = run_trial_batch(kind, 1, 1.0, name, params, 6, 11, engine="scalar")
+    admitted = int((res.decisions == 1).sum())
+    assert admitted > 0
+    assert calls == {"try_spend": int((res.decisions >= 0).sum()),
+                     "next_noise": admitted if kind == "simulated" else 0,
+                     "run_interaction": res.n_trials}
 
 
 def test_lane_shared_results_are_read_only_rows_of_trial_stride_0():

@@ -63,14 +63,14 @@ def test_tight_sequence_accepted_then_refused():
 def test_zero_spend_after_exhaustion_accepted():
     _, state = spend_all(filter_new(1.0), [0.6, 0.8])
     ok, same = try_spend(state, 0.0)
-    assert ok and same == state
+    assert ok and same is state
 
 
 def test_positive_spend_after_exact_exhaustion_refused():
     _, state = spend_all(filter_new(1.0), [0.6, 0.8])
     for mu in (1e-3, 1e-7, 1e-12):
-        ok, _ = try_spend(state, mu)
-        assert not ok
+        ok, same = try_spend(state, mu)
+        assert not ok and same is state
 
 
 def test_zero_budget_refuses_positive_spends():
@@ -94,6 +94,10 @@ def test_remaining_examples():
     assert remaining_sq(filter_new(1.0)) == 1.0
     _, state = spend_all(filter_new(1.0), [0.6])
     assert math.isclose(remaining_sq(state), 0.64, rel_tol=1e-15)
+    # the floor is max(0.0, budget_sq - spent_sq): +0.0 when spent, never -0.0
+    for budget_sq, spent_sq in [(1.0, 1.0), (1.0, 1.0 + 2.0 ** -52), (0.0, 0.0), (0.0, -0.0)]:
+        got = remaining_sq(FilterState(budget_sq, spent_sq))
+        assert got.hex() == max(0.0, budget_sq - spent_sq).hex() == "0x0.0p+0"
 
 
 def test_refusal_is_not_terminal():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gdpsim.adversaries import policy_fixed
+from gdpsim.adversaries import policy_fixed, policy_overspend_prober
 from gdpsim.batch import DrawTableau, _row_draws, run_trial_batch
+from gdpsim.budget import FilterState
 from gdpsim.cholesky import StreamingCholesky
 from gdpsim.curator import Round, Session, open_session, run_interaction
 from gdpsim.cholesky import next_noise
@@ -74,13 +75,13 @@ def test_randomness_accounting():
 
 
 def test_refusal_changes_nothing():
-    session = open_session("simulated", 0, 1.0, 5)
-    session.ask(0.9)
-    state = session.filter_state
-    chol = session.chol
-    assert session.ask(0.9) is None
-    assert session.filter_state == state
-    assert session.chol == chol
+    for kind in ("direct", "simulated"):
+        session = open_session(kind, 0, 1.0, 5)
+        session.ask(0.9)
+        state, chol, draws = session.filter_state, session.chol, session.draws
+        assert session.ask(0.9) is None
+        assert session.filter_state is state and session.chol is chol
+        assert session.draws == draws
 
 
 def test_malformed_spend_raises():
@@ -106,6 +107,13 @@ def test_invalid_arguments():
         open_session("direct", 2, 1.0, 1)
     with pytest.raises(ValueError):
         open_session("direct", 0, -1.0, 1)
+    # the bit rule of run_trial_batch: a bool or a float is not a bit
+    for kind in ("direct", "simulated"):
+        for b in (True, False, 1.0, 0.0):
+            with pytest.raises(ValueError, match="secret bit"):
+                open_session(kind, b, 1.0, 1)
+    assert open_session("simulated", np.int64(1), 1.0, 1).w0 == \
+        open_session("simulated", 1, 1.0, 1).w0
 
 
 def test_seed_must_be_an_integer():
@@ -130,14 +138,55 @@ def test_round_is_an_immutable_record():
 
 def test_scalar_engine_sessions_hold_plain_floats():
     # A tableau row read as NumPy scalars would leak np.float64 into every
-    # answer and state; the row is read as Python floats, also after growth.
+    # answer and state; the row is read as Python floats, whole and after
+    # growth.  The records are built by tuple.__new__, which checks neither
+    # length nor field types, so each must still be its exact class and
+    # length and hold Python floats.
+    def plain(record, cls):
+        return type(record) is cls and len(record) == len(cls._fields) and \
+            all(type(v) is float for v in record)
+
+    class NumpySpends:   # spends as NumPy scalars, recorded as floats
+        def spends(self, o, *args):
+            spend, stop = prober.spends(o, *args)
+            return np.float64(spend), stop
+
+    prober = policy_overspend_prober()
+    tableau = DrawTableau(5, 2)
+    tableau.ensure(3)
     for kind in ("direct", "simulated"):
-        session = Session(kind, 1, 1.0, _row_draws(DrawTableau(5, 2), 1).__next__)
-        tr = run_interaction(session, policy_fixed([0.6, 2.0, 0.8]))
-        assert [type(r.answer) for r in tr.rounds] == [float, type(None), float]
-        assert all(type(v) is float for v in session.filter_state)
-        if kind == "simulated":
-            assert all(type(v) is float for v in session.chol)
+        session = Session(kind, 1, 1.0, _row_draws(tableau, 1).__next__)
+        tr = run_interaction(session, NumpySpends(), max_rounds=12)
+        assert [r.accepted for r in tr.rounds] == [True, False] * 6
+        assert session.draws == tableau.width > 3
+        assert plain(session.filter_state, FilterState)
+        assert plain(session.chol, StreamingCholesky) if kind == "simulated" \
+            else session.chol is None
+        for i, rnd in enumerate(tr.rounds):
+            assert type(rnd) is Round and len(rnd) == 4
+            assert type(rnd.index) is int and rnd.index == i
+            assert type(rnd.spend) is float and type(rnd.accepted) is bool
+            assert type(rnd.answer) is (float if rnd.accepted else type(None))
+
+
+def test_max_rounds_must_be_a_nonnegative_integer():
+    asked = []
+    policy = policy_fixed([0.1] * 3)
+
+    class Recording:
+        def spends(self, o, i, *rest):
+            asked.append(i)
+            return policy.spends(o, i, *rest)
+
+    for bad in (-1, 2.0, True, None, "3"):
+        with pytest.raises(ValueError, match="max_rounds"):
+            run_interaction(open_session("direct", 0, 1.0, 2), Recording(), max_rounds=bad)
+    assert asked == []
+    got = run_interaction(open_session("direct", 0, 1.0, 2), policy, max_rounds=np.int64(2))
+    want = run_interaction(open_session("direct", 0, 1.0, 2), policy, max_rounds=2)
+    assert got == want and got.truncated and len(got.rounds) == 2
+    empty = run_interaction(open_session("direct", 0, 1.0, 2), policy, max_rounds=0)
+    assert empty.rounds == [] and empty.truncated
 
 
 def test_constant_policy_exhausts_after_four_rounds():

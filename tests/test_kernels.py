@@ -46,6 +46,17 @@ def test_both_op_sets_have_the_same_ops():
     assert sorted(vars(FLOAT_OPS)) == sorted(vars(ARRAY_OPS))
 
 
+def test_float_min_max_return_what_the_builtins_return():
+    # the float forms spell min/max as conditionals; on every pair, with
+    # signed zeros, infinities and NaN, they return the builtins' very object
+    values = [0.0, -0.0, 0.5, -0.5, math.inf, -math.inf, math.nan, 1e-300, 2]
+    for o in (FLOAT_OPS, ARRAY_OPS):
+        for a in values:
+            for b in values:
+                assert o.minimum(a, b) is min(a, b), (a, b)
+                assert o.maximum(a, b) is max(a, b), (a, b)
+
+
 TIGHT = math.sqrt(0.64) * (1.0 + 2.0 ** -42)   # admitted only through the slack
 ADMIT_LANES = [
     # spent_sq, comp, mu
