@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from ._numeric import kahan_step
 
 # Relative slack on the admission comparison, wide enough to absorb rounding
@@ -48,11 +50,19 @@ class FilterState(NamedTuple):
     compensation: float = 0.0
 
 
+def _real(x, what: str) -> float:
+    """``x`` as a finite nonnegative float, refusing a bool (``float`` reads it as 0 or 1)."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a real number, not a boolean: {x!r}")
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"{what} must be a finite nonnegative real, got {x!r}")
+    return x
+
+
 def check_budget(mu0) -> float:
     """Validate a total budget value; returns it as a float."""
-    mu0 = float(mu0)
-    if not math.isfinite(mu0) or mu0 < 0.0:
-        raise ValueError(f"budget must be a finite nonnegative real, got {mu0!r}")
+    mu0 = _real(mu0, "budget")
     if not math.isfinite(mu0 * mu0):
         raise ValueError(f"squared budget overflows a double: {mu0!r}")
     return mu0
@@ -62,12 +72,12 @@ def check_spend(mu) -> float:
     """Validate a per-query spend; returns it as a float.
 
     Malformed spends raise ValueError -- deliberately distinct from a budget
-    refusal, which is an ordinary decision.
+    refusal, which is an ordinary decision.  A valid plain float (the
+    scalar engine passes one per decision) is returned on one test.
     """
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValueError(f"spend must be a finite nonnegative real, got {mu!r}")
-    return mu
+    if mu.__class__ is float and 0.0 <= mu < math.inf:
+        return mu
+    return _real(mu, "spend")
 
 
 def filter_new(mu0) -> FilterState:

@@ -132,7 +132,7 @@ def open_session(kind: str, b: int, budget, seed: int) -> Session:
     ``seed`` must be a Python or NumPy integer: ``None`` would seed from OS
     entropy, and a boolean or float is not a seed.
     """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+    if not is_int(seed):
         raise TypeError(f"seed must be an integer, got {seed!r}")
     return Session(kind, b, budget, np.random.Generator(np.random.PCG64(seed)).standard_normal)
 

@@ -322,34 +322,16 @@ def _shrink(res) -> _Arm:
                 int(res.draws.sum()), res.n_trials * int(res.draws.max()))
 
 
-# Trial-rounds in the first block ``_uniform_shape`` checks: about what one
-# NumPy call costs in per-call overhead, so small arms are not checked a
-# column at a time.
-_SHAPE_BLOCK = 1 << 15
-
-
 def _uniform_shape(res) -> bool:
-    """True when all trials share the same rounds, spends and decisions.
-    With no round absent anywhere, every trial ran every round.  Trial 0's
-    row is checked first, whole: no round absent and no NaN spend, which
-    would match no row.  A matrix whose trials all read one row (trial
-    stride 0) is then done.  The other rows of a matrix are compared with
-    trial 0's in blocks of columns that double in width, up to the first
-    block that differs by trial (a -1 outside trial 0's row differs from
-    it), so an arm that differs early costs about the columns up to that
-    point.  The first block holds at least ``_SHAPE_BLOCK`` trial-rounds,
-    so a small arm takes one or a few whole-block checks, not a NumPy call
-    per column."""
+    """True when all trials share the same rounds, spends and decisions:
+    trial 0's row has no absent round and no NaN spend (which would match no
+    row), and each matrix is one row all trials read (trial stride 0) or
+    equals trial 0's row everywhere.  Adaptive arms mostly fail on trial
+    0's row and lockstep arms share their rows, so few compare whole."""
     dec, sp = res.decisions, res.spends
     if (dec[0] == -1).any() or (sp[0] != sp[0]).any():
         return False
-    rows = [m for m in (dec, sp) if m.strides[0] != 0]
-    lo, width = 0, max(1, _SHAPE_BLOCK // dec.shape[0])
-    while rows and lo < dec.shape[1]:
-        if any((m[:, lo:lo + width] != m[0, lo:lo + width]).any() for m in rows):
-            return False
-        lo, width = lo + width, 2 * width
-    return True
+    return not any((m != m[0]).any() for m in (dec, sp) if m.strides[0] != 0)
 
 
 def _refusal_checksum(decisions: np.ndarray, width: int) -> tuple[str, int]:
@@ -364,13 +346,12 @@ def _refusal_checksum(decisions: np.ndarray, width: int) -> tuple[str, int]:
     Each row is packed big-endian into a key of 64-bit words: a key byte
     is the product of ``_KEY_BITS`` with eight contiguous rounds of the
     transposed matrix (so no trials x rounds mask is made; ``np.packbits``
-    along that axis measured 3 to 6 times slower at 200k trials).  Sorting
-    the keys as unsigned words sorts the rows lexicographically:
-    ``np.unique`` on one word, a ``np.lexsort`` over the words past 64
-    rounds.  A lane-shared matrix (trial stride 0) is one row, packed once
-    and counted once per trial.  Keys are at least one word long: at width
-    0 every row is the same empty pattern, counted once per trial.  The
-    refused rounds are counted from the unique patterns and their counts.
+    along that axis measured 3 to 6 times slower at 200k trials).  One
+    ``np.lexsort`` of the keys as unsigned words sorts the rows
+    lexicographically.  A lane-shared matrix (trial stride 0) is one row,
+    packed once and counted once per trial.  Keys are at least one word
+    long, so at width 0 every row is one empty pattern.  The refused
+    rounds are counted from the unique patterns and their counts.
     """
     n = decisions.shape[0]
     shared = n > 0 and decisions.strides[0] == 0
@@ -383,9 +364,6 @@ def _refusal_checksum(decisions: np.ndarray, width: int) -> tuple[str, int]:
     words = keys.view(">u8").astype(np.uint64)
     if shared:
         uniq, counts = words, np.array([n])
-    elif words.shape[1] == 1:
-        uniq, counts = np.unique(words[:, 0], return_counts=True)
-        uniq = uniq[:, None]
     else:
         words = words[np.lexsort(words.T[::-1])]
         new = np.any(words[1:] != words[:-1], axis=1)
@@ -446,8 +424,8 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
             targets = direct.bit * direct.first_spends[acc_cols]
             eye = np.eye(acc_cols.size)
             # the last reads of the answers: each is compacted and centred in place
-            mean_d, cov_d = empirical_moments(direct.answers, acc_cols, overwrite=True)
-            mean_s, cov_s = empirical_moments(sim.answers, acc_cols, overwrite=True)
+            mean_d, cov_d = empirical_moments(direct.answers, acc_cols)
+            mean_s, cov_s = empirical_moments(sim.answers, acc_cols)
             mean_dev = max(
                 float(np.abs(mean_d - targets).max()),
                 float(np.abs(mean_s - targets).max()),

@@ -289,39 +289,28 @@ def normality_check(sample, alpha: float = 0.001, name: str = "normality") -> Te
     return TestReport(name, d, p, alpha, p > alpha)
 
 
-def empirical_moments(samples, cols=None, overwrite=False) -> tuple[np.ndarray, np.ndarray]:
-    """Unbiased mean vector and covariance matrix of columns ``cols`` (all
-    by default, else in increasing order) of an (n_trials, n_rounds) sample
-    matrix, columns indexed by round.  The covariance is computed as
+def empirical_moments(samples, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Unbiased mean vector and covariance matrix of columns ``cols``, in
+    increasing order, of an F-order (n_trials, n_rounds) float matrix that
+    its caller reads no more: the chosen columns are moved to its front and
+    centred there, so no copy is made.  The covariance is computed as
     ``np.cov(samples[:, cols], rowvar=False)`` computes it, so its bits are
-    the same.
-
-    The chosen columns are centred in place as one F-order block.  By
-    default that block is an owned copy.  With ``overwrite``, ``samples``
-    must be an F-order float matrix its caller reads no more: the chosen
-    columns are moved to its front and centred there, so no copy is made.
-    A column holding a NaN or an infinity has a non-finite mean, which
-    raises (as does a column whose sum overflows)."""
+    the same.  A column holding a NaN or an infinity has a non-finite mean,
+    which raises (as does a column whose sum overflows)."""
     a = np.asarray(samples, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D trials-by-rounds array, got ndim={a.ndim}")
+    if a.ndim != 2 or not a.flags.f_contiguous:
+        raise ValueError(f"expected a 2-D F-order trials-by-rounds array, got ndim={a.ndim}")
     if a.shape[0] < 2:
         raise ValueError("need at least two trials for moment estimates")
-    if not overwrite:
-        a = a.copy(order="K") if cols is None else a[:, np.asarray(cols, dtype=np.intp)]
-    elif cols is not None:
-        if not a.flags.f_contiguous:
-            raise ValueError("overwrite needs an F-order sample matrix")
-        for j, c in enumerate(cols):   # increasing, so column c is not yet overwritten
-            if c != j:
-                a[:, j] = a[:, c]
-        a = a[:, :len(cols)]
+    for j, c in enumerate(cols):   # increasing, so column c is not yet overwritten
+        if c != j:
+            a[:, j] = a[:, c]
+    a = a[:, :len(cols)]
     mean = a.mean(axis=0)
     if not np.isfinite(mean).all():
         raise ValueError("sample matrix contains non-finite entries")
     a -= mean
-    centered = a.T
-    cov = np.dot(centered, centered.T)
+    cov = np.dot(a.T, a)
     cov *= 1.0 / (a.shape[0] - 1)
     return mean, cov
 
@@ -332,9 +321,7 @@ def covariance_deviation(cov, target) -> float:
     target = np.asarray(target, dtype=float)
     if cov.shape != target.shape:
         raise ValueError(f"shape mismatch: {cov.shape} vs {target.shape}")
-    if cov.size == 0:
-        return 0.0
-    return float(np.abs(cov - target).max())
+    return float(np.abs(cov - target).max(initial=0.0))
 
 
 def two_proportion_z(

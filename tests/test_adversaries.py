@@ -40,6 +40,13 @@ def test_fixed_policy_validates_spends():
         policy_fixed([0.5, float("inf")])
 
 
+def test_policies_refuse_boolean_spends():
+    with pytest.raises(ValueError, match="boolean"):
+        policy_fixed([True])
+    with pytest.raises(ValueError, match="boolean"):
+        make_policy("sign_adaptive", hi=True, lo=False)
+
+
 def test_sign_adaptive_spend_rules():
     # spends(o, round, remaining_sq, last accepted answer, previous spend)
     spends = policy_sign_adaptive(hi=0.8, lo=0.2).spends

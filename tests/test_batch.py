@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gdpsim import adversaries, batch, curator, harness
+from gdpsim import adversaries, batch, curator
 from gdpsim._numeric import ARRAY_OPS, kahan_step
 from gdpsim.adversaries import AdversaryPolicy
 from gdpsim.batch import DrawTableau, make_vector_policy, policy_stream_id, run_trial_batch
@@ -290,6 +290,12 @@ def test_input_validation():
         run_trial_batch("direct", 3, 1.0, "fixed", {"spends": []}, 1, 0)
     with pytest.raises(ValueError):
         run_trial_batch("direct", 0, 1.0, "fixed", {"spends": []}, 0, 0)
+
+
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+def test_a_boolean_budget_is_refused(engine):
+    with pytest.raises(ValueError, match="boolean"):
+        run_trial_batch("direct", 0, True, "fixed", {"spends": [0.5]}, 2, 0, engine=engine)
 
 
 @pytest.mark.parametrize("engine", ["vector", "scalar"])
@@ -924,28 +930,19 @@ def uniform_shape_whole(res):
             and not np.any(sp != sp[0:1, :]))
 
 
-# First-block sizes that check columns one at a time from the start, in a
-# few doubling blocks, and (the default) all at once at these sizes.
-SHAPE_BLOCKS = [1, 8, 100, harness._SHAPE_BLOCK]
-
-
 @pytest.mark.parametrize("case", list(EVALUATION_CASES))
 @pytest.mark.parametrize("kind", ["direct", "simulated"])
-def test_uniform_shape_matches_the_whole_matrix_rule(monkeypatch, case, kind):
+def test_uniform_shape_matches_the_whole_matrix_rule(case, kind):
     name, params, budget, n_trials, max_rounds = EVALUATION_CASES[case]
     for engine in ("vector", "scalar"):
         res = run_trial_batch(kind, 1, budget, name, params, n_trials, 31, max_rounds, engine)
         owned = replace(res, spends=np.array(res.spends, order="F"),
                         decisions=np.array(res.decisions, order="F"))
         want = uniform_shape_whole(res)
-        for block in SHAPE_BLOCKS:
-            monkeypatch.setattr(harness, "_SHAPE_BLOCK", block)
-            assert _uniform_shape(res) is want and _uniform_shape(owned) is want
+        assert _uniform_shape(res) is want and _uniform_shape(owned) is want
 
 
-@pytest.mark.parametrize("block", SHAPE_BLOCKS)
-def test_uniform_shape_on_planted_differences(monkeypatch, block):
-    monkeypatch.setattr(harness, "_SHAPE_BLOCK", block)
+def test_uniform_shape_on_planted_differences():
     base_dec = np.ones((4, 7), dtype=np.int8, order="F")
     base_sp = np.full((4, 7), 0.5, order="F")
     plants = [

@@ -4,9 +4,18 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from gdpsim.budget import REL_SLACK, FilterState, filter_new, remaining_sq, try_spend
+from gdpsim.budget import (
+    REL_SLACK,
+    FilterState,
+    check_budget,
+    check_spend,
+    filter_new,
+    remaining_sq,
+    try_spend,
+)
 
 
 def spend_all(state, spends):
@@ -52,6 +61,21 @@ def test_new_filter_rejects_malformed():
     for bad in (-1.0, float("nan"), float("inf"), 1e200):
         with pytest.raises(ValueError):
             filter_new(bad)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_booleans_are_neither_budgets_nor_spends(flag):
+    # float(True) is 1.0, so a flag would otherwise pass as a number
+    with pytest.raises(ValueError, match="boolean"):
+        filter_new(flag)
+    with pytest.raises(ValueError, match="boolean"):
+        try_spend(filter_new(1.0), flag)
+
+
+def test_numbers_as_text_are_still_read():
+    # parse_transcripts hands spends and budgets over as text
+    assert check_spend("0.5") == 0.5 and check_budget("2") == 2.0
+    assert check_spend(np.float64(0.25)) == 0.25 and check_spend(1) == 1.0
 
 
 def test_tight_sequence_accepted_then_refused():

@@ -107,6 +107,8 @@ def test_invalid_arguments():
         open_session("direct", 2, 1.0, 1)
     with pytest.raises(ValueError):
         open_session("direct", 0, -1.0, 1)
+    with pytest.raises(ValueError, match="boolean"):
+        open_session("direct", 1, True, 3)
     # the bit rule of run_trial_batch: a bool or a float is not a bit
     for kind in ("direct", "simulated"):
         for b in (True, False, 1.0, 0.0):

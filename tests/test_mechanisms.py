@@ -34,6 +34,9 @@ def test_registry():
         make_mechanism("threshold", 0.5)  # tau required
     with pytest.raises(ValueError):
         make_mechanism("identity", -1.0)
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="boolean"):
+            make_mechanism("identity", flag)
 
 
 def test_identity_sample_law():

