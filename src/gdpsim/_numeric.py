@@ -1,5 +1,5 @@
-"""Shared numeric helpers, the integer-argument rule and the float/array
-op sets.
+"""Shared numeric helpers, the integer-argument rule (``check_int``, which
+every count a public entry takes goes through) and the float/array op sets.
 
 The filter rule, the streaming factor step and the policies are each written
 once and run on both engines: the scalar session passes Python floats, the
@@ -114,6 +114,14 @@ def is_int(x) -> bool:
     """An integer argument: a Python int or a NumPy integer, not a bool
     (JSON true/false load as bool, which Python counts as an int)."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_int(name: str, x, low: int) -> int:
+    """``x`` as an int if it is an integer argument (``is_int``) >= ``low``;
+    otherwise ``ValueError``."""
+    if not is_int(x) or x < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+    return int(x)
 
 
 def kahan_step(total, comp, x):

@@ -62,11 +62,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import ARRAY_OPS, is_int
+from ._numeric import ARRAY_OPS, check_int
 from .adversaries import make_policy
 from .budget import admit, check_budget, check_spend
 from .cholesky import stream_step
-from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Session, Transcript, run_interaction
+from .curator import (DEFAULT_MAX_ROUNDS, Round, Session, Transcript, check_kind_bit,
+                      run_interaction)
 from .rng import SEED_RULE, derive_key, seed_ok, streams
 
 
@@ -224,25 +225,19 @@ def run_trial_batch(
     it to keep mechanism arms on streams disjoint from policy arms.  A
     malformed policy spend raises ``ValueError`` on both engines, which may
     name different values when the spends differ by lane: the vector engine
-    meets them round by round, the scalar engine trial by trial.  ``bit``,
-    ``n_trials`` and ``max_rounds`` must be integers (a NumPy integer will
-    do, a bool or a float will not), ``master_seed`` one that passes
-    ``gdpsim.rng.seed_ok``; they and ``engine`` are checked before use.
+    meets them round by round, the scalar engine trial by trial.  Checked
+    before use: ``kind`` and ``bit`` by ``check_kind_bit``, ``n_trials``
+    (>= 1) and ``max_rounds`` (>= 0) by ``check_int``, ``master_seed`` by
+    ``gdpsim.rng.seed_ok``, and ``engine``.
     """
     policy_params = dict(policy_params or {})
-    if kind not in KINDS:
-        raise ValueError(f"unknown session kind {kind!r}")
-    if not is_int(bit) or bit not in (0, 1):
-        raise ValueError(f"secret bit must be 0 or 1, got {bit!r}")
-    if not is_int(n_trials) or n_trials < 1:
-        raise ValueError(f"n_trials must be an integer >= 1, got {n_trials!r}")
-    if not is_int(max_rounds) or max_rounds < 0:
-        raise ValueError(f"max_rounds must be an integer >= 0, got {max_rounds!r}")
+    bit = check_kind_bit(kind, bit)
+    n_trials = check_int("n_trials", n_trials, 1)
+    max_rounds = check_int("max_rounds", max_rounds, 0)
     if not seed_ok(master_seed):
         raise ValueError(f"master_seed {SEED_RULE}, got {master_seed!r}")
     if engine not in ("vector", "scalar"):
         raise ValueError(f"unknown engine {engine!r}")
-    bit, n_trials, max_rounds = int(bit), int(n_trials), int(max_rounds)
     label = stream_label or policy_stream_id(policy_name, policy_params)
     arm_key = derive_key(int(master_seed), kind, label, bit)
     tableau = DrawTableau(arm_key, n_trials)

@@ -8,7 +8,7 @@ Commands:
 
 Exit codes: 0 pass, 1 test failure, 2 usage, config or file error (an
 ``--out`` in a missing directory, or naming a directory, is reported before
-any arm runs).
+any arm runs; for ``run``, so is a table path ``--out``.tsv naming one).
 """
 
 from __future__ import annotations
@@ -47,17 +47,19 @@ def _cmd_verify_cholesky(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _check_out_dir(path) -> None:
-    folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
-        raise FileNotFoundError(f"--out: no such directory: {folder}")
-    if os.path.isdir(path):
-        raise IsADirectoryError(f"--out: is a directory: {path}")
+def _check_out_dir(*paths) -> None:
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"--out: no such directory: {folder}")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"--out: is a directory: {path}")
 
 
 def _cmd_run(args) -> int:
     if args.out:
-        _check_out_dir(args.out)
+        table_path = args.out + ".tsv"
+        _check_out_dir(args.out, table_path)
     config = load_config(args.config)
     if args.seed is not None:
         config = with_seed(config, args.seed)
@@ -66,7 +68,6 @@ def _cmd_run(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload + "\n")
-        table_path = args.out + ".tsv"
         with open(table_path, "w") as fh:
             fh.write(report_table(report.results))
         print(f"report: {args.out}")

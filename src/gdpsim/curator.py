@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import FLOAT_OPS, is_int
+from ._numeric import FLOAT_OPS, check_int, is_int
 from .budget import FilterState, check_budget, remaining_sq, try_spend
 from .cholesky import StreamingCholesky, next_noise
 
@@ -51,6 +51,17 @@ KINDS = ("direct", "simulated")
 DEFAULT_MAX_ROUNDS = 256
 
 _record = tuple.__new__
+
+
+def check_kind_bit(kind, b) -> int:
+    """The session-kind and secret-bit rule: ``kind`` is one of ``KINDS``
+    and ``b`` the integer 0 or 1 (a NumPy integer will do, a bool or a
+    float will not).  Returns ``int(b)``."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if not is_int(b) or b not in (0, 1):
+        raise ValueError(f"secret bit must be 0 or 1, got {b!r}")
+    return int(b)
 
 
 class Round(NamedTuple):
@@ -82,20 +93,16 @@ class Session:
 
     ``draw()`` returns the next standard normal as a float; draws are
     consumed strictly in session order (simulated: Z0 first, then one seed
-    per admitted round), and ``draws`` counts them.  The bit ``b`` is the
-    integer 0 or 1 (a NumPy integer will do, a bool or a float will not).
+    per admitted round), and ``draws`` counts them.  ``kind`` and the bit
+    ``b`` are checked by ``check_kind_bit``.
     """
 
     __slots__ = ("kind", "b", "mu0", "filter_state", "draws", "w0", "chol",
                  "_next_draw", "_norm")
 
     def __init__(self, kind: str, b: int, budget, draw):
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        if not is_int(b) or b not in (0, 1):
-            raise ValueError(f"secret bit must be 0 or 1, got {b!r}")
+        self.b = check_kind_bit(kind, b)
         self.kind = kind
-        self.b = int(b)
         self.mu0 = check_budget(budget)
         self.filter_state = FilterState(self.mu0 * self.mu0)
         self._next_draw = draw
@@ -145,12 +152,10 @@ def run_interaction(session: Session, policy, *,
     Calls the policy's ``spends`` kernel on floats (``FLOAT_OPS``), carrying
     the last accepted answer and the previous spend as the vector engine
     does.  If the cap fires while the policy would continue, the transcript
-    carries a truncation marker.  ``max_rounds`` must be an integer >= 0 (a
-    NumPy integer will do, a bool or a float will not).
+    carries a truncation marker.  ``max_rounds`` goes through ``check_int``
+    (an integer >= 0).
     """
-    if not is_int(max_rounds) or max_rounds < 0:
-        raise ValueError(f"max_rounds must be an integer >= 0, got {max_rounds!r}")
-    max_rounds = int(max_rounds)
+    max_rounds = check_int("max_rounds", max_rounds, 0)
     rounds = []
     record = rounds.append
     spends, ask = policy.spends, session.ask

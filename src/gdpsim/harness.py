@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import is_int
+from ._numeric import check_int, is_int
 from .adversaries import make_policy
 from .batch import run_trial_batch, policy_stream_id
 from .budget import check_budget, check_spend
@@ -144,95 +144,71 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     def fail(field, msg):
         raise ConfigError(f"{source}: {field}: {msg}")
 
-    def check_params(field, entry):
-        # Policy and mechanism parameters are finite numbers or lists of them.
-        for key, value in entry.items():
-            items = value if isinstance(value, list) else [value]
-            if key != "name" and not all(_is_number(v) for v in items):
-                fail(field, f"{key} must be a finite number or a list of them, "
-                            f"got {value!r}")
-
     if not _is_number(data["budget"]):
         fail("budget", f"must be a finite number, got {data['budget']!r}")
     try:
         budget = check_budget(data["budget"])
+        n_trials = check_int("n_trials", data["n_trials"], 1)
+        max_rounds = check_int("max_rounds", data["max_rounds"], 1)
+        min_test_samples = check_int("min_test_samples", data["min_test_samples"], 2)
     except ValueError as exc:
-        fail("budget", exc)
-    n_trials = data["n_trials"]
-    if not is_int(n_trials) or n_trials < 1:
-        fail("n_trials", f"must be a positive integer, got {n_trials!r}")
+        raise ConfigError(f"{source}: {exc}") from exc
     bits = data["bits"]
     if (not isinstance(bits, list) or not bits
             or any(not is_int(b) or b not in (0, 1) for b in bits)
             or len(set(bits)) != len(bits)):
         fail("bits", f"must be a nonempty subset of [0, 1], got {bits!r}")
-    max_rounds = data["max_rounds"]
-    if not is_int(max_rounds) or max_rounds < 1:
-        fail("max_rounds", f"must be a positive integer, got {max_rounds!r}")
     master_seed = data["master_seed"]
     if not seed_ok(master_seed):
         fail("master_seed", f"{SEED_RULE}, got {master_seed!r}")
     alpha = data["alpha"]
     if not _is_number(alpha) or not 0.0 < alpha < 1.0:
         fail("alpha", f"must lie in (0, 1), got {alpha!r}")
-    min_test_samples = data["min_test_samples"]
-    if not is_int(min_test_samples) or min_test_samples < 2:
-        fail("min_test_samples", f"must be an integer >= 2, got {min_test_samples!r}")
 
-    for key in ("policies", "mechanisms"):
+    # ``head``: the keys an entry passes to its maker as positional
+    # arguments (a mechanism's spend ``mu`` too); the rest are parameters.
+    entries = {"policies": [], "mechanisms": []}
+    seen = set()
+    for key, make, head in (("policies", make_policy, ("name",)),
+                            ("mechanisms", make_mechanism, ("name", "mu"))):
         if not isinstance(data[key], list):
             fail(key, f"must be a list, got {data[key]!r}")
-    seen = set()
-
-    def check_unique(field, name, params):
-        # One entry, whatever its stream label: hyphens and underscores name
-        # the same policy or mechanism, and 1 and 1.0 are the same value.
-        key = (field.partition("[")[0], name.replace("-", "_"), tuple(sorted(
-            (k, tuple(map(float, v)) if isinstance(v, list) else float(v))
-            for k, v in params.items())))
-        if key in seen:
-            fail(field, "repeats an earlier entry (same name and parameter values)")
-        seen.add(key)
-
-    policies = []
-    for i, entry in enumerate(data["policies"]):
-        field = f"policies[{i}]"
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            fail(field, "must be an object with a string 'name'")
-        params = {k: v for k, v in entry.items() if k != "name"}
-        check_params(field, entry)
-        try:
-            make_policy(entry["name"], **params)
-        except (TypeError, ValueError) as exc:
-            fail(field, exc)
-        check_unique(field, entry["name"], params)
-        policies.append((entry["name"], params))
-
-    mechanisms = []
-    for i, entry in enumerate(data["mechanisms"]):
-        field = f"mechanisms[{i}]"
-        if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
-                or "mu" not in entry):
-            fail(field, "must be an object with a string 'name' and a 'mu'")
-        params = {k: v for k, v in entry.items() if k not in ("name", "mu")}
-        check_params(field, entry)
-        try:
-            make_mechanism(entry["name"], entry["mu"], **params)
-        except (TypeError, ValueError) as exc:
-            fail(field, exc)
-        check_unique(field, entry["name"], {"mu": entry["mu"], **params})
-        mechanisms.append((entry["name"], float(entry["mu"]), params))
+        for i, entry in enumerate(data[key]):
+            field = f"{key}[{i}]"
+            if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
+                    or any(k not in entry for k in head)):
+                fail(field, "must be an object with a string " + " and a ".join(map(repr, head)))
+            # Parameters, and a mechanism's spend, are finite numbers or lists of them.
+            for k, value in entry.items():
+                items = value if isinstance(value, list) else [value]
+                if k != "name" and not all(_is_number(v) for v in items):
+                    fail(field, f"{k} must be a finite number or a list of them, got {value!r}")
+            args = [entry[k] for k in head]
+            params = {k: v for k, v in entry.items() if k not in head}
+            try:
+                made = make(*args, **params)
+            except (TypeError, ValueError) as exc:
+                fail(field, exc)
+            # One entry, whatever its stream label: ``made.name`` is the
+            # registered name, and 1 and 1.0 are the same value.
+            unique = (key, made.name, tuple(sorted(
+                (k, tuple(map(float, v)) if isinstance(v, list) else float(v))
+                for k, v in entry.items() if k != "name")))
+            if unique in seen:
+                fail(field, "repeats an earlier entry (same name and parameter values)")
+            seen.add(unique)
+            entries[key].append((entry["name"], *map(float, args[1:]), params))
 
     return ExperimentConfig(
         budget=budget,
-        n_trials=int(n_trials),
+        n_trials=n_trials,
         bits=tuple(map(int, bits)),
-        policies=tuple(policies),
-        mechanisms=tuple(mechanisms),
-        max_rounds=int(max_rounds),
+        policies=tuple(entries["policies"]),
+        mechanisms=tuple(entries["mechanisms"]),
+        max_rounds=max_rounds,
         master_seed=int(master_seed),
         alpha=float(alpha),
-        min_test_samples=int(min_test_samples),
+        min_test_samples=min_test_samples,
     )
 
 
@@ -755,11 +731,11 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
 
     Case 0 is pinned to the rank-deficient exhaustion (0.6, 0.8) and case 1
     to the empty vector; afterwards every tenth case exhausts the budget
-    exactly, so a 1000-case run includes 100 boundary cases.
+    exactly, so a 1000-case run includes 100 boundary cases.  ``cases`` and
+    ``max_len`` go through ``check_int`` (each an integer >= 1).
     """
-    for name, value in (("cases", cases), ("max_len", max_len)):
-        if not is_int(value) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    cases = check_int("cases", cases, 1)
+    max_len = check_int("max_len", max_len, 1)
     if not seed_ok(seed):
         raise ValueError(f"seed {SEED_RULE}, got {seed!r}")
     seed = int(seed)

@@ -15,9 +15,11 @@ import pytest
 
 import gdpsim
 from gdpsim import harness
+from gdpsim.adversaries import make_policy
+from gdpsim.batch import run_trial_batch
 from gdpsim.cholesky import DenseCholesky, StreamingCholesky
 from gdpsim.cli import main
-from gdpsim.curator import KINDS, Round, Transcript
+from gdpsim.curator import KINDS, Round, Session, Transcript, run_interaction
 from gdpsim.errors import ConfigError
 from gdpsim.harness import (
     _mean_var,
@@ -304,6 +306,58 @@ def test_verify_cholesky_passes_only_within_every_tolerance(monkeypatch):
 def test_verify_cholesky_rejects_a_malformed_size(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
         verify_cholesky(seed=5, **{name: value})
+
+
+def test_each_input_rule_reads_the_same_from_every_entry_that_takes_it():
+    # Each integer, session-kind and bit rule is written once, so a bad value
+    # gets one message whichever public entry refuses it; the config loader
+    # adds its source prefix.
+    def refusal(call, **bad):
+        with pytest.raises(ValueError) as info:
+            call(**bad)
+        return str(info.value)
+
+    def batch(engine):
+        def call(**bad):
+            run_trial_batch(**{"kind": "direct", "bit": 1, "budget": 1.0,
+                               "policy_name": "greedy_halving", "n_trials": 2,
+                               "engine": engine, **bad})
+        return call
+
+    def session(kind="direct", bit=1):
+        Session(kind, bit, 1.0, lambda: 0.0)
+
+    def interaction(max_rounds):
+        run_interaction(Session("direct", 1, 1.0, lambda: 0.0), make_policy("greedy_halving"),
+                        max_rounds=max_rounds)
+
+    engines = [batch("vector"), batch("scalar")]
+    for kind in ("Direct", "", None, 0):
+        for call in engines + [session]:
+            assert refusal(call, kind=kind) == f"kind must be one of {KINDS}, got {kind!r}"
+    for bit in (2, -1, True, 1.0, np.bool_(True), None):
+        for call in engines + [session]:
+            assert refusal(call, bit=bit) == f"secret bit must be 0 or 1, got {bit!r}"
+    for name, low, values, entries in [
+        ("n_trials", 1, (0, -3, True, 2.0, "2", None, np.int64(0)), engines),
+        ("max_rounds", 0, (-1, True, 2.5, None), engines + [interaction]),
+        ("cases", 1, (0, True, 2.0), [verify_cholesky]),
+        ("max_len", 1, (0, False, 2.5), [verify_cholesky]),
+    ]:
+        for value in values:
+            for call in entries:
+                assert refusal(call, **{name: value}) == (
+                    f"{name} must be an integer >= {low}, got {value!r}"), (call, value)
+    # The config's own floors: n_trials and max_rounds 1, min_test_samples 2.
+    for name, low, values in [
+        ("n_trials", 1, (0, -3, True, 2.0, "2", None)),
+        ("max_rounds", 1, (0, -1, True, 2.5, None)),
+        ("min_test_samples", 2, (1, 0, True, 10.0, "10")),
+    ]:
+        for value in values:
+            with pytest.raises(ConfigError) as info:
+                config_from_dict({"budget": 1.0, "n_trials": 2, name: value}, source="exp.cfg")
+            assert str(info.value) == f"exp.cfg: {name} must be an integer >= {low}, got {value!r}"
 
 
 def _shift_streaming_noise(next_noise):
@@ -928,6 +982,13 @@ def test_cli_out_naming_a_directory_fails_before_any_arm_runs(tmp_path, capsys,
         for command in ("run", "emit-transcripts"):
             assert main([command, "--config", str(config), "--out", out]) == 2
             assert capsys.readouterr().err == f"error: --out: is a directory: {out}\n"
+    # run also writes its table to --out + ".tsv": a directory there is
+    # reported before any arm runs, and no report file is written.
+    out = tmp_path / "r.json"
+    (tmp_path / "r.json.tsv").mkdir()
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out: is a directory: {out}.tsv\n"
+    assert not out.exists()
 
 
 def test_cli_write_error_is_a_one_line_usage_error(tmp_path, capsys):
