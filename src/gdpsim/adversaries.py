@@ -133,9 +133,8 @@ def policy_names() -> tuple[str, ...]:
 
 
 def make_policy(name: str, **params) -> AdversaryPolicy:
-    """Construct a registered policy by name (hyphens and underscores are
-    interchangeable)."""
-    key = name.replace("-", "_")
-    if key not in _REGISTRY:
+    """Construct a registered policy by its name, spelled exactly as
+    ``policy_names()`` lists it; the name is also the policy's stream label."""
+    if name not in _REGISTRY:
         raise ValueError(f"unknown policy {name!r}; known: {', '.join(policy_names())}")
-    return _REGISTRY[key](**params)
+    return _REGISTRY[name](**params)

@@ -68,7 +68,7 @@ from .budget import admit, check_budget, check_spend
 from .cholesky import stream_step
 from .curator import (DEFAULT_MAX_ROUNDS, Round, Session, Transcript, check_kind_bit,
                       run_interaction)
-from .rng import SEED_RULE, derive_key, seed_ok, streams
+from .rng import check_seed, derive_key, streams
 
 
 def policy_stream_id(name: str, params: dict) -> str:
@@ -228,18 +228,17 @@ def run_trial_batch(
     meets them round by round, the scalar engine trial by trial.  Checked
     before use: ``kind`` and ``bit`` by ``check_kind_bit``, ``n_trials``
     (>= 1) and ``max_rounds`` (>= 0) by ``check_int``, ``master_seed`` by
-    ``gdpsim.rng.seed_ok``, and ``engine``.
+    ``gdpsim.rng.check_seed``, and ``engine``.
     """
     policy_params = dict(policy_params or {})
     bit = check_kind_bit(kind, bit)
     n_trials = check_int("n_trials", n_trials, 1)
     max_rounds = check_int("max_rounds", max_rounds, 0)
-    if not seed_ok(master_seed):
-        raise ValueError(f"master_seed {SEED_RULE}, got {master_seed!r}")
+    master_seed = check_seed("master_seed", master_seed)
     if engine not in ("vector", "scalar"):
         raise ValueError(f"unknown engine {engine!r}")
     label = stream_label or policy_stream_id(policy_name, policy_params)
-    arm_key = derive_key(int(master_seed), kind, label, bit)
+    arm_key = derive_key(master_seed, kind, label, bit)
     tableau = DrawTableau(arm_key, n_trials)
     mu0 = check_budget(budget)
     run = _run_vector if engine == "vector" else _run_scalar

@@ -56,14 +56,17 @@ def _check_out_dir(*paths) -> None:
             raise IsADirectoryError(f"--out: is a directory: {path}")
 
 
+def _config(args):
+    """The ``--config`` file's config, with ``--seed`` as its master seed if given."""
+    config = load_config(args.config)
+    return config if args.seed is None else with_seed(config, args.seed)
+
+
 def _cmd_run(args) -> int:
     if args.out:
         table_path = args.out + ".tsv"
         _check_out_dir(args.out, table_path)
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = with_seed(config, args.seed)
-    report = run_experiment(config, engine=args.engine)
+    report = run_experiment(_config(args), engine=args.engine)
     payload = report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -81,9 +84,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_emit_transcripts(args) -> int:
     _check_out_dir(args.out)
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = with_seed(config, args.seed)
+    config = _config(args)
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     if not kinds or not set(kinds) <= set(KINDS) or len(set(kinds)) < len(kinds):
         raise ConfigError(f"--kinds must name one or more of {', '.join(KINDS)}, "

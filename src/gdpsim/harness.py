@@ -59,10 +59,10 @@ from .adversaries import make_policy
 from .batch import run_trial_batch, policy_stream_id
 from .budget import check_budget, check_spend
 from .cholesky import DenseCholesky, StreamingCholesky, next_noise
-from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Transcript
+from .curator import DEFAULT_MAX_ROUNDS, KINDS, Round, Transcript, check_kind_bit
 from .errors import ConfigError, NumericalIntegrityError
 from .mechanisms import make_mechanism
-from .rng import SEED_RULE, derive_key, generator, seed_ok, streams
+from .rng import check_seed, derive_key, generator, streams
 from .stats import (
     empirical_moments,
     covariance_deviation,
@@ -121,12 +121,13 @@ def _is_number(x) -> bool:
 
 
 def with_seed(config: ExperimentConfig, master_seed: int) -> ExperimentConfig:
-    """``config`` with another master seed, which the config loader's rule
-    checks before it is used: a bool, a float or a string is refused, not
-    converted."""
-    if not seed_ok(master_seed):
-        raise ConfigError(f"master_seed: {SEED_RULE}, got {master_seed!r}")
-    return replace(config, master_seed=int(master_seed))
+    """``config`` with another master seed, read by the config loader's
+    rule (``rng.check_seed``): a bool, a float or a string is refused with
+    a ``ConfigError``, not converted."""
+    try:
+        return replace(config, master_seed=check_seed("master_seed", master_seed))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
@@ -151,6 +152,7 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
         n_trials = check_int("n_trials", data["n_trials"], 1)
         max_rounds = check_int("max_rounds", data["max_rounds"], 1)
         min_test_samples = check_int("min_test_samples", data["min_test_samples"], 2)
+        master_seed = check_seed("master_seed", data["master_seed"])
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
     bits = data["bits"]
@@ -158,9 +160,6 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
             or any(not is_int(b) or b not in (0, 1) for b in bits)
             or len(set(bits)) != len(bits)):
         fail("bits", f"must be a nonempty subset of [0, 1], got {bits!r}")
-    master_seed = data["master_seed"]
-    if not seed_ok(master_seed):
-        fail("master_seed", f"{SEED_RULE}, got {master_seed!r}")
     alpha = data["alpha"]
     if not _is_number(alpha) or not 0.0 < alpha < 1.0:
         fail("alpha", f"must lie in (0, 1), got {alpha!r}")
@@ -186,12 +185,11 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
             args = [entry[k] for k in head]
             params = {k: v for k, v in entry.items() if k not in head}
             try:
-                made = make(*args, **params)
+                make(*args, **params)
             except (TypeError, ValueError) as exc:
                 fail(field, exc)
-            # One entry, whatever its stream label: ``made.name`` is the
-            # registered name, and 1 and 1.0 are the same value.
-            unique = (key, made.name, tuple(sorted(
+            # One entry, whatever its stream label: 1 and 1.0 are the same value.
+            unique = (key, entry["name"], tuple(sorted(
                 (k, tuple(map(float, v)) if isinstance(v, list) else float(v))
                 for k, v in entry.items() if k != "name")))
             if unique in seen:
@@ -206,7 +204,7 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
         policies=tuple(entries["policies"]),
         mechanisms=tuple(entries["mechanisms"]),
         max_rounds=max_rounds,
-        master_seed=int(master_seed),
+        master_seed=master_seed,
         alpha=float(alpha),
         min_test_samples=min_test_samples,
     )
@@ -732,13 +730,12 @@ def verify_cholesky(seed: int = 0, cases: int = 1000,
     Case 0 is pinned to the rank-deficient exhaustion (0.6, 0.8) and case 1
     to the empty vector; afterwards every tenth case exhausts the budget
     exactly, so a 1000-case run includes 100 boundary cases.  ``cases`` and
-    ``max_len`` go through ``check_int`` (each an integer >= 1).
+    ``max_len`` go through ``check_int`` (each an integer >= 1), ``seed``
+    through ``rng.check_seed``.
     """
     cases = check_int("cases", cases, 1)
     max_len = check_int("max_len", max_len, 1)
-    if not seed_ok(seed):
-        raise ValueError(f"seed {SEED_RULE}, got {seed!r}")
-    seed = int(seed)
+    seed = check_seed("seed", seed)
     max_factor = 0.0
     max_stream = 0.0
     max_canon = 0.0
@@ -819,10 +816,11 @@ def write_transcripts(path, records) -> None:
 
 def parse_transcripts(path) -> dict:
     """Inverse of write_transcripts: {(policy, bit, kind, trial): Transcript}.
-    A row holds a bit in {0, 1}, a session kind, a trial >= 0, a valid budget
-    and spend, and a finite answer if accepted.  A transcript's rows number
-    its rounds 0, 1, ..., keep one budget and end at its truncation marker,
-    if any; every error names its ``path:line``."""
+    A row's kind and bit go through ``check_kind_bit``, its trial through
+    ``check_int`` (>= 0); it holds a valid budget and spend, and a finite
+    answer if accepted.  A transcript's rows number its rounds 0, 1, ...,
+    keep one budget and end at its truncation marker, if any; every error
+    names its ``path:line``."""
     out: dict = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -834,10 +832,8 @@ def parse_transcripts(path) -> dict:
                 if len(row) != len(_TRANSCRIPT_COLUMNS):
                     raise ValueError(f"expected {len(_TRANSCRIPT_COLUMNS)} fields")
                 policy, bit, kind, trial, budget, rnd, spend, decision, answer = row
-                bit, trial = int(bit), int(trial)
-                if bit not in (0, 1) or kind not in KINDS or trial < 0:
-                    raise ValueError(f"need bit in {{0, 1}}, kind in {KINDS} and trial >= 0, "
-                                     f"got {bit}, {kind!r}, {trial}")
+                bit = check_kind_bit(kind, int(bit))
+                trial = check_int("trial", int(trial), 0)
                 key = (policy, bit, kind, trial)
                 budget = check_budget(budget)
                 tr = out.get(key)

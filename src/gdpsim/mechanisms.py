@@ -17,6 +17,7 @@ the bit is ``post`` of ``b*mu + Z``, which is the harness's direct arm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,6 +53,8 @@ def _identity(mu: float) -> PostprocessedMechanism:
 
 
 def _threshold(mu: float, tau: float) -> PostprocessedMechanism:
+    if isinstance(tau, (bool, np.bool_)) or not math.isfinite(float(tau)):
+        raise ValueError(f"tau must be a finite real number, got {tau!r}")
     tau = float(tau)
     return PostprocessedMechanism(
         "threshold", mu,
@@ -85,10 +88,10 @@ def mechanism_names() -> tuple[str, ...]:
 
 
 def make_mechanism(name: str, mu: float, **params) -> PostprocessedMechanism:
-    """Construct a registered mechanism by name with spend ``mu``."""
-    key = name.replace("-", "_")
-    if key not in _REGISTRY:
+    """Construct a registered mechanism by its name, spelled exactly as
+    ``mechanism_names()`` lists it, with spend ``mu``."""
+    if name not in _REGISTRY:
         raise ValueError(
             f"unknown mechanism {name!r}; known: {', '.join(mechanism_names())}"
         )
-    return _REGISTRY[key](check_spend(mu), **params)
+    return _REGISTRY[name](check_spend(mu), **params)

@@ -102,9 +102,10 @@ def generator(*parts: int | str) -> np.random.Generator:
     return streams(*parts)()
 
 
-# The master seeds: the integers a label encodes (16 signed bytes).
-SEED_RULE = "must be an integer in [-2**127, 2**127)"
-
-
-def seed_ok(seed) -> bool:
-    return is_int(seed) and -2**127 <= int(seed) < 2**127
+def check_seed(name: str, seed) -> int:
+    """``seed`` as an int if it is a master seed, an integer argument
+    (``_numeric.is_int``) that the label encoding's 16 signed bytes hold;
+    otherwise ``ValueError``."""
+    if not is_int(seed) or not -2**127 <= int(seed) < 2**127:
+        raise ValueError(f"{name} must be an integer in [-2**127, 2**127), got {seed!r}")
+    return int(seed)

@@ -1,6 +1,7 @@
 """Policy suite: stated spend rules, determinism, refusal predictability."""
 
 import math
+import re
 
 import pytest
 
@@ -153,7 +154,10 @@ def test_registry_coverage_and_aliases():
     assert set(policy_names()) == {
         "fixed", "sign_adaptive", "greedy_halving", "overspend_prober",
     }
-    assert make_policy("sign-adaptive", hi=0.8, lo=0.2).name == "sign_adaptive"
-    with pytest.raises(ValueError):
-        make_policy("nonesuch")
+    # One spelling per name: a hyphenated alias is an unknown policy.
+    for name in ("sign-adaptive", "greedy-halving", "nonesuch"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown policy {name!r}; known: fixed, greedy_halving, "
+                "overspend_prober, sign_adaptive")):
+            make_policy(name)
 

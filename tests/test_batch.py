@@ -271,9 +271,10 @@ def test_refusal_rows():
 
 
 def test_vector_policy_registry():
-    assert make_vector_policy("greedy-halving", {}) is not None
-    with pytest.raises(ValueError):
-        make_vector_policy("nonesuch", {})
+    assert make_vector_policy("greedy_halving", {}).name == "greedy_halving"
+    for name in ("greedy-halving", "nonesuch"):
+        with pytest.raises(ValueError, match=f"unknown policy {name!r}"):
+            make_vector_policy(name, {})
 
 
 def test_policy_stream_id_canonical():

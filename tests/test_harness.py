@@ -124,26 +124,35 @@ def test_config_field_diagnostics():
 def test_config_rejects_repeated_entries():
     # Entries naming one policy or mechanism with equal parameter values
     # would run and test the same arms twice, even under different stream
-    # labels (a hyphenated name, an integer-valued number).
+    # labels (an integer-valued number).
     base = {"budget": 1.0, "n_trials": 1}
     fixed = {"name": "fixed", "spends": [0.5]}
     for key, entries in [
         ("policies", [fixed, {"name": "greedy_halving"}, dict(fixed)]),
         ("policies", [{"name": "greedy_halving"}, {"name": "greedy_halving"}]),
         ("policies", [{"name": "fixed", "spends": [1]}, {"name": "fixed", "spends": [1.0]}]),
-        ("policies", [{"name": "greedy_halving"}, {"name": "greedy-halving"}]),
         ("policies", [{"name": "sign_adaptive", "hi": 1, "lo": 0},
-                      {"name": "sign-adaptive", "lo": 0.0, "hi": 1.0}]),
+                      {"name": "sign_adaptive", "lo": 0.0, "hi": 1.0}]),
         ("mechanisms", [{"name": "identity", "mu": 0.5}, {"name": "identity", "mu": 0.5}]),
         ("mechanisms", [{"name": "sign", "mu": 1}, {"name": "sign", "mu": 1.0}]),
         ("mechanisms", [{"name": "threshold", "mu": 1.0, "tau": 0.5},
                         {"name": "threshold", "tau": 0.5, "mu": 1.0}]),
         ("mechanisms", [{"name": "threshold", "mu": 1.0, "tau": 0},
                         {"name": "threshold", "mu": 1.0, "tau": 0.0}]),
-        ("mechanisms", [{"name": "round_to_integer", "mu": 0.6},
-                        {"name": "round-to-integer", "mu": 0.6}]),
     ]:
         with pytest.raises(ConfigError, match=rf"{key}\[{len(entries) - 1}\]: repeats"):
+            config_from_dict({**base, key: entries})
+    # Each name has one spelling, which is its stream label: a hyphenated
+    # alias is an unknown name, not a repeat.
+    for key, kind, entries in [
+        ("policies", "policy", [{"name": "greedy_halving"}, {"name": "greedy-halving"}]),
+        ("policies", "policy", [{"name": "sign_adaptive", "hi": 1, "lo": 0},
+                                {"name": "sign-adaptive", "lo": 0.0, "hi": 1.0}]),
+        ("mechanisms", "mechanism", [{"name": "round_to_integer", "mu": 0.6},
+                                     {"name": "round-to-integer", "mu": 0.6}]),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{key}[1]: unknown {kind} {entries[1]['name']!r}; known: ")):
             config_from_dict({**base, key: entries})
     config = config_from_dict({
         **base,
@@ -358,6 +367,32 @@ def test_each_input_rule_reads_the_same_from_every_entry_that_takes_it():
             with pytest.raises(ConfigError) as info:
                 config_from_dict({"budget": 1.0, "n_trials": 2, name: value}, source="exp.cfg")
             assert str(info.value) == f"exp.cfg: {name} must be an integer >= {low}, got {value!r}"
+    # The seed rule: both engines and verify_cholesky, the config loader with
+    # its source prefix, and with_seed, which raises a ConfigError.
+    def seed_rule(name, value):
+        return f"{name} must be an integer in [-2**127, 2**127), got {value!r}"
+
+    config = config_from_dict({"budget": 1.0, "n_trials": 2})
+    for value in (True, 2.0, "3", None, 2**127, -2**127 - 1):
+        for call in engines:
+            assert refusal(call, master_seed=value) == seed_rule("master_seed", value)
+        assert refusal(verify_cholesky, seed=value, cases=1) == seed_rule("seed", value)
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"budget": 1.0, "n_trials": 2, "master_seed": value},
+                             source="exp.cfg")
+        assert str(info.value) == "exp.cfg: " + seed_rule("master_seed", value)
+        with pytest.raises(ConfigError) as info:
+            with_seed(config, value)
+        assert str(info.value) == seed_rule("master_seed", value)
+    # A NumPy integer is a seed, and keys the streams its int value keys.
+    for engine in ("vector", "scalar"):
+        a, b = (run_trial_batch("direct", 1, 1.0, "greedy_halving", {}, 2, seed, engine=engine)
+                for seed in (np.int64(3), 3))
+        assert np.array_equal(a.answers, b.answers, equal_nan=True)
+    assert verify_cholesky(seed=np.int64(3), cases=3) == verify_cholesky(seed=3, cases=3)
+    assert config_from_dict({"budget": 1.0, "n_trials": 2,
+                             "master_seed": np.int64(3)}).master_seed == 3
+    assert with_seed(config, np.int64(3)).master_seed == 3
 
 
 def _shift_streaming_noise(next_noise):
@@ -580,9 +615,9 @@ def test_parse_rejects_out_of_range_field_values(tmp_path):
         ("p,0,direct,0,1.0,1,0.5,accepted,nan", "answer must be finite, got nan"),
         ("p,0,direct,0,nan,1,0.5,refused,", "budget must be a finite nonnegative real"),
         ("p,0,direct,1,-1.0,0,0.5,refused,", "budget must be a finite nonnegative real"),
-        ("p,7,direct,0,1.0,0,0.5,refused,", "need bit in {0, 1}"),
-        ("p,0,other,0,1.0,0,0.5,refused,", "kind in ('direct', 'simulated')"),
-        ("p,0,direct,-1,1.0,0,0.5,refused,", "trial >= 0"),
+        ("p,7,direct,0,1.0,0,0.5,refused,", "secret bit must be 0 or 1, got 7"),
+        ("p,0,other,0,1.0,0,0.5,refused,", f"kind must be one of {KINDS}, got 'other'"),
+        ("p,0,direct,-1,1.0,0,0.5,refused,", "trial must be an integer >= 0, got -1"),
     ]:
         path.write_text(header + good + row + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*"
@@ -1035,6 +1070,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         {"name": "fixed", "spends": [0.5]}, {"name": "fixed", "spends": [0.5]}]}))
     assert main(["run", "--config", str(bad)]) == 2
     assert "policies[1]: repeats" in capsys.readouterr().err
+    bad.write_text(json.dumps({"budget": 1.0, "n_trials": 1, "policies": [
+        {"name": "sign-adaptive", "hi": 0.8, "lo": 0.2}]}))
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "policies[0]: unknown policy 'sign-adaptive'" in capsys.readouterr().err
     # --seed outside what derive_key encodes, on every command that takes one
     config = write_cli_config(tmp_path)
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ X ~ N(1,1).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,9 +28,12 @@ def direct_outcomes(mech, b, rng, n):
 
 def test_registry():
     assert set(mechanism_names()) == {"identity", "threshold", "sign", "round_to_integer"}
-    assert make_mechanism("round-to-integer", 0.5).name == "round_to_integer"
-    with pytest.raises(ValueError):
-        make_mechanism("nonesuch", 0.5)
+    # One spelling per name: a hyphenated alias is an unknown mechanism.
+    for name in ("round-to-integer", "nonesuch"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown mechanism {name!r}; known: identity, round_to_integer, "
+                "sign, threshold")):
+            make_mechanism(name, 0.5)
     with pytest.raises(TypeError):
         make_mechanism("threshold", 0.5)  # tau required
     with pytest.raises(ValueError):
@@ -37,6 +41,16 @@ def test_registry():
     for flag in (True, np.True_):
         with pytest.raises(ValueError, match="boolean"):
             make_mechanism("identity", flag)
+    # tau is a finite real: a bool (float reads it as 0 or 1) or a non-finite
+    # value (a constant map) is refused; a number as text is read.
+    for tau in (True, False, np.True_, float("nan"), float("inf"), -float("inf"), "nan"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"tau must be a finite real number, got {tau!r}")):
+            make_mechanism("threshold", 0.5, tau=tau)
+    for tau, outcomes in (("0.5", [0.0, 0.0, 1.0]), (0.5, [0.0, 0.0, 1.0]),
+                          (-1, [0.0, 1.0, 1.0])):
+        post = make_mechanism("threshold", 0.5, tau=tau).post
+        assert post(np.array([-1.5, 0.4, 0.6])).tolist() == outcomes
 
 
 def test_identity_sample_law():
