@@ -72,7 +72,7 @@ def _cmd_run(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(payload + "\n")
         with open(table_path, "w") as fh:
-            fh.write(report_table(report.results))
+            fh.write(report_table(report))
         print(f"report: {args.out}")
         print(f"table:  {table_path}")
     else:

@@ -22,12 +22,12 @@ then evaluates per-round marginal KS tests, a KS test on each trial's sum of
 accepted answers, moment and covariance bounds where round shapes are
 uniform, and refusal-pattern checksums.  A (mechanism, bit) section compares
 the arms' one-query outcomes by a two-proportion z-test (binary mechanisms)
-or a KS test.  Every test runs only when both samples hold min_test_samples
-values (and two at the least), else it is reported as "insufficient sample",
-keeping the asymptotic p-values honest.  A section passes when its bound
-checks hold and every test it ran (``tests_run`` for a policy) passed.  A
-failing section is rerun once on an independently derived seed before the
-failure stands.
+or a KS test, and their refused counts.  Every test runs only when both
+samples hold min_test_samples values (and two at the least), else it is
+reported as "insufficient sample", keeping the asymptotic p-values honest.
+Each check, a test or a bound, leaves one ``Check`` record where it runs.  A
+section passes when all its records pass; a failing section is rerun once on
+an independently derived seed before the failure stands.
 
 A report is one line of compact canonical JSON (sorted keys, no whitespace,
 no NaN).  The results are serialized once; the checksum is the SHA-256 of
@@ -35,9 +35,8 @@ that text, and the report file carries the same text as its ``results``
 value, so a report verifies from its own bytes.  The checksum covers the
 config echo and results only -- wall time, timestamps and versions live in
 a separate metadata block -- so two runs with the same (config,
-master_seed) are checksum-identical.  ``report_table`` renders the same
-results as a flat TSV, retries and moment checks included: that table is
-the human-facing view.
+master_seed) are checksum-identical.  ``report_table`` renders the records
+as a flat TSV, one row each: that table is the human-facing view.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ from .errors import ConfigError, NumericalIntegrityError
 from .mechanisms import make_mechanism
 from .rng import check_seed, derive_key, generator, streams
 from .stats import (
+    TestReport,
     empirical_moments,
     covariance_deviation,
     ks_two_sample,
@@ -352,21 +352,41 @@ def _refusal_checksum(decisions: np.ndarray, width: int) -> tuple[str, int]:
     return h.hexdigest(), int(counts @ patterns.sum(axis=1, dtype=np.int64))
 
 
-def _test(ledger, test, x, y, alpha, min_samples, name):
-    """The sample rule: run ``test`` on ``x`` and ``y`` when each holds
-    min_samples values, and two at the least, and add its report to the
-    section's ``ledger``.  Returns the report dict, or why it did not run."""
-    if min(len(x), len(y)) < max(2, min_samples):
+class Check(NamedTuple):
+    """One input to a verdict: where it sits (a round, "summary", "moments",
+    "refusals", "refused", or None), the sample cells the table shows (up to
+    n and mean, direct then simulated), the test's report if one ran, the
+    status text and whether it passed."""
+
+    where: object
+    cells: tuple
+    test: TestReport | None
+    status: str
+    passed: bool
+
+
+def _check(where, passed: bool, status=None, cells=(), test=None) -> Check:
+    """A record whose status text is ``status``, or pass/FAIL if None."""
+    return Check(where, cells, test, status or ("pass" if passed else "FAIL"), passed)
+
+
+def _test(checks, where, cells, sizes, min_samples, test, *args, name):
+    """The sample rule: run ``test(*args, name=name)`` when each sample size
+    is at least min_samples, and two at the least, and add its record to
+    ``checks``.  Returns the report dict, or why it did not run."""
+    if min(sizes) < max(2, min_samples):
+        checks.append(_check(where, True, "insufficient sample", cells))
         return "insufficient sample"
-    rep = test(x, y, alpha, name=name)
-    ledger.append(rep)
+    rep = test(*args, name=name)
+    checks.append(_check(where, rep.passed, None, cells, rep))
     return rep.to_dict()
 
 
-def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> dict:
+def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> tuple:
+    """A policy section's results, and the records of its checks."""
     n = direct.answers.shape[0]
     r_max = max(direct.answers.shape[1], sim.answers.shape[1])
-    ledger = []
+    checks = []
 
     per_round = []
     for r in range(r_max):
@@ -380,12 +400,13 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
             "mean_simulated": mean_s,
             "var_direct": var_d,
             "var_simulated": var_s,
-            "ks": _test(ledger, ks_two_sample, xd, xs, alpha, min_samples, f"round_{r}_ks"),
+            "ks": _test(checks, r, (xd.size, xs.size, mean_d, mean_s), (xd.size, xs.size),
+                        min_samples, ks_two_sample, xd, xs, alpha, name=f"round_{r}_ks"),
         })
-    summary = _test(ledger, ks_two_sample, direct.summaries, sim.summaries, alpha,
-                    min_samples, "summary_ks")
+    summary = _test(checks, "summary", (), (direct.summaries.size, sim.summaries.size),
+                    min_samples, ks_two_sample, direct.summaries, sim.summaries, alpha,
+                    name="summary_ks")
 
-    moments_ok = True
     uniform = direct.uniform and sim.uniform \
         and direct.decisions.shape == sim.decisions.shape \
         and bool((direct.decisions[0] == sim.decisions[0]).all()) \
@@ -421,21 +442,25 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
                 moments["cov_deviation_direct_vs_identity"] <= cov_tol
                 and moments["cov_deviation_simulated_vs_identity"] <= cov_tol
             )
-            moments_ok = moments["mean_ok"] and moments["cov_ok"]
+            checks.append(_check("moments", moments["mean_ok"] and moments["cov_ok"]))
         else:
             moments = "no accepted rounds"
     else:
         moments = "skipped (adaptive round shape)" if not uniform else "insufficient trials"
+    if isinstance(moments, str):
+        checks.append(_check("moments", True, moments))
 
     ck_d, refused_d = _refusal_checksum(direct.decisions, r_max)
     ck_s, refused_s = _refusal_checksum(sim.decisions, r_max)
+    match = ck_d == ck_s
     refusals = {
         "checksum_direct": ck_d,
         "checksum_simulated": ck_s,
-        "match": ck_d == ck_s,
+        "match": match,
         "refused_rounds_direct": refused_d,
         "refused_rounds_simulated": refused_s,
     }
+    checks.append(_check("refusals", match, "match" if match else "MISMATCH"))
 
     return {
         "n_trials": n,
@@ -450,10 +475,9 @@ def _evaluate_pair(direct: _Arm, sim: _Arm, alpha: float, min_samples: int) -> d
         "draws_used_simulated": sim.draws_used,
         "draws_generated_direct": direct.draws_generated,
         "draws_generated_simulated": sim.draws_generated,
-        "tests_run": len(ledger),
-        "passed": bool(moments_ok and refusals["match"]
-                       and all(rep.passed for rep in ledger)),
-    }
+        "tests_run": sum(c.test is not None for c in checks),
+        "passed": all(c.passed for c in checks),
+    }, checks
 
 
 def _arm_pair(config, name, params, bit, seed, engine, stream_label=None):
@@ -465,33 +489,28 @@ def _arm_pair(config, name, params, bit, seed, engine, stream_label=None):
             for kind in KINDS]
 
 
-def _policy_section(config, name, params, bit, seed, engine) -> dict:
+def _policy_section(config, name, params, bit, seed, engine) -> tuple:
     direct, sim = _arm_pair(config, name, params, bit, seed, engine)
-    section = {"policy": name, "params": params, "bit": bit}
-    section.update(_evaluate_pair(direct, sim, config.alpha, config.min_test_samples))
-    return section
+    section, checks = _evaluate_pair(direct, sim, config.alpha, config.min_test_samples)
+    return {"policy": name, "params": params, "bit": bit, **section}, checks
 
 
 # --- mechanisms -------------------------------------------------------------
 
-def _mechanism_section(config, name, mu, params, bit, seed, engine) -> dict:
+def _mechanism_section(config, name, mu, params, bit, seed, engine) -> tuple:
     mech = make_mechanism(name, mu, **params)
     label = "mechanism:" + policy_stream_id(name, {"mu": mu, **params})
     out_d, out_s = (mech.post(arm.round_answers(0)) for arm in _arm_pair(
         config, "fixed", {"spends": [mu]}, bit, seed, engine, stream_label=label))
-    section = {
-        "mechanism": name,
-        "mu": mu,
-        "params": params,
-        "bit": bit,
-        "n_trials": config.n_trials,
-        "refused_direct": config.n_trials - out_d.size,
-        "refused_simulated": config.n_trials - out_s.size,
-        "binary": mech.binary,
-    }
-    ledger = []
-    if out_d.size == 0 or out_s.size == 0:
+    section = {"mechanism": name, "mu": mu, "params": params, "bit": bit,
+               "n_trials": config.n_trials, "binary": mech.binary,
+               "refused_direct": config.n_trials - out_d.size,
+               "refused_simulated": config.n_trials - out_s.size}
+    checks = []
+    sizes = (out_d.size, out_s.size)
+    if 0 in sizes:
         section["test"] = "all queries refused"
+        checks.append(_check(0, True, section["test"], sizes))
     elif mech.binary:
         success = float(max(out_d.max(), out_s.max()))
         k_d = int(np.count_nonzero(out_d == success))
@@ -500,15 +519,15 @@ def _mechanism_section(config, name, mu, params, bit, seed, engine) -> dict:
         section["freq_direct"] = k_d / out_d.size
         section["freq_simulated"] = k_s / out_s.size
         section["test"] = _test(
-            ledger, lambda x, y, *args, **kw: two_proportion_z(k_d, x.size, k_s, y.size,
-                                                               *args, **kw),
-            out_d, out_s, config.alpha, config.min_test_samples, f"{name}_two_proportion")
+            checks, 0, (*sizes, section["freq_direct"], section["freq_simulated"]), sizes,
+            config.min_test_samples, two_proportion_z, k_d, out_d.size, k_s, out_s.size,
+            config.alpha, name=f"{name}_two_proportion")
     else:
-        section["test"] = _test(ledger, ks_two_sample, out_d, out_s, config.alpha,
-                                config.min_test_samples, f"{name}_ks")
-    section["passed"] = (section["refused_direct"] == section["refused_simulated"]
-                         and all(rep.passed for rep in ledger))
-    return section
+        section["test"] = _test(checks, 0, sizes, sizes, config.min_test_samples,
+                                ks_two_sample, out_d, out_s, config.alpha, name=f"{name}_ks")
+    checks.append(_check("refused", out_d.size == out_s.size))
+    section["passed"] = all(c.passed for c in checks)
+    return section, checks
 
 
 # --- experiment driver ------------------------------------------------------
@@ -522,9 +541,13 @@ class ExperimentReport:
     those bytes.  ``to_json`` writes the same text back unchanged, so the
     ``results`` text of a report file is exactly what its ``checksum``
     hashes.  Both are fixed when the run ends: editing ``results`` afterwards
-    changes neither.  ``python -m json.tool`` pretty-prints a report;
-    ``report_table`` is the human-facing view.  The benchmark's tracer
-    (``perfbench/spans.py``) wraps ``to_json`` by name.
+    changes neither.  ``python -m json.tool`` pretty-prints a report.
+
+    ``checks`` lists every verdict input as ``(section label, name, bit,
+    Check)`` in run order, retries (label ``policy_retry`` or
+    ``mechanism_retry``) and the ``rng`` normality check included; it sits
+    outside ``results``, and ``report_table`` renders it.  The benchmark's
+    tracer (``perfbench/spans.py``) wraps ``to_json`` by name.
     """
 
     passed: bool
@@ -532,6 +555,7 @@ class ExperimentReport:
     metadata: dict
     checksum: str
     results_json: str
+    checks: list
 
     def to_json(self) -> str:
         """The report as one line of canonical JSON: byte-equal to
@@ -549,38 +573,40 @@ def _canonical_json(value) -> str:
 
 def run_experiment(config: ExperimentConfig, engine: str = "vector") -> ExperimentReport:
     """Run the matched direct/simulated batches for every configured policy,
-    bit and mechanism, evaluate all tests, and assemble the report."""
+    bit and mechanism, evaluate all tests, and assemble the report.  The
+    run passes when every record of each section's last attempt passes, and
+    the normality check does."""
     t0 = time.perf_counter()
     results = {
         "schema": _REPORT_SCHEMA,
         "config": _config_echo(config),
         "policies": [],
         "mechanisms": [],
-        "rng": {},
     }
-    overall = True
     retry_seed = derive_key(config.master_seed, "retry")
+    checks, verdict = [], []   # every record; the records the verdict reads
 
-    arms = [("policies", _policy_section, (name, params, bit))
+    arms = [("policies", "policy", _policy_section, (name, params, bit))
             for name, params in config.policies for bit in config.bits]
-    arms += [("mechanisms", _mechanism_section, (name, mu, params, bit))
+    arms += [("mechanisms", "mechanism", _mechanism_section, (name, mu, params, bit))
              for name, mu, params in config.mechanisms for bit in config.bits]
-    for key, run_section, args in arms:
-        section = run_section(config, *args, config.master_seed, engine)
+    for key, label, run_section, args in arms:
+        section, attempt = run_section(config, *args, config.master_seed, engine)
+        checks += [(label, args[0], args[-1], c) for c in attempt]
         if not section["passed"]:
-            retry = run_section(config, *args, retry_seed, engine)
+            retry, attempt = run_section(config, *args, retry_seed, engine)
             section["retry"] = retry
             section["passed_after_retry"] = retry["passed"]
-            overall &= retry["passed"]
+            checks += [(label + "_retry", args[0], args[-1], c) for c in attempt]
+        verdict += attempt
         results[key].append(section)
 
     normality = normality_check(
-        generator(config.master_seed, "normality").standard_normal(100000),
-        config.alpha,
-    )
-    results["rng"]["normality"] = normality.to_dict()
-    overall &= normality.passed
-    results["passed"] = bool(overall)
+        generator(config.master_seed, "normality").standard_normal(100000), config.alpha)
+    results["rng"] = {"normality": normality.to_dict()}
+    verdict.append(_check(None, normality.passed, test=normality))
+    checks.append(("rng", "normality", None, verdict[-1]))
+    results["passed"] = passed = all(c.passed for c in verdict)
 
     from . import __version__   # the package root imports this module
     results_json = _canonical_json(results)
@@ -595,60 +621,24 @@ def run_experiment(config: ExperimentConfig, engine: str = "vector") -> Experime
             "gdpsim": __version__,
         },
     }
-    return ExperimentReport(bool(overall), results, metadata, checksum, results_json)
+    return ExperimentReport(passed, results, metadata, checksum, results_json, checks)
 
 
-def report_table(results: dict) -> str:
-    """Flat TSV rendering of a results dict, for spreadsheet use."""
-    header = ["section", "name", "bit", "round", "n_direct", "n_simulated",
-              "mean_direct", "mean_simulated", "statistic", "p_value", "status"]
+def report_table(report: ExperimentReport) -> str:
+    """Flat TSV rendering of a report's checks, for spreadsheet use: one
+    row per record in ``report.checks``, every cell written by one
+    formatter, then the ``overall`` verdict."""
 
     def fmt(x):
-        if x is None:
-            return ""
-        if isinstance(x, float):
-            return f"{x:.6g}"
-        return str(x)
+        return "" if x is None else f"{x:.6g}" if isinstance(x, float) else str(x)
 
-    def test_cells(t):
-        if isinstance(t, dict):
-            return [fmt(t["statistic"]), fmt(t["p_value"]),
-                    "pass" if t["passed"] else "FAIL"]
-        return ["", "", str(t)]
-
-    def policy_rows(label, sec):
-        base = [label, sec["policy"], str(sec["bit"])]
-        rows = [base + [str(ent["round"]), str(ent["n_direct"]), str(ent["n_simulated"]),
-                        fmt(ent["mean_direct"]), fmt(ent["mean_simulated"])]
-                + test_cells(ent["ks"]) for ent in sec["per_round"]]
-        mom = sec["moments"]
-        if isinstance(mom, dict):
-            mom = "pass" if mom["mean_ok"] and mom["cov_ok"] else "FAIL"
-        return rows + [
-            base + ["summary", "", "", "", ""] + test_cells(sec["summary_ks"]),
-            base + ["moments", "", "", "", "", "", "", mom],
-            base + ["refusals", "", "", "", "", "", "",
-                    "match" if sec["refusals"]["match"] else "MISMATCH"]]
-
-    def mechanism_rows(label, sec):
-        return [[label, sec["mechanism"], str(sec["bit"]), "0",
-                 str(sec["n_trials"] - sec["refused_direct"]),
-                 str(sec["n_trials"] - sec["refused_simulated"]),
-                 fmt(sec.get("freq_direct")), fmt(sec.get("freq_simulated"))]
-                + test_cells(sec["test"])]
-
-    rows = [header]
-    for key, label, section_rows in (("policies", "policy", policy_rows),
-                                     ("mechanisms", "mechanism", mechanism_rows)):
-        for sec in results.get(key, []):
-            rows += section_rows(label, sec)
-            if "retry" in sec:
-                rows += section_rows(label + "_retry", sec["retry"])
-    norm = results.get("rng", {}).get("normality")
-    if norm:
-        rows.append(["rng", "normality", "", "", "", "", "", ""] + test_cells(norm))
-    rows.append(["overall", "", "", "", "", "", "", "", "", "",
-                 "pass" if results.get("passed") else "FAIL"])
+    rows = [["section", "name", "bit", "round", "n_direct", "n_simulated",
+             "mean_direct", "mean_simulated", "statistic", "p_value", "status"]]
+    for label, name, bit, c in report.checks:
+        test = (c.test.statistic, c.test.p_value) if c.test else (None, None)
+        cells = (*c.cells, *[None] * (4 - len(c.cells)))
+        rows.append([fmt(x) for x in (label, name, bit, c.where, *cells, *test)] + [c.status])
+    rows.append(["overall"] + [""] * 9 + ["pass" if report.passed else "FAIL"])
     return "".join("\t".join(row) + "\n" for row in rows)
 
 
@@ -816,11 +806,13 @@ def write_transcripts(path, records) -> None:
 
 def parse_transcripts(path) -> dict:
     """Inverse of write_transcripts: {(policy, bit, kind, trial): Transcript}.
-    A row's kind and bit go through ``check_kind_bit``, its trial through
-    ``check_int`` (>= 0); it holds a valid budget and spend, and a finite
-    answer if accepted.  A transcript's rows number its rounds 0, 1, ...,
-    keep one budget and end at its truncation marker, if any; every error
-    names its ``path:line``."""
+    A row's bit, trial and round are integers spelled as write_transcripts
+    spells them, so ``01``, ``+1``, ``1_0`` and `` 1 `` are refused and no
+    two spellings name one transcript.  Its kind and bit go through
+    ``check_kind_bit``, its trial through ``check_int`` (>= 0); it holds a
+    valid budget and spend, and a finite answer if accepted.  A transcript's
+    rows number its rounds 0, 1, ..., keep one budget and end at its
+    truncation marker, if any; every error names its ``path:line``."""
     out: dict = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -832,6 +824,9 @@ def parse_transcripts(path) -> dict:
                 if len(row) != len(_TRANSCRIPT_COLUMNS):
                     raise ValueError(f"expected {len(_TRANSCRIPT_COLUMNS)} fields")
                 policy, bit, kind, trial, budget, rnd, spend, decision, answer = row
+                for field, text in (("bit", bit), ("trial", trial), ("round", rnd)):
+                    if str(int(text)) != text:
+                        raise ValueError(f"{field} must be a plain decimal integer, got {text!r}")
                 bit = check_kind_bit(kind, int(bit))
                 trial = check_int("trial", int(trial), 0)
                 key = (policy, bit, kind, trial)

@@ -918,7 +918,7 @@ def test_evaluation_reads_lane_shared_arms_as_their_owned_copies(case, bit):
     owned = [replace(res, spends=np.array(res.spends, order="F"),
                      decisions=np.array(res.decisions, order="F"),
                      answers=res.answers.copy(order="F")) for res in arms]
-    sections = [json.dumps(_evaluate_pair(*map(_shrink, pair), 0.001, 2), sort_keys=True)
+    sections = [json.dumps(_evaluate_pair(*map(_shrink, pair), 0.001, 2)[0], sort_keys=True)
                 for pair in (arms, owned)]
     assert sections[0] == sections[1]
 

@@ -1,6 +1,7 @@
 """Harness: config validation, experiment reports, transcript files, CLI."""
 
 import hashlib
+import itertools
 import math
 import importlib
 import json
@@ -8,6 +9,7 @@ import os
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +620,14 @@ def test_parse_rejects_out_of_range_field_values(tmp_path):
         ("p,7,direct,0,1.0,0,0.5,refused,", "secret bit must be 0 or 1, got 7"),
         ("p,0,other,0,1.0,0,0.5,refused,", f"kind must be one of {KINDS}, got 'other'"),
         ("p,0,direct,-1,1.0,0,0.5,refused,", "trial must be an integer >= 0, got -1"),
+        # each integer field has the one spelling write_transcripts gives it:
+        # int() reads "0_1" as 1 and " 1 " as 1, which would merge these two
+        # rows into one transcript ('p', 1, 'direct', 10)
+        ("p,0_1,direct,1_0,1.0,0,0.5,refused,", "bit must be a plain decimal integer, got '0_1'"),
+        ("p,0,direct,1_0,1.0,0,0.5,refused,", "trial must be a plain decimal integer, got '1_0'"),
+        ("p,1,direct,10,1.0, 1 ,0.5,refused,", "round must be a plain decimal integer, got ' 1 '"),
+        ("p,01,direct,0,1.0,0,0.5,refused,", "bit must be a plain decimal integer, got '01'"),
+        ("p,0,direct,+1,1.0,0,0.5,refused,", "trial must be a plain decimal integer, got '+1'"),
     ]:
         path.write_text(header + good + row + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*"
@@ -710,8 +720,8 @@ def test_policy_section_memory_is_bounded_by_the_arms_it_keeps():
     n = data["n_trials"] = 3000
     tracemalloc.start()
     try:
-        section = harness._policy_section(config_from_dict(data), "fixed",
-                                          {"spends": spends}, 1, 42, "vector")
+        section, _ = harness._policy_section(config_from_dict(data), "fixed",
+                                             {"spends": spends}, 1, 42, "vector")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -740,7 +750,7 @@ def test_lockstep_section_holds_its_answers_and_per_trial_vectors_only():
 
     def section(config):
         direct, sim = harness._arm_pair(config, "fixed", {"spends": spends}, 1, 42, "vector")
-        return harness._evaluate_pair(direct, sim, config.alpha, config.min_test_samples)
+        return harness._evaluate_pair(direct, sim, config.alpha, config.min_test_samples)[0]
 
     section(config_from_dict(data))   # one-time imports and caches
     n = data["n_trials"] = 4000
@@ -810,17 +820,36 @@ def test_cli_exit_code_on_test_failure(tmp_path):
 
 def test_tests_run_counts_every_test_a_section_ran():
     # An absurd alpha fails every test that runs, so every section is retried.
-    report = run_experiment(acceptance_mix(n_trials=40, min_test_samples=10, alpha=0.9999))
-    sections = [s for sec in report.results["policies"] for s in (sec, sec["retry"])]
-    assert len(sections) == 16
-    skipped = 0
-    for sec in sections:
-        tests = [e["ks"] for e in sec["per_round"]] + [sec["summary_ks"]]
-        ran = [t for t in tests if isinstance(t, dict)]
-        assert sec["tests_run"] == len(ran) > 0
-        assert not sec["passed"]
-        skipped += len(tests) - len(ran)
-    assert skipped > 0
+    config = acceptance_mix(n_trials=40, min_test_samples=10, alpha=0.9999)
+    for engine in ("vector", "scalar"):
+        report = run_experiment(config, engine=engine)
+        sections = [s for sec in report.results["policies"] for s in (sec, sec["retry"])]
+        assert len(sections) == 16
+        skipped = 0
+        for sec in sections:
+            tests = [e["ks"] for e in sec["per_round"]] + [sec["summary_ks"]]
+            ran = [t for t in tests if isinstance(t, dict)]
+            assert sec["tests_run"] == len(ran) > 0
+            assert not sec["passed"]
+            skipped += len(tests) - len(ran)
+        assert skipped > 0
+
+        # Each attempt's records follow one another in run order, and its
+        # verdict and test count are read from them alone.
+        attempts = [s for key in ("policies", "mechanisms") for sec in report.results[key]
+                    for s in (sec, sec.get("retry")) if s is not None]
+        *records, normality = report.checks
+        groups = [[c for *_, c in group]
+                  for _, group in itertools.groupby(records, key=lambda e: e[:3])]
+        assert len(groups) == len(attempts)
+        for sec, checks in zip(attempts, groups):
+            assert sec["passed"] == all(c.passed for c in checks)
+            ran = sec["tests_run"] if "policy" in sec else int(isinstance(sec["test"], dict))
+            assert ran == sum(c.test is not None for c in checks)
+        assert normality[:3] == ("rng", "normality", None)
+        assert not report.passed and report.results["passed"] is False
+        # one table row per record, plus the header and overall
+        assert len(report_table(report).splitlines()) == len(report.checks) + 2
 
 
 def test_every_mechanism_test_keeps_the_sample_rule():
@@ -837,15 +866,16 @@ def test_every_mechanism_test_keeps_the_sample_rule():
     assert threshold["passed"] and report.passed
 
 
-def table_rows(results):
-    return [line.split("\t") for line in report_table(results).splitlines()]
+def table_rows(report):
+    return [line.split("\t") for line in report_table(report).splitlines()]
 
 
-def test_report_table_shows_retries_and_moment_checks():
-    report = run_experiment(small_config(alpha=0.9999, bits=[1], policies=[
+def test_report_table_shows_retries_and_moment_checks(monkeypatch):
+    config = small_config(alpha=0.9999, bits=[1], policies=[
         {"name": "fixed", "spends": [0.6, 0.8]},
-        {"name": "sign_adaptive", "hi": 0.8, "lo": 0.2}]))
-    rows = table_rows(report.results)
+        {"name": "sign_adaptive", "hi": 0.8, "lo": 0.2}])
+    report = run_experiment(config)
+    rows = table_rows(report)
     assert rows[0] == ["section", "name", "bit", "round", "n_direct", "n_simulated",
                        "mean_direct", "mean_simulated", "statistic", "p_value", "status"]
     assert rows[-1][0] == "overall" and rows[-1][-1] == "FAIL"
@@ -854,7 +884,9 @@ def test_report_table_shows_retries_and_moment_checks():
     assert moments == {("policy", "fixed"): "pass", ("policy_retry", "fixed"): "pass",
                        ("policy", "sign_adaptive"): "skipped (adaptive round shape)",
                        ("policy_retry", "sign_adaptive"): "skipped (adaptive round shape)"}
-    assert [row[0] for row in rows if row[1] == "threshold"] == ["mechanism", "mechanism_retry"]
+    assert [(row[0], row[3]) for row in rows if row[1] == "threshold"] == [
+        ("mechanism", "0"), ("mechanism", "refused"),
+        ("mechanism_retry", "0"), ("mechanism_retry", "refused")]
     # every test the JSON holds, retries included, is a row of the table
     tests = [e["ks"] for p in report.results["policies"] for sec in (p, p["retry"])
              for e in sec["per_round"]]
@@ -865,20 +897,52 @@ def test_report_table_shows_retries_and_moment_checks():
     assert len(ran) == sum(row[9] != "" for row in rows[1:])
     assert sum(not t["passed"] for t in ran) == sum(row[-1] == "FAIL" for row in rows[:-1])
 
-    # a failed moment check reads FAIL
-    report.results["policies"][0]["moments"]["cov_ok"] = False
-    assert [row[-1] for row in table_rows(report.results)
-            if row[:4] == ["policy", "fixed", "1", "moments"]] == ["FAIL"]
+    # a moment check that fails where it runs reads FAIL, on both attempts
+    monkeypatch.setattr(harness, "_COV_TOL_FACTOR", 0.0)
+    report = run_experiment(config)
+    assert not report.results["policies"][0]["moments"]["cov_ok"]
+    assert [row[0] + ":" + row[-1] for row in table_rows(report)
+            if row[1:4] == ["fixed", "1", "moments"]] == ["policy:FAIL", "policy_retry:FAIL"]
+
+
+def test_a_refused_count_mismatch_fails_the_section_and_reads_fail(monkeypatch):
+    # One outcome lost from an identity section's simulated arm: its KS test
+    # still passes, but the refused counts differ, so the section and its
+    # retry fail, and so does the run; the table's refused rows say why.
+    make = harness.make_mechanism
+
+    def planted(*args, **params):
+        mech, calls = make(*args, **params), []
+
+        def post(x):
+            calls.append(x)
+            out = mech.post(x)
+            return out[1:] if len(calls) == 2 else out   # the simulated arm runs second
+        return replace(mech, post=post)
+
+    monkeypatch.setattr(harness, "make_mechanism", planted)
+    report = run_experiment(small_config(policies=[], bits=[1],
+                                         mechanisms=[{"name": "identity", "mu": 0.5}]))
+    sec = report.results["mechanisms"][0]
+    assert sec["refused_simulated"] == sec["refused_direct"] + 1
+    assert not sec["passed"] and not sec["retry"]["passed"] and not sec["passed_after_retry"]
+    assert not report.passed
+    rows = table_rows(report)
+    assert [(row[0], row[3], row[-1]) for row in rows if row[1] == "identity"] == [
+        ("mechanism", "0", "pass"), ("mechanism", "refused", "FAIL"),
+        ("mechanism_retry", "0", "pass"), ("mechanism_retry", "refused", "FAIL")]
+    assert rows[-1] == ["overall"] + [""] * 9 + ["FAIL"]
 
 
 def test_report_table_renders():
     report = run_experiment(small_config())
-    table = report_table(report.results)
+    table = report_table(report)
     lines = table.strip().splitlines()
     assert lines[0].startswith("section\tname\tbit")
     assert any(line.startswith("policy\tfixed") for line in lines)
     assert any(line.startswith("mechanism\tthreshold") for line in lines)
-    assert lines[-1].startswith("overall")
+    assert "mechanism\tthreshold\t1\trefused\t\t\t\t\t\t\tpass" in lines
+    assert lines[-1] == "overall" + "\t" * 10 + "pass"
 
 
 def results_text(report_text):
