@@ -1,5 +1,5 @@
-"""Shared numeric helpers, the integer-argument rule (``check_int``, which
-every count a public entry takes goes through) and the float/array op sets.
+"""Shared numeric helpers, the integer-argument and parameter-value rules
+(``check_int``, ``as_floats``) and the float/array op sets.
 
 The filter rule, the streaming factor step and the policies are each written
 once and run on both engines: the scalar session passes Python floats, the
@@ -11,7 +11,12 @@ step through it -- floats get ``math.sqrt``, the builtins' ``min``/``max``
 rule, ``bool`` and a conditional; arrays get ``np.sqrt``, ``np.minimum``/
 ``np.maximum``, ``ndarray.any`` and ``np.where``.  IEEE arithmetic and both
 square roots are correctly rounded, so every lane of an array call is
-bitwise equal to the float call on that lane's values.
+bitwise equal to the float call on that lane's values.  ``ARRAY_OPS`` gives
+the same bits on floats too, but its per-call type checks cost the scalar
+engine 10%: passed from ``run_interaction`` and ``next_noise``, it made
+``scalar_reference`` ``verdict_s`` 0.315-0.322 s against 0.281-0.299 s,
+slower in 4 of 4 alternating ``perfbench/run.py --seconds 8`` pairs
+(CPython 3.11.7, NumPy 2.4.6, a 2-core Xeon VM).
 
 An argument of an array-op-set call may be a Python scalar, one value
 every lane shares (the vector engine holds lane-shared state that way), or
@@ -122,6 +127,12 @@ def check_int(name: str, x, low: int) -> int:
     if not is_int(x) or x < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
     return int(x)
+
+
+def as_floats(value):
+    """A parameter value as the floats its maker reads: a number as a float,
+    a list (or tuple) of numbers as a list of floats."""
+    return [float(v) for v in value] if isinstance(value, (list, tuple)) else float(value)
 
 
 def kahan_step(total, comp, x):

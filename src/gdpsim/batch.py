@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import ARRAY_OPS, check_int
+from ._numeric import ARRAY_OPS, as_floats, check_int
 from .adversaries import make_policy
 from .budget import admit, check_budget, check_spend
 from .cholesky import stream_step
@@ -72,10 +72,13 @@ from .rng import check_seed, derive_key, streams
 
 
 def policy_stream_id(name: str, params: dict) -> str:
-    """Canonical label mixed into an arm's stream key."""
+    """Canonical label mixed into an arm's stream key: the name, then the
+    parameters as the floats their maker reads (``as_floats``), so
+    ``{"hi": 1}`` and ``{"hi": 1.0}`` key one stream."""
     if not params:
         return name
-    return name + ":" + json.dumps(params, sort_keys=True, separators=(",", ":"))
+    values = {k: as_floats(v) for k, v in params.items()}
+    return name + ":" + json.dumps(values, sort_keys=True, separators=(",", ":"))
 
 
 class DrawTableau:

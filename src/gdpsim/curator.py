@@ -14,10 +14,10 @@ Since Var(W0) = 1, the simulated answer is already in raw units and its
 conditional law given any transcript prefix is N(b*mu, 1) -- the same as the
 direct curator's.  The Monte-Carlo harness certifies this equivalence.
 
-A session draws from a zero-argument function (a PCG64 generator's bound
+A session draws from a zero-argument function (a ``gdpsim.rng`` stream's
 ``standard_normal``, or a trial's tableau row in ``gdpsim.batch``).
 Refused queries consume no randomness, so for a fixed (kind, b, budget,
-seed, policy) the whole transcript is reproducible bit for bit.  Budgets
+stream, policy) the whole transcript is reproducible bit for bit.  Budgets
 other than 1 are handled natively by normalizing spends; running the same
 interaction at budget 1 with pre-normalized spends consumes identical noise
 values (the scaling-coherence tests assert this exactly).
@@ -39,8 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-import numpy as np
 
 from ._numeric import FLOAT_OPS, check_int, is_int
 from .budget import FilterState, check_budget, remaining_sq, try_spend
@@ -130,18 +128,6 @@ class Session:
         m = spend / self._norm
         u, self.chol = next_noise(self.chol, m, self._next_draw())
         return m * self.w0 + u
-
-
-def open_session(kind: str, b: int, budget, seed: int) -> Session:
-    """Open a session drawing from ``PCG64(seed)`` for an integer ``seed``;
-    deterministic given (kind, b, budget, seed).
-
-    ``seed`` must be a Python or NumPy integer: ``None`` would seed from OS
-    entropy, and a boolean or float is not a seed.
-    """
-    if not is_int(seed):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    return Session(kind, b, budget, np.random.Generator(np.random.PCG64(seed)).standard_normal)
 
 
 def run_interaction(session: Session, policy, *,

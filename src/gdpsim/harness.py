@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import check_int, is_int
+from ._numeric import as_floats, check_int, is_int
 from .adversaries import make_policy
 from .batch import run_trial_batch, policy_stream_id
 from .budget import check_budget, check_spend
@@ -71,7 +71,7 @@ from .stats import (
     two_proportion_z,
 )
 
-_REPORT_SCHEMA = "gdpsim.report.v3"
+_REPORT_SCHEMA = "gdpsim.report.v4"
 
 # Bit weights of eight rounds in a refusal key byte, first round highest.
 _KEY_BITS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
@@ -177,25 +177,25 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
             if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
                     or any(k not in entry for k in head)):
                 fail(field, "must be an object with a string " + " and a ".join(map(repr, head)))
-            # Parameters, and a mechanism's spend, are finite numbers or lists of them.
-            for k, value in entry.items():
+            # Parameters, and a mechanism's spend, are finite numbers or lists
+            # of them, kept as the floats the maker reads: 1 and 1.0 are one value.
+            values = {k: v for k, v in entry.items() if k != "name"}
+            for k, value in values.items():
                 items = value if isinstance(value, list) else [value]
-                if k != "name" and not all(_is_number(v) for v in items):
+                if not all(_is_number(v) for v in items):
                     fail(field, f"{k} must be a finite number or a list of them, got {value!r}")
-            args = [entry[k] for k in head]
-            params = {k: v for k, v in entry.items() if k not in head}
+                values[k] = as_floats(value)
+            args = [values[k] for k in head[1:]]
+            params = {k: v for k, v in values.items() if k not in head}
             try:
-                make(*args, **params)
+                make(entry["name"], *args, **params)
             except (TypeError, ValueError) as exc:
                 fail(field, exc)
-            # One entry, whatever its stream label: 1 and 1.0 are the same value.
-            unique = (key, entry["name"], tuple(sorted(
-                (k, tuple(map(float, v)) if isinstance(v, list) else float(v))
-                for k, v in entry.items() if k != "name")))
+            unique = (key, policy_stream_id(entry["name"], values))
             if unique in seen:
-                fail(field, "repeats an earlier entry (same name and parameter values)")
+                fail(field, "repeats an earlier entry (same stream label)")
             seen.add(unique)
-            entries[key].append((entry["name"], *map(float, args[1:]), params))
+            entries[key].append((entry["name"], *args, params))
 
     return ExperimentConfig(
         budget=budget,

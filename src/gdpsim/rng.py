@@ -24,8 +24,7 @@ column ``j`` of its tableau is the stream of ``(arm_key, "col", j)``, whose
 draw ``t`` goes to trial ``t`` (see ``gdpsim.batch``); ``streams(arm_key,
 "col")`` hashes the columns' shared label prefix once, and each column only
 its own index into a copy: SHA-256 reads its input in order, so the digest,
-and the stream, are the same bytes.  Sessions opened with a plain integer
-seed use ``PCG64(seed)`` directly.
+and the stream, are the same bytes.
 """
 
 from __future__ import annotations

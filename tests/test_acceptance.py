@@ -19,8 +19,9 @@ import pytest
 
 from gdpsim.batch import run_trial_batch
 from gdpsim.budget import REL_SLACK, filter_new, try_spend
-from gdpsim.curator import open_session
+from gdpsim.curator import Session
 from gdpsim.harness import _REPORT_SCHEMA, verify_cholesky
+from gdpsim.rng import generator
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "acceptance.cfg"
@@ -30,6 +31,7 @@ CONFIG = ROOT / "configs" / "acceptance.cfg"
 ACCEPTANCE_CHECKSUM = {
     "gdpsim.report.v2": "4bf8cd60c7bd952bab4ca380de34a0ad1d54dc68ca7a07a691786e7d556e9b27",
     "gdpsim.report.v3": "5d98dedd4b2f00e6bc6e1bf912739457926216c5460b6e10b4e9ba2294dcff6d",
+    "gdpsim.report.v4": "4f1c1cc42eb2a205fb2f51fdb2ef16fa592e74786129ae49ba9b49b1346adb58",
 }
 
 P_LO = 0.3085375387259869  # 1 - Phi(0.5), from the normal CDF oracle
@@ -161,7 +163,7 @@ def test_criterion_5_claim1_mechanisms(acceptance_run):
 def test_criterion_6_edge_determinism():
     # single full-budget query returns W0 bitwise
     for seed in range(50):
-        session = open_session("simulated", 1, 1.0, seed)
+        session = Session("simulated", 1, 1.0, generator(seed).standard_normal)
         answer = session.ask(1.0)
         assert answer is not None and answer.hex() == session.w0.hex()
     # zero spends after exhaustion: accepted, standard normal, uncorrelated

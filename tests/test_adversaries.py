@@ -17,7 +17,13 @@ from gdpsim.adversaries import (
 )
 from gdpsim.batch import run_trial_batch
 from gdpsim.budget import remaining_sq
-from gdpsim.curator import open_session, run_interaction
+from gdpsim.curator import Session, run_interaction
+from gdpsim.rng import generator
+
+
+def seeded_session(kind, b, budget, seed):
+    """A session drawing from the stream ``generator(seed)``."""
+    return Session(kind, b, budget, generator(seed).standard_normal)
 
 
 def decisions_of(transcript):
@@ -25,14 +31,14 @@ def decisions_of(transcript):
 
 
 def test_fixed_policy_examples():
-    session = open_session("direct", 0, 1.0, 1)
+    session = seeded_session("direct", 0, 1.0, 1)
     tr = run_interaction(session, policy_fixed([0.6, 0.8]))
     assert decisions_of(tr) == [True, True]
 
-    tr = run_interaction(open_session("direct", 0, 1.0, 1), policy_fixed([]))
+    tr = run_interaction(seeded_session("direct", 0, 1.0, 1), policy_fixed([]))
     assert tr.rounds == []
 
-    tr = run_interaction(open_session("direct", 0, 1.0, 1), policy_fixed([1.0, 0.1]))
+    tr = run_interaction(seeded_session("direct", 0, 1.0, 1), policy_fixed([1.0, 0.1]))
     assert decisions_of(tr) == [True, False]
 
 
@@ -81,14 +87,14 @@ def test_engines_reject_malformed_policy_parameters(name, params, engine):
 def test_sign_adaptive_never_refused():
     for seed in (1, 2, 3):
         for b in (0, 1):
-            session = open_session("simulated", b, 1.0, seed)
+            session = seeded_session("simulated", b, 1.0, seed)
             tr = run_interaction(session, policy_sign_adaptive(0.8, 0.2))
             assert all(r.accepted for r in tr.rounds)
             assert not tr.truncated
 
 
 def test_greedy_halving_geometric_schedule():
-    session = open_session("direct", 0, 1.0, 4)
+    session = seeded_session("direct", 0, 1.0, 4)
     pol = policy_greedy_halving()
     tr = run_interaction(session, pol)
     spends = [r.spend for r in tr.rounds]
@@ -104,7 +110,7 @@ def test_greedy_halving_geometric_schedule():
 
 
 def test_overspend_prober_alternation():
-    session = open_session("direct", 1, 1.0, 8)
+    session = seeded_session("direct", 1, 1.0, 8)
     tr = run_interaction(session, policy_overspend_prober())
     assert tr.rounds[0].spend == 0.9
     assert tr.rounds[1].spend == 0.9
@@ -115,7 +121,7 @@ def test_overspend_prober_alternation():
 
 
 def test_overspend_prober_predicts_refusals_from_own_ledger():
-    session = open_session("simulated", 1, 1.0, 12)
+    session = seeded_session("simulated", 1, 1.0, 12)
     tr = run_interaction(session, policy_overspend_prober())
     spent = 0.0
     for r in tr.rounds:
@@ -130,7 +136,7 @@ def test_overspend_prober_predicts_refusals_from_own_ledger():
 def test_refusal_pattern_independent_of_session_kind():
     pats = []
     for kind in ("direct", "simulated"):
-        session = open_session(kind, 1, 1.0, 99)
+        session = seeded_session(kind, 1, 1.0, 99)
         tr = run_interaction(session, policy_overspend_prober())
         pats.append(tuple(r.index for r in tr.rounds if not r.accepted))
     assert pats[0] == pats[1]

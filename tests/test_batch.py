@@ -26,6 +26,7 @@ from gdpsim.rng import _set_stream, derive_key, generator, streams
 TABLEAU_DIGEST = {
     "gdpsim.report.v2": "fbfb8b14a78467b7f5fc8da7077fa6537c738a24d4fdad8e4907866ed18f7db6",
     "gdpsim.report.v3": "74e73b9c1e2688f569a891b58d2e126c17f605264e462c50bd65a8d23eb35f3e",
+    "gdpsim.report.v4": "74e73b9c1e2688f569a891b58d2e126c17f605264e462c50bd65a8d23eb35f3e",
 }
 
 POLICIES = [
@@ -282,6 +283,21 @@ def test_policy_stream_id_canonical():
     a = policy_stream_id("fixed", {"spends": [0.5], "x": 1})
     b = policy_stream_id("fixed", {"x": 1, "spends": [0.5]})
     assert a == b
+    # numbers as the floats the makers read: 1 and 1.0 are one label
+    assert policy_stream_id("fixed", {"x": 1.0, "spends": (0.5,)}) == a
+    assert policy_stream_id("sign_adaptive", {"hi": 1, "lo": 0}) == \
+        'sign_adaptive:{"hi":1.0,"lo":0.0}'
+
+
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+def test_integer_and_float_parameters_draw_bitwise_alike(engine):
+    for name, ints, floats in [("sign_adaptive", {"hi": 1, "lo": 0}, {"hi": 1.0, "lo": 0.0}),
+                               ("fixed", {"spends": [0, 1, 0]}, {"spends": [0.0, 1.0, 0.0]})]:
+        for kind in ("direct", "simulated"):
+            a, b = (run_trial_batch(kind, 1, 1.0, name, params, 40, 3, engine=engine)
+                    for params in (ints, floats))
+            assert a.answers.tobytes() == b.answers.tobytes()
+            assert a.summaries.tobytes() == b.summaries.tobytes()
 
 
 def test_input_validation():

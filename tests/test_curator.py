@@ -9,64 +9,66 @@ from gdpsim.adversaries import policy_fixed, policy_overspend_prober
 from gdpsim.batch import DrawTableau, _row_draws, run_trial_batch
 from gdpsim.budget import FilterState
 from gdpsim.cholesky import StreamingCholesky
-from gdpsim.curator import Round, Session, open_session, run_interaction
+from gdpsim.curator import Round, Session, run_interaction
 from gdpsim.cholesky import next_noise
+from gdpsim.rng import generator
 
 
-def fresh_generator(seed):
-    return np.random.Generator(np.random.PCG64(seed))
+def seeded_session(kind, b, budget, seed):
+    """A session drawing from the stream ``generator(seed)``."""
+    return Session(kind, b, budget, generator(seed).standard_normal)
 
 
 def test_sessions_deterministic_given_seed():
     for kind in ("direct", "simulated"):
-        a = open_session(kind, 1, 1.0, 42)
-        b = open_session(kind, 1, 1.0, 42)
+        a = seeded_session(kind, 1, 1.0, 42)
+        b = seeded_session(kind, 1, 1.0, 42)
         for spend in (0.3, 0.2, 0.9, 0.4):
             assert a.ask(spend) == b.ask(spend)
 
 
 def test_direct_answer_is_shifted_unit_normal_draw():
-    session = open_session("direct", 1, 1.0, 7)
-    z = fresh_generator(7).standard_normal()
+    session = seeded_session("direct", 1, 1.0, 7)
+    z = generator(7).standard_normal()
     assert session.ask(0.7) == 1 * 0.7 + z
 
 
 def test_simulated_w0_construction():
-    z0 = fresh_generator(7).standard_normal()
-    session = open_session("simulated", 0, 2.0, 7)
+    z0 = generator(7).standard_normal()
+    session = seeded_session("simulated", 0, 2.0, 7)
     assert session.w0 == z0
-    session = open_session("simulated", 1, 2.0, 7)
+    session = seeded_session("simulated", 1, 2.0, 7)
     assert session.w0 == 1 * 2.0 + z0
 
 
 def test_full_budget_query_returns_w0_bitwise():
     for seed in range(25):
-        session = open_session("simulated", 1, 1.0, seed)
+        session = seeded_session("simulated", 1, 1.0, seed)
         answer = session.ask(1.0)
         assert answer is not None
         assert answer.hex() == session.w0.hex()
 
 
 def test_zero_spend_answer_is_fresh_seed_independent_of_bit():
-    gen = fresh_generator(11)
+    gen = generator(11)
     gen.standard_normal()  # z0
     v1 = gen.standard_normal()
     answers = []
     for b in (0, 1):
-        session = open_session("simulated", b, 1.0, 11)
+        session = seeded_session("simulated", b, 1.0, 11)
         answers.append(session.ask(0.0))
     assert answers[0] == answers[1] == v1
 
 
 def test_randomness_accounting():
-    session = open_session("simulated", 1, 1.0, 3)
+    session = seeded_session("simulated", 1, 1.0, 3)
     assert session.draws == 1  # w0
     assert session.ask(0.6) is not None
     assert session.ask(0.9) is None       # refused: no draw
     assert session.ask(0.8) is not None
     assert session.draws == 3             # k + 1 for k = 2 accepted rounds
 
-    direct = open_session("direct", 1, 1.0, 3)
+    direct = seeded_session("direct", 1, 1.0, 3)
     assert direct.draws == 0
     direct.ask(0.6)
     direct.ask(0.9)
@@ -76,7 +78,7 @@ def test_randomness_accounting():
 
 def test_refusal_changes_nothing():
     for kind in ("direct", "simulated"):
-        session = open_session(kind, 0, 1.0, 5)
+        session = seeded_session(kind, 0, 1.0, 5)
         session.ask(0.9)
         state, chol, draws = session.filter_state, session.chol, session.draws
         assert session.ask(0.9) is None
@@ -85,7 +87,7 @@ def test_refusal_changes_nothing():
 
 
 def test_malformed_spend_raises():
-    session = open_session("direct", 0, 1.0, 1)
+    session = seeded_session("direct", 0, 1.0, 1)
     with pytest.raises(ValueError):
         session.ask(float("nan"))
     with pytest.raises(ValueError):
@@ -94,7 +96,7 @@ def test_malformed_spend_raises():
 
 def test_zero_budget_session():
     for kind in ("direct", "simulated"):
-        session = open_session(kind, 1, 0.0, 9)
+        session = seeded_session(kind, 1, 0.0, 9)
         assert session.ask(0.5) is None
         answer = session.ask(0.0)
         assert answer is not None and math.isfinite(answer)
@@ -102,30 +104,20 @@ def test_zero_budget_session():
 
 def test_invalid_arguments():
     with pytest.raises(ValueError):
-        open_session("other", 0, 1.0, 1)
+        seeded_session("other", 0, 1.0, 1)
     with pytest.raises(ValueError):
-        open_session("direct", 2, 1.0, 1)
+        seeded_session("direct", 2, 1.0, 1)
     with pytest.raises(ValueError):
-        open_session("direct", 0, -1.0, 1)
+        seeded_session("direct", 0, -1.0, 1)
     with pytest.raises(ValueError, match="boolean"):
-        open_session("direct", 1, True, 3)
+        seeded_session("direct", 1, True, 3)
     # the bit rule of run_trial_batch: a bool or a float is not a bit
     for kind in ("direct", "simulated"):
         for b in (True, False, 1.0, 0.0):
             with pytest.raises(ValueError, match="secret bit"):
-                open_session(kind, b, 1.0, 1)
-    assert open_session("simulated", np.int64(1), 1.0, 1).w0 == \
-        open_session("simulated", 1, 1.0, 1).w0
-
-
-def test_seed_must_be_an_integer():
-    # None would seed from OS entropy and break determinism given the seed.
-    for seed in (None, True, False, 1.0, 1.5, "1"):
-        with pytest.raises(TypeError, match="seed"):
-            open_session("direct", 0, 1.0, seed)
-    for seed in (np.int64(7), np.uint32(7)):
-        assert open_session("direct", 1, 1.0, seed).ask(0.5) == \
-            open_session("direct", 1, 1.0, 7).ask(0.5)
+                seeded_session(kind, b, 1.0, 1)
+    assert seeded_session("simulated", np.int64(1), 1.0, 1).w0 == \
+        seeded_session("simulated", 1, 1.0, 1).w0
 
 
 def test_round_is_an_immutable_record():
@@ -182,17 +174,17 @@ def test_max_rounds_must_be_a_nonnegative_integer():
 
     for bad in (-1, 2.0, True, None, "3"):
         with pytest.raises(ValueError, match="max_rounds"):
-            run_interaction(open_session("direct", 0, 1.0, 2), Recording(), max_rounds=bad)
+            run_interaction(seeded_session("direct", 0, 1.0, 2), Recording(), max_rounds=bad)
     assert asked == []
-    got = run_interaction(open_session("direct", 0, 1.0, 2), policy, max_rounds=np.int64(2))
-    want = run_interaction(open_session("direct", 0, 1.0, 2), policy, max_rounds=2)
+    got = run_interaction(seeded_session("direct", 0, 1.0, 2), policy, max_rounds=np.int64(2))
+    want = run_interaction(seeded_session("direct", 0, 1.0, 2), policy, max_rounds=2)
     assert got == want and got.truncated and len(got.rounds) == 2
-    empty = run_interaction(open_session("direct", 0, 1.0, 2), policy, max_rounds=0)
+    empty = run_interaction(seeded_session("direct", 0, 1.0, 2), policy, max_rounds=0)
     assert empty.rounds == [] and empty.truncated
 
 
 def test_constant_policy_exhausts_after_four_rounds():
-    session = open_session("direct", 1, 1.0, 21)
+    session = seeded_session("direct", 1, 1.0, 21)
     transcript = run_interaction(session, policy_fixed([0.5] * 6))
     decisions = [r.accepted for r in transcript.rounds]
     assert decisions == [True, True, True, True, False, False]
@@ -200,16 +192,16 @@ def test_constant_policy_exhausts_after_four_rounds():
 
 
 def test_stop_immediately_policy_gives_empty_transcript():
-    session = open_session("simulated", 1, 1.0, 2)
+    session = seeded_session("simulated", 1, 1.0, 2)
     transcript = run_interaction(session, policy_fixed([]))
     assert transcript.rounds == [] and not transcript.truncated
 
 
 def test_round_cap_sets_truncation_marker():
-    session = open_session("direct", 0, 10.0, 2)
+    session = seeded_session("direct", 0, 10.0, 2)
     transcript = run_interaction(session, policy_fixed([0.1] * 10), max_rounds=5)
     assert len(transcript.rounds) == 5 and transcript.truncated
-    session = open_session("direct", 0, 10.0, 2)
+    session = seeded_session("direct", 0, 10.0, 2)
     transcript = run_interaction(session, policy_fixed([0.1] * 5), max_rounds=5)
     assert len(transcript.rounds) == 5 and not transcript.truncated
 
@@ -222,7 +214,7 @@ def test_scaling_coherence_exact():
     b = 1
     seed = 77
 
-    gen = fresh_generator(seed)
+    gen = generator(seed)
     z0 = gen.standard_normal()
     state = StreamingCholesky()
     us = []
@@ -230,8 +222,8 @@ def test_scaling_coherence_exact():
         u, state = next_noise(state, mu / mu0, gen.standard_normal())
         us.append(u)
 
-    raw = open_session("simulated", b, mu0, seed)
-    unit = open_session("simulated", b, 1.0, seed)
+    raw = seeded_session("simulated", b, mu0, seed)
+    unit = seeded_session("simulated", b, 1.0, seed)
     assert raw.w0 == b * mu0 + z0
     assert unit.w0 == b * 1.0 + z0
     for mu, u in zip(spends, us):

@@ -18,7 +18,7 @@ import pytest
 import gdpsim
 from gdpsim import harness
 from gdpsim.adversaries import make_policy
-from gdpsim.batch import run_trial_batch
+from gdpsim.batch import policy_stream_id, run_trial_batch
 from gdpsim.cholesky import DenseCholesky, StreamingCholesky
 from gdpsim.cli import main
 from gdpsim.curator import KINDS, Round, Session, Transcript, run_interaction
@@ -125,8 +125,8 @@ def test_config_field_diagnostics():
 
 def test_config_rejects_repeated_entries():
     # Entries naming one policy or mechanism with equal parameter values
-    # would run and test the same arms twice, even under different stream
-    # labels (an integer-valued number).
+    # would run and test the same arms twice: one stream label, however a
+    # number is spelled.
     base = {"budget": 1.0, "n_trials": 1}
     fixed = {"name": "fixed", "spends": [0.5]}
     for key, entries in [
@@ -166,10 +166,33 @@ def test_config_rejects_repeated_entries():
                        {"name": "threshold", "mu": 1.0, "tau": -0.5}],
     })
     assert len(config.policies) == 3 and len(config.mechanisms) == 5
-    # Accepted entries keep their names and values as written: stream labels
-    # and reports are unchanged.
+    # Accepted entries keep their names; their numbers are the floats the
+    # makers read.
     assert config.policies[0] == ("fixed", {"spends": [0.5]})
-    assert config.mechanisms[3] == ("threshold", 1.0, {"tau": 0})
+    assert config.mechanisms[3] == ("threshold", 1.0, {"tau": 0.0})
+    assert type(config.mechanisms[3][2]["tau"]) is float
+
+
+@pytest.mark.parametrize("engine", ["vector", "scalar"])
+def test_integer_and_float_spellings_run_one_stream(engine):
+    # A number is the float its maker reads however JSON spells it, so both
+    # spellings of a config key one stream per arm and give one checksum.
+    def spelled(number):
+        return config_from_dict({
+            "budget": 1.0, "n_trials": 300, "bits": [0, 1], "min_test_samples": 100,
+            "policies": [{"name": "fixed", "spends": [number(0), number(1), number(0)]},
+                         {"name": "sign_adaptive", "hi": number(1), "lo": number(0)}],
+            "mechanisms": [{"name": "threshold", "mu": number(1), "tau": number(1)}]})
+
+    def labels(config):
+        return ([policy_stream_id(name, params) for name, params in config.policies]
+                + [policy_stream_id(name, {"mu": mu, **params})
+                   for name, mu, params in config.mechanisms])
+
+    as_int, as_float = spelled(int), spelled(float)
+    assert labels(as_int) == labels(as_float)
+    assert (run_experiment(as_int, engine=engine).checksum
+            == run_experiment(as_float, engine=engine).checksum)
 
 
 def test_package_root_exports_only_the_documented_surface():
@@ -641,7 +664,7 @@ def test_run_experiment_smoke_passes():
     report = run_experiment(small_config())
     assert report.passed
     res = report.results
-    assert res["schema"] == "gdpsim.report.v3"
+    assert res["schema"] == "gdpsim.report.v4"
     assert len(res["policies"]) == 2
     sec = res["policies"][0]
     assert sec["refusals"]["match"]
