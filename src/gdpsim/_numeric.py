@@ -123,7 +123,9 @@ def is_int(x) -> bool:
 
 def check_int(name: str, x, low: int) -> int:
     """``x`` as an int if it is an integer argument (``is_int``) >= ``low``;
-    otherwise ``ValueError``."""
+    otherwise ``ValueError``.  A plain int is returned on one test."""
+    if x.__class__ is int and x >= low:
+        return x
     if not is_int(x) or x < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
     return int(x)

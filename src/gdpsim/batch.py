@@ -59,6 +59,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -154,10 +155,15 @@ class DrawTableau:
 
 def _row_draws(tableau: DrawTableau, t: int) -> Iterator[float]:
     """Trial ``t``'s tableau row in order, as Python floats; past the
-    tableau's width, each draw grows it by a column."""
+    tableau's width, each draw grows it by a column.  The row is one list
+    read by ``chain``, so each draw from it is a C-level ``next``."""
     row = tableau.row(t, tableau.width).tolist()
-    yield from row
-    width = len(row)
+    return chain(row, _grown_draws(tableau, t, len(row)))
+
+
+def _grown_draws(tableau: DrawTableau, t: int, width: int) -> Iterator[float]:
+    """Trial ``t``'s draws from column ``width`` on, each growing the
+    tableau by a column."""
     while True:
         width += 1
         yield tableau.row(t, width)[-1].item()

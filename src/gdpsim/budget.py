@@ -29,6 +29,7 @@ operations return new states, so sharing across threads is safe.
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -51,9 +52,14 @@ class FilterState(NamedTuple):
 
 
 def _real(x, what: str) -> float:
-    """``x`` as a finite nonnegative float, refusing a bool (``float`` reads it as 0 or 1)."""
+    """``x`` as a finite nonnegative float.  It must be a real number
+    (``numbers.Real``, which NumPy's integers and floats are), but not a
+    bool, which ``float`` reads as 0 or 1, and not text, which ``float``
+    would parse."""
     if isinstance(x, (bool, np.bool_)):
         raise ValueError(f"{what} must be a real number, not a boolean: {x!r}")
+    if not isinstance(x, Real):
+        raise ValueError(f"{what} must be a real number, got {x!r}")
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"{what} must be a finite nonnegative real, got {x!r}")
@@ -61,7 +67,10 @@ def _real(x, what: str) -> float:
 
 
 def check_budget(mu0) -> float:
-    """Validate a total budget value; returns it as a float."""
+    """Validate a total budget value; returns it as a float.  A valid plain
+    float (each scalar session is given one) is returned on one test."""
+    if mu0.__class__ is float and 0.0 <= mu0 and mu0 * mu0 < math.inf:
+        return mu0
     mu0 = _real(mu0, "budget")
     if not math.isfinite(mu0 * mu0):
         raise ValueError(f"squared budget overflows a double: {mu0!r}")

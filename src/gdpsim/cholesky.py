@@ -97,17 +97,25 @@ def stream_step(o, q, q_comp, s, m, v):
     Exhausted lanes (Q already 1) keep their Q and append the identity-block
     row (d = 1, y_last = 0): only (near-)zero spends can be admitted there,
     spends inside the clamp band are rounding debris from the filter slack,
-    and anything larger is misuse.
+    and anything larger is misuse.  They are handled only when one is
+    present: the exhausted-lane select and that clause of the overflow
+    guard run under ``o.any(exhausted)``, and only zero spends after
+    exhaustion (or refused lanes stepping on spend 0 there) get that far.
+    ``U`` is computed as ``d * v - m * s``, bitwise the ``-m * s + d * v``
+    above, since negation is exact.
     """
     one_prev = 1.0 - q
     exhausted = one_prev <= 0.0
     msq = m * m
     total, comp = kahan_step(q, q_comp, msq)
-    # Exhausted lanes keep Q and take a unit radicand pair, so d = 1.
-    q_new, comp_new, rad_prev, rad_new = o.select(
-        exhausted, (q, q_comp, 1.0, 1.0),
-        (total, comp, one_prev, o.maximum(1.0 - total, 0.0)))
-    if o.any((exhausted & (msq > CLAMP_BAND)) | (q_new - 1.0 > CLAMP_BAND)):
+    q_new, comp_new, rad_prev, rad_new = total, comp, one_prev, o.maximum(1.0 - total, 0.0)
+    overshoot = total - 1.0 > CLAMP_BAND
+    if o.any(exhausted):
+        # Exhausted lanes keep Q and take a unit radicand pair, so d = 1.
+        q_new, comp_new, rad_prev, rad_new = o.select(
+            exhausted, (q, q_comp, 1.0, 1.0), (q_new, comp_new, rad_prev, rad_new))
+        overshoot = (exhausted & (msq > CLAMP_BAND)) | (q_new - 1.0 > CLAMP_BAND)
+    if o.any(overshoot):
         raise BudgetOverflowError(
             f"spend {m!r} takes ||m||^2 = {total!r} past the unit bound beyond tolerance"
         )
@@ -115,7 +123,7 @@ def stream_step(o, q, q_comp, s, m, v):
     # lanes and lanes that just reached Q = 1): they divide by inf.
     prod = rad_new * one_prev
     y_last = m / o.sqrt(o.where(prod > 0.0, prod, math.inf))
-    return -m * s + o.sqrt(rad_new / rad_prev) * v, q_new, comp_new, s + y_last * v
+    return o.sqrt(rad_new / rad_prev) * v - m * s, q_new, comp_new, s + y_last * v
 
 
 def next_noise(state, m, fresh_seed):
@@ -126,7 +134,8 @@ def next_noise(state, m, fresh_seed):
     mode appends the new row, the seed and one entry of y, Theta(i) work;
     streaming mode advances its three scalars and does Theta(1).
     """
-    m, fresh_seed = float(m), float(fresh_seed)
+    if m.__class__ is not float or fresh_seed.__class__ is not float:
+        m, fresh_seed = float(m), float(fresh_seed)
     if not math.isfinite(m):
         raise ValueError(f"normalized spend must be finite, got {m!r}")
 

@@ -26,12 +26,14 @@ Sessions are single-threaded state machines.  Distinct sessions with
 independent streams may run in parallel.  A session's filter and factor
 states and each recorded :class:`Round` are immutable ``NamedTuple``
 values; an admitted simulated round builds three of them, a refused round
-its ``Round`` alone.  The per-round builds call ``tuple.__new__`` on the
-class, as namedtuple's own ``_make`` does, and so skip the class's
-Python-level ``__new__``: about 0.16 against 0.33 us a record (best of
-five ``timeit`` runs, CPython 3.11.7 on a 2-core Xeon VM).  That build
-checks neither the length nor the field types, so the callers pass exactly
-the fields, as Python floats.
+its ``Round`` alone.  These builds, and the session's first filter state,
+call ``tuple.__new__`` on the class, as namedtuple's own ``_make`` does,
+and so skip the class's Python-level ``__new__``: about 0.21 against 0.36
+us a record (best of fifteen ``timeit`` runs, CPython 3.11.7 on a 2-core
+Xeon VM).  That build checks neither the length nor the field types, so
+the callers pass exactly the fields, as Python floats: a spend or seed is
+converted by ``float`` only if it is not one already, and the kind/bit,
+budget and round-cap rules return a valid plain int or float on one test.
 """
 
 from __future__ import annotations
@@ -54,7 +56,10 @@ _record = tuple.__new__
 def check_kind_bit(kind, b) -> int:
     """The session-kind and secret-bit rule: ``kind`` is one of ``KINDS``
     and ``b`` the integer 0 or 1 (a NumPy integer will do, a bool or a
-    float will not).  Returns ``int(b)``."""
+    float will not).  Returns ``int(b)``; a valid pair whose bit is a plain
+    int is returned on one test."""
+    if b.__class__ is int and 0 <= b <= 1 and kind in KINDS:
+        return b
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not is_int(b) or b not in (0, 1):
@@ -102,7 +107,7 @@ class Session:
         self.b = check_kind_bit(kind, b)
         self.kind = kind
         self.mu0 = check_budget(budget)
-        self.filter_state = FilterState(self.mu0 * self.mu0)
+        self.filter_state = _record(FilterState, (self.mu0 * self.mu0, 0.0, 0.0))
         self._next_draw = draw
         self.draws = 0
         self.w0 = self.chol = None
@@ -122,7 +127,8 @@ class Session:
             return None
         self.filter_state = new_state
         self.draws += 1
-        spend = float(spend)
+        if spend.__class__ is not float:
+            spend = float(spend)
         if self.kind == "direct":
             return self.b * spend + self._next_draw()
         m = spend / self._norm
@@ -151,7 +157,9 @@ def run_interaction(session: Session, policy, *,
         if stop:
             return Transcript(session.mu0, rounds)
         answer = ask(spend)
-        record(_record(Round, (i, float(spend), answer is not None, answer)))
+        if spend.__class__ is not float:
+            spend = float(spend)
+        record(_record(Round, (i, spend, answer is not None, answer)))
         if answer is not None:
             last = answer
         prev = spend

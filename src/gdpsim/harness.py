@@ -809,8 +809,9 @@ def parse_transcripts(path) -> dict:
     A row's bit, trial and round are integers spelled as write_transcripts
     spells them, so ``01``, ``+1``, ``1_0`` and `` 1 `` are refused and no
     two spellings name one transcript.  Its kind and bit go through
-    ``check_kind_bit``, its trial through ``check_int`` (>= 0); it holds a
-    valid budget and spend, and a finite answer if accepted.  A transcript's
+    ``check_kind_bit``, its trial through ``check_int`` (>= 0); its budget
+    and spend text, read by ``float``, must be a valid budget and spend,
+    and its answer finite if accepted.  A transcript's
     rows number its rounds 0, 1, ..., keep one budget and end at its
     truncation marker, if any; every error names its ``path:line``."""
     out: dict = {}
@@ -830,7 +831,7 @@ def parse_transcripts(path) -> dict:
                 bit = check_kind_bit(kind, int(bit))
                 trial = check_int("trial", int(trial), 0)
                 key = (policy, bit, kind, trial)
-                budget = check_budget(budget)
+                budget = check_budget(float(budget))
                 tr = out.get(key)
                 if tr is None:
                     tr = out[key] = Transcript(budget=budget)
@@ -851,7 +852,7 @@ def parse_transcripts(path) -> dict:
                 answer = float(answer) if accepted else None
                 if accepted and not math.isfinite(answer):
                     raise ValueError(f"answer must be finite, got {answer!r}")
-                tr.rounds.append(Round(len(tr.rounds), check_spend(spend), accepted, answer))
+                tr.rounds.append(Round(len(tr.rounds), check_spend(float(spend)), accepted, answer))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line}: {exc}") from exc
     return out

@@ -476,6 +476,8 @@ SHAPE_CASES = {
     "zero_spends": ("fixed", {"spends": [0.0, 0.3, 0.0]}, 1.0, 30, 64),
     "zero_spends_zero_budget": ("fixed", {"spends": [0.0, 0.3, 0.0]}, 0.0, 30, 64),
     "zero_budget": ("greedy_halving", {}, 0.0, 30, 64),
+    # zero spends step a factor that the spend before them exhausted
+    "zero_spends_after_exhaustion": ("fixed", {"spends": [0.6, 0.8, 0.0, 0.0]}, 1.0, 30, 64),
     "lockstep_cut_by_max_rounds": ("fixed", {"spends": [0.125] * 64}, 1.0, 30, 5),
     "one_trial": ("sign_adaptive", {"hi": 0.8, "lo": 0.2}, 1.0, 1, 64),
     "two_trials": ("overspend_prober", {}, 0.7, 2, 64),

@@ -16,6 +16,8 @@ from gdpsim.budget import (
     remaining_sq,
     try_spend,
 )
+from gdpsim.batch import run_trial_batch
+from gdpsim.curator import Session
 
 
 def spend_all(state, spends):
@@ -72,10 +74,27 @@ def test_booleans_are_neither_budgets_nor_spends(flag):
         try_spend(filter_new(1.0), flag)
 
 
-def test_numbers_as_text_are_still_read():
-    # parse_transcripts hands spends and budgets over as text
-    assert check_spend("0.5") == 0.5 and check_budget("2") == 2.0
-    assert check_spend(np.float64(0.25)) == 0.25 and check_spend(1) == 1.0
+def test_numbers_as_text_are_refused():
+    # float() would parse text, so "0.5" would pass as a number; the rule
+    # names its field (parse_transcripts reads its text with float() first)
+    for bad in ("0.5", "2", " 1 ", b"1", None, 1j, [0.5]):
+        for check, what in ((check_spend, "spend"), (check_budget, "budget")):
+            with pytest.raises(ValueError) as info:
+                check(bad)
+            assert str(info.value) == f"{what} must be a real number, got {bad!r}"
+    with pytest.raises(ValueError, match="budget must be a real number, got '1'"):
+        Session("direct", 1, "1", lambda: 0.0)
+    for engine in ("vector", "scalar"):
+        with pytest.raises(ValueError, match="spend must be a real number, got '0.8'"):
+            run_trial_batch("direct", 0, 1.0, "sign_adaptive", {"hi": "0.8", "lo": "0.2"},
+                            4, 3, engine=engine)
+        with pytest.raises(ValueError, match="budget must be a real number, got '1.0'"):
+            run_trial_batch("direct", 0, "1.0", "greedy_halving", {}, 4, 3, engine=engine)
+    # real numbers of other types are still read, as floats
+    for good, want in ((np.float64(0.25), 0.25), (1, 1.0), (Fraction(1, 4), 0.25),
+                       (np.int64(2), 2.0), (np.float32(0.5), 0.5)):
+        for check in (check_spend, check_budget):
+            assert type(check(good)) is float and check(good) == want
 
 
 def test_tight_sequence_accepted_then_refused():

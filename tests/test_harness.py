@@ -17,6 +17,7 @@ import pytest
 
 import gdpsim
 from gdpsim import harness
+from gdpsim._numeric import check_int
 from gdpsim.adversaries import make_policy
 from gdpsim.batch import policy_stream_id, run_trial_batch
 from gdpsim.cholesky import DenseCholesky, StreamingCholesky
@@ -418,6 +419,27 @@ def test_each_input_rule_reads_the_same_from_every_entry_that_takes_it():
     assert config_from_dict({"budget": 1.0, "n_trials": 2,
                              "master_seed": np.int64(3)}).master_seed == 3
     assert with_seed(config, np.int64(3)).master_seed == 3
+    # Values off the plain-int and plain-float fast paths still go through
+    # the rules, are accepted and come back as plain ints and floats.
+    class Count(int):
+        pass
+
+    assert type(check_int("max_rounds", Count(3), 0)) is int
+    policy = make_policy("greedy_halving")
+    for bit, budget in ((np.int64(1), np.float64(1.0)), (1, 1), (np.int64(1), 1)):
+        session = Session("simulated", bit, budget, lambda: 0.5)
+        assert (type(session.b), type(session.mu0)) == (int, float)
+        assert (session.b, session.mu0) == (1, 1.0)
+        tr = run_interaction(session, policy, max_rounds=Count(3))
+        assert type(tr.budget) is float and len(tr.rounds) == 3 and tr.truncated
+        for engine in ("vector", "scalar"):
+            res, want = (run_trial_batch("simulated", *args, "greedy_halving", {}, 2, 3,
+                                         max_rounds, engine)
+                         for args, max_rounds in (((bit, budget), Count(3)), ((1, 1.0), 3)))
+            assert (type(res.bit), type(res.budget)) == (int, float)
+            assert (res.bit, res.budget) == (1, 1.0)
+            assert res.answers.tobytes() == want.answers.tobytes()
+            assert res.lengths.tolist() == want.lengths.tolist() == [3, 3]
 
 
 def _shift_streaming_noise(next_noise):

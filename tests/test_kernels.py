@@ -101,6 +101,10 @@ def test_stream_step_lanes():
     q, q_comp, s, m, v = (np.array(col) for col in zip(*STREAM_LANES))
     assert m[5] * m[5] <= CLAMP_BAND
     assert_lanes_match(stream_step, q, q_comp, s, m, v)
+    # and with no exhausted lane, where the exhausted-lane select is skipped
+    fresh = q < 1.0
+    assert fresh.sum() == 6
+    assert_lanes_match(stream_step, *(col[fresh] for col in (q, q_comp, s, m, v)))
     u, q_new, _, s_new = stream_step(ARRAY_OPS, q, q_comp, s, m, v)
     # exhausted lanes append the identity-block row: U = -m*s + V, Q and s kept
     for lane in (4, 5, 6):
@@ -114,6 +118,7 @@ def test_stream_step_lanes():
     (0.5, 0.9),     # pushes ||m||^2 past 1 beyond the clamp band
 ])
 def test_stream_step_overshoot_raises_in_both_forms(q, m):
+    # q = 1.0 raises in the exhausted-lane branch, q = 0.5 in the other
     for o in (FLOAT_OPS, ARRAY_OPS):   # ARRAY_OPS on shared floats, then on lanes
         with pytest.raises(BudgetOverflowError):
             stream_step(o, q, 0.0, 0.0, m, 1.0)
