@@ -15,9 +15,15 @@ row appended for spend m is
 Both modes hold their state in an immutable ``NamedTuple`` record that each
 round rebuilds.  Dense mode stores the rows, the seeds it was fed and the
 solved column y, which it extends by one forward-substitution step against
-its own new row each round -- it is the transparent reference.  Streaming
-mode carries only three scalars (Q, its Kahan compensation, and the inner
-product s = y . v against the noise seeds), using the closed forms
+its own new row each round -- it is the transparent reference.  Its fields
+stay tuples (float64 rows; Python floats for y and the seeds, y one entry
+per row until exhaustion and frozen after it).  Each round reads y and the
+seeds into one array apiece with ``np.fromiter`` at their known length,
+takes its two products with ``ndarray.dot`` and builds the record with
+``tuple.__new__``: on vectors of at most 64 entries NumPy's fixed cost per
+call is most of the work.  Streaming mode carries only three scalars (Q,
+its Kahan compensation, and the inner product s = y . v against the noise
+seeds), using the closed forms
 
     U_i    = -m * s + d_i * V_i            (last entry of L_i v_i)
     y_last = m / sqrt((1 - Q_i)(1 - Q_{i-1}))     (0 once Q_i = 1)
@@ -148,13 +154,15 @@ def next_noise(state, m, fresh_seed):
     rows, solved, seeds, q_prev, comp_prev = state
     d, q, q_comp, _ = stream_step(FLOAT_OPS, q_prev, comp_prev, 0.0, m, 1.0)
     k = len(rows)
-    row = np.zeros(k + 1)
+    row = np.empty(k + 1)
     head = row[:k]
-    if q_prev < 1.0:    # after exhaustion the row is (0, ..., 0, 1)
-        y = np.asarray(solved, dtype=float)
+    if q_prev < 1.0:    # solved holds one entry per row until exhaustion
+        y = np.fromiter(solved, float, k)
         np.multiply(-m, y, out=head)
         if q < 1.0:     # one forward-substitution step of L y = m
-            solved += ((m - float(head @ y)) / d,)
+            solved += ((m - float(head.dot(y))) / d,)
+    else:               # after exhaustion the row is (0, ..., 0, 1)
+        head.fill(0.0)
     row[k] = d
-    u = float(head @ np.asarray(seeds, dtype=float)) + d * fresh_seed
-    return u, DenseCholesky(rows + (row,), solved, seeds + (fresh_seed,), q, q_comp)
+    u = float(head.dot(np.fromiter(seeds, float, k))) + d * fresh_seed
+    return u, _record(DenseCholesky, (rows + (row,), solved, seeds + (fresh_seed,), q, q_comp))

@@ -647,16 +647,18 @@ def report_table(report: ExperimentReport) -> str:
 def canonical_cholesky_oracle(sigma) -> np.ndarray:
     """Canonical Cholesky factor of an explicit PSD matrix.
 
-    Right-looking factorization; pivots within 1e-12 of zero produce an
-    all-zero column, which is the canonical convention for rank-deficient
-    input.  Independent of the incremental construction it is used to check.
+    Left-looking (column) factorization: column j is the original lower
+    triangle's column minus ``L[j+1:, :j] . L[j, :j]``, over the pivot.
+    Pivots within 1e-12 of zero produce an all-zero column, which is the
+    canonical convention for rank-deficient input.  Independent of the
+    incremental construction it is used to check.
     """
     a = np.asarray(sigma, dtype=float)
     n = a.shape[0]
     L = np.zeros((n, n))
-    for j in range(n):
+    for j, ajj in enumerate(a.diagonal().tolist()):
         row = L[j, :j]
-        d2 = a[j, j] - row @ row
+        d2 = ajj - float(row.dot(row))
         if d2 <= _PIVOT_ZERO_TOL:
             if d2 < -_PIVOT_NEGATIVE_TOL:
                 raise NumericalIntegrityError(f"pivot {j} is negative: {d2}")
@@ -664,7 +666,7 @@ def canonical_cholesky_oracle(sigma) -> np.ndarray:
         pivot = L[j, j] = math.sqrt(d2)
         if j + 1 < n:
             col = L[j + 1:, j]
-            np.subtract(a[j + 1:, j], L[j + 1:, :j] @ row, out=col)
+            np.subtract(a[j + 1:, j], L[j + 1:, :j].dot(row), out=col)
             col /= pivot
     return L
 

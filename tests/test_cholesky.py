@@ -56,6 +56,35 @@ def test_dense_state_is_an_immutable_record():
     assert isinstance(extend(state, 0.8), DenseCholesky)
 
 
+def test_dense_fields_keep_their_types_and_lengths():
+    # next_noise reads solved and seeds with np.fromiter at len(rows)
+    # entries: solved holds one entry per row while q < 1 and is frozen from
+    # the round that reaches q = 1, through any zero tail.
+    rng = generator(34, "dense-fields")
+    exhausted = tail_rounds = 0
+    for case in range(120):
+        m = random_admissible_spends(rng, exhaust=case % 4 == 0, max_len=40)
+        seeds = rng.standard_normal(m.size).tolist()
+        state, frozen = DenseCholesky(), None
+        for k, (mi, vi) in enumerate(zip(m.tolist(), seeds), 1):
+            _, state = next_noise(state, mi, vi)
+            rows, solved = state.rows, state.solved
+            assert type(rows) is tuple and type(solved) is tuple and type(state.seeds) is tuple
+            assert all(type(x) is float for x in solved + state.seeds), (case, k)
+            assert state.seeds == tuple(seeds[:k]) and len(rows) == k
+            assert rows[-1].dtype == np.float64 and rows[-1].shape == (k,)
+            if state.q < 1.0:
+                assert len(solved) == k, (case, k)
+            elif frozen is None:
+                frozen = solved
+                assert len(solved) == k - 1, (case, k)
+            else:
+                assert solved == frozen, (case, k)
+                tail_rounds += 1
+        exhausted += frozen is not None
+    assert exhausted == 30 and tail_rounds > 10
+
+
 def grow(spends, mode="dense"):
     state = DenseCholesky() if mode == "dense" else StreamingCholesky()
     for m in spends:

@@ -1,0 +1,72 @@
+"""The proof's middle step, checked bitwise on scalar sessions: the simulated
+curator's view is a causal post-processing of ``W0``.
+
+Sufficiency: a bit-1 simulated session fed the bit-0 session's draws with
+``Z0 - mu0`` first holds the same ``W0`` whenever ``mu0 + (Z0 - mu0)``
+rounds back to ``Z0``; on those trials the two transcripts must be bitwise
+equal, since the view may read the bit only through ``W0``.  Causality: a
+trial's first k answers must not depend on spends chosen after round k.
+Both checks use no ``alpha``; a planted ``1e-9 * b`` leak, far below what
+any law test at these sizes resolves, shows the first has teeth.
+"""
+
+from gdpsim.adversaries import make_policy, policy_fixed
+from gdpsim.curator import DEFAULT_MAX_ROUNDS, Session, run_interaction
+from gdpsim.rng import generator
+
+POLICIES = [
+    ("sign_adaptive", {"hi": 0.8, "lo": 0.2}),
+    ("greedy_halving", {}),
+    ("overspend_prober", {}),
+    ("fixed", {"spends": [0.125] * 64}),
+]
+TRIALS = 500
+
+
+def sufficiency(name, params, trials=TRIALS):
+    """(qualifying trials, trials whose transcripts differ) for one policy."""
+    policy = make_policy(name, **params)
+    draws = generator(34, "w0-sufficiency", name).standard_normal(
+        (trials, DEFAULT_MAX_ROUNDS + 1))
+    qualified = differing = 0
+    for z in draws.tolist():
+        zero = Session("simulated", 0, 1.0, iter(z).__next__)
+        one = Session("simulated", 1, 1.0, iter([z[0] - 1.0] + z[1:]).__next__)
+        if repr(zero.w0) != repr(one.w0):
+            continue
+        qualified += 1
+        differing += repr(run_interaction(zero, policy)) != repr(run_interaction(one, policy))
+    return qualified, differing
+
+
+def test_the_simulated_view_reads_the_bit_only_through_w0():
+    for name, params in POLICIES:
+        qualified, differing = sufficiency(name, params)
+        assert qualified > TRIALS // 3, name
+        assert differing == 0, (name, differing, qualified)
+
+
+def test_a_leak_of_the_bit_below_any_law_test_is_caught(monkeypatch):
+    ask = Session.ask
+
+    def leaky(self, spend):
+        answer = ask(self, spend)
+        return None if answer is None else answer + 1e-9 * self.b
+
+    monkeypatch.setattr(Session, "ask", leaky)
+    for name, params in POLICIES:
+        qualified, differing = sufficiency(name, params, trials=100)
+        assert differing == qualified > 0, (name, differing, qualified)
+
+
+def test_answers_do_not_depend_on_later_spends():
+    spends = [0.3] * 10
+    draws = generator(34, "causality").standard_normal((200, len(spends) + 1))
+    for k in range(1, 8):
+        policies = (policy_fixed(spends), policy_fixed(spends[:k] + [0.05] * (len(spends) - k)))
+        for trial, z in enumerate(draws.tolist()):
+            same, switched = [[r.answer for r in run_interaction(
+                Session("simulated", trial % 2, 1.0, iter(z).__next__), policy).rounds]
+                for policy in policies]
+            assert repr(same[:k]) == repr(switched[:k]), (k, trial)
+            assert same[k] != switched[k], (k, trial)
