@@ -1,5 +1,6 @@
-"""Shared numeric helpers, the integer-argument and parameter-value rules
-(``check_int``, ``as_floats``) and the float/array op sets.
+"""Shared numeric helpers, the integer, real-number and parameter-value
+rules (``check_int``, ``check_real``, ``as_floats``) and the float/array op
+sets.
 
 The filter rule, the streaming factor step and the policies are each written
 once and run on both engines: the scalar session passes Python floats, the
@@ -37,6 +38,7 @@ both (a float division by zero raises).
 """
 
 import math
+from numbers import Real
 from types import SimpleNamespace
 
 import numpy as np
@@ -131,10 +133,28 @@ def check_int(name: str, x, low: int) -> int:
     return int(x)
 
 
-def as_floats(value):
+def check_real(name: str, x, low=None) -> float:
+    """``x`` as a float if it is a real number (``numbers.Real``, which
+    NumPy's integers and floats are, but not a bool, which ``float`` reads
+    as 0 or 1, and not text, which ``float`` would parse) that is finite as
+    a float and >= ``low`` when one is given; otherwise ``ValueError``."""
+    if isinstance(x, Real) and not isinstance(x, bool):
+        try:
+            f = float(x)
+        except OverflowError:   # an integer too large for a float
+            f = math.inf
+        if math.isfinite(f) and (low is None or f >= low):
+            return f
+    bound = "" if low is None else f" >= {low}"
+    raise ValueError(f"{name} must be a finite real number{bound}, got {x!r}")
+
+
+def as_floats(name: str, value):
     """A parameter value as the floats its maker reads: a number as a float,
-    a list (or tuple) of numbers as a list of floats."""
-    return [float(v) for v in value] if isinstance(value, (list, tuple)) else float(value)
+    a list (or tuple) of numbers as a list of floats, each by ``check_real``."""
+    if isinstance(value, (list, tuple)):
+        return [check_real(name, v) for v in value]
+    return check_real(name, value)
 
 
 def kahan_step(total, comp, x):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .budget import check_spend
 
@@ -53,8 +53,10 @@ class AdversaryPolicy:
     length: Optional[int] = None
 
 
-def policy_fixed(spends: Sequence[float]) -> AdversaryPolicy:
-    """Replay a predetermined spend list, then stop."""
+def policy_fixed(spends: list[float] | tuple[float, ...]) -> AdversaryPolicy:
+    """Replay a predetermined spend list (a list or tuple), then stop."""
+    if not isinstance(spends, (list, tuple)):
+        raise ValueError(f"spends must be a list of spends, got {spends!r}")
     fixed = tuple(check_spend(s) for s in spends)
 
     def kernel(o, i, remaining_sq, last_accepted, prev_spend):

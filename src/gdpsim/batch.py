@@ -78,7 +78,7 @@ def policy_stream_id(name: str, params: dict) -> str:
     ``{"hi": 1}`` and ``{"hi": 1.0}`` key one stream."""
     if not params:
         return name
-    values = {k: as_floats(v) for k, v in params.items()}
+    values = {k: as_floats(k, v) for k, v in params.items()}
     return name + ":" + json.dumps(values, sort_keys=True, separators=(",", ":"))
 
 
@@ -311,7 +311,7 @@ def _run_vector(kind, bit, mu0, policy_name, policy_params,
         if isinstance(sp, np.ndarray) and sp.ndim:
             sp = sp.astype(float, copy=False)
             if not ((sp >= 0.0).all() and sp.max() < math.inf):   # NaN fails >=
-                for x in sp:   # raises as the scalar session does
+                for x in sp.tolist():   # raises as the scalar session does
                     check_spend(x)
         else:
             sp = check_spend(sp)

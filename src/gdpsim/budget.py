@@ -29,12 +29,9 @@ operations return new states, so sharing across threads is safe.
 from __future__ import annotations
 
 import math
-from numbers import Real
 from typing import NamedTuple
 
-import numpy as np
-
-from ._numeric import kahan_step
+from ._numeric import check_real, kahan_step
 
 # Relative slack on the admission comparison, wide enough to absorb rounding
 # in the compensated sum but far below any meaningful privacy quantity.
@@ -51,34 +48,21 @@ class FilterState(NamedTuple):
     compensation: float = 0.0
 
 
-def _real(x, what: str) -> float:
-    """``x`` as a finite nonnegative float.  It must be a real number
-    (``numbers.Real``, which NumPy's integers and floats are), but not a
-    bool, which ``float`` reads as 0 or 1, and not text, which ``float``
-    would parse."""
-    if isinstance(x, (bool, np.bool_)):
-        raise ValueError(f"{what} must be a real number, not a boolean: {x!r}")
-    if not isinstance(x, Real):
-        raise ValueError(f"{what} must be a real number, got {x!r}")
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"{what} must be a finite nonnegative real, got {x!r}")
-    return x
-
-
 def check_budget(mu0) -> float:
-    """Validate a total budget value; returns it as a float.  A valid plain
-    float (each scalar session is given one) is returned on one test."""
+    """Validate a total budget value, a real number >= 0 (``check_real``)
+    whose square fits a double; returns it as a float.  A valid plain float
+    (each scalar session is given one) is returned on one test."""
     if mu0.__class__ is float and 0.0 <= mu0 and mu0 * mu0 < math.inf:
         return mu0
-    mu0 = _real(mu0, "budget")
+    mu0 = check_real("budget", mu0, 0)
     if not math.isfinite(mu0 * mu0):
         raise ValueError(f"squared budget overflows a double: {mu0!r}")
     return mu0
 
 
 def check_spend(mu) -> float:
-    """Validate a per-query spend; returns it as a float.
+    """Validate a per-query spend, a real number >= 0 (``check_real``);
+    returns it as a float.
 
     Malformed spends raise ValueError -- deliberately distinct from a budget
     refusal, which is an ordinary decision.  A valid plain float (the
@@ -86,7 +70,7 @@ def check_spend(mu) -> float:
     """
     if mu.__class__ is float and 0.0 <= mu < math.inf:
         return mu
-    return _real(mu, "spend")
+    return check_real("spend", mu, 0)
 
 
 def filter_new(mu0) -> FilterState:

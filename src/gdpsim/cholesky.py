@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import FLOAT_OPS, kahan_step
+from ._numeric import FLOAT_OPS, check_real, kahan_step
 from .errors import BudgetOverflowError
 
 # Radicands in [-CLAMP_BAND, 0) are rounding debris and clamp to zero; anything
@@ -140,10 +140,11 @@ def next_noise(state, m, fresh_seed):
     mode appends the new row, the seed and one entry of y, Theta(i) work;
     streaming mode advances its three scalars and does Theta(1).
     """
-    if m.__class__ is not float or fresh_seed.__class__ is not float:
-        m, fresh_seed = float(m), float(fresh_seed)
-    if not math.isfinite(m):
-        raise ValueError(f"normalized spend must be finite, got {m!r}")
+    # Floats whose sum is finite are both finite; anything else (a finite
+    # pair whose sum overflows included) takes ``check_real``.
+    if (m.__class__ is not float or fresh_seed.__class__ is not float
+            or not math.isfinite(m + fresh_seed)):
+        m, fresh_seed = check_real("m", m), check_real("fresh_seed", fresh_seed)
 
     if isinstance(state, StreamingCholesky):
         u, q, q_comp, s = stream_step(FLOAT_OPS, *state, m, fresh_seed)

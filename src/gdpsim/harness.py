@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import as_floats, check_int, is_int
+from ._numeric import as_floats, check_int, check_real, is_int
 from .adversaries import make_policy
 from .batch import run_trial_batch, policy_stream_id
 from .budget import check_budget, check_spend
@@ -113,13 +113,6 @@ _DEFAULTS = {f.name: list(f.default) if isinstance(f.default, tuple) else f.defa
 _REQUIRED = [f.name for f in fields(ExperimentConfig) if f.name not in _DEFAULTS]
 
 
-def _is_number(x) -> bool:
-    """A finite JSON number: not a boolean, a string, NaN or infinity
-    (Python's json reads ``NaN`` and ``Infinity``)."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
-
-
 def with_seed(config: ExperimentConfig, master_seed: int) -> ExperimentConfig:
     """``config`` with another master seed, read by the config loader's
     rule (``rng.check_seed``): a bool, a float or a string is refused with
@@ -145,10 +138,9 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
     def fail(field, msg):
         raise ConfigError(f"{source}: {field}: {msg}")
 
-    if not _is_number(data["budget"]):
-        fail("budget", f"must be a finite number, got {data['budget']!r}")
     try:
         budget = check_budget(data["budget"])
+        alpha = check_real("alpha", data["alpha"])
         n_trials = check_int("n_trials", data["n_trials"], 1)
         max_rounds = check_int("max_rounds", data["max_rounds"], 1)
         min_test_samples = check_int("min_test_samples", data["min_test_samples"], 2)
@@ -160,9 +152,8 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
             or any(not is_int(b) or b not in (0, 1) for b in bits)
             or len(set(bits)) != len(bits)):
         fail("bits", f"must be a nonempty subset of [0, 1], got {bits!r}")
-    alpha = data["alpha"]
-    if not _is_number(alpha) or not 0.0 < alpha < 1.0:
-        fail("alpha", f"must lie in (0, 1), got {alpha!r}")
+    if not 0.0 < alpha < 1.0:
+        fail("alpha", f"must lie in (0, 1), got {data['alpha']!r}")
 
     # ``head``: the keys an entry passes to its maker as positional
     # arguments (a mechanism's spend ``mu`` too); the rest are parameters.
@@ -177,17 +168,13 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
             if (not isinstance(entry, dict) or not isinstance(entry.get("name"), str)
                     or any(k not in entry for k in head)):
                 fail(field, "must be an object with a string " + " and a ".join(map(repr, head)))
-            # Parameters, and a mechanism's spend, are finite numbers or lists
-            # of them, kept as the floats the maker reads: 1 and 1.0 are one value.
-            values = {k: v for k, v in entry.items() if k != "name"}
-            for k, value in values.items():
-                items = value if isinstance(value, list) else [value]
-                if not all(_is_number(v) for v in items):
-                    fail(field, f"{k} must be a finite number or a list of them, got {value!r}")
-                values[k] = as_floats(value)
-            args = [values[k] for k in head[1:]]
-            params = {k: v for k, v in values.items() if k not in head}
+            # Parameters, and a mechanism's spend, are real numbers or lists of
+            # them (``as_floats``), kept as the floats the maker reads: 1 and
+            # 1.0 are one value.  The maker then checks its own arguments.
             try:
+                values = {k: as_floats(k, v) for k, v in entry.items() if k != "name"}
+                args = [values[k] for k in head[1:]]
+                params = {k: v for k, v in values.items() if k not in head}
                 make(entry["name"], *args, **params)
             except (TypeError, ValueError) as exc:
                 fail(field, exc)
@@ -205,7 +192,7 @@ def config_from_dict(data: dict, source: str = "<dict>") -> ExperimentConfig:
         mechanisms=tuple(entries["mechanisms"]),
         max_rounds=max_rounds,
         master_seed=master_seed,
-        alpha=float(alpha),
+        alpha=alpha,
         min_test_samples=min_test_samples,
     )
 
@@ -813,7 +800,7 @@ def parse_transcripts(path) -> dict:
     two spellings name one transcript.  Its kind and bit go through
     ``check_kind_bit``, its trial through ``check_int`` (>= 0); its budget
     and spend text, read by ``float``, must be a valid budget and spend,
-    and its answer finite if accepted.  A transcript's
+    and its answer, if accepted, a finite real (``check_real``).  A transcript's
     rows number its rounds 0, 1, ..., keep one budget and end at its
     truncation marker, if any; every error names its ``path:line``."""
     out: dict = {}
@@ -851,9 +838,7 @@ def parse_transcripts(path) -> dict:
                 accepted = decision == "accepted"
                 if accepted == (answer == ""):
                     raise ValueError("answer presence contradicts decision")
-                answer = float(answer) if accepted else None
-                if accepted and not math.isfinite(answer):
-                    raise ValueError(f"answer must be finite, got {answer!r}")
+                answer = check_real("answer", float(answer)) if accepted else None
                 tr.rounds.append(Round(len(tr.rounds), check_spend(float(spend)), accepted, answer))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line}: {exc}") from exc

@@ -17,12 +17,12 @@ the bit is ``post`` of ``b*mu + Z``, which is the harness's direct arm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._numeric import check_real
 from .budget import check_spend
 
 
@@ -53,9 +53,7 @@ def _identity(mu: float) -> PostprocessedMechanism:
 
 
 def _threshold(mu: float, tau: float) -> PostprocessedMechanism:
-    if isinstance(tau, (bool, np.bool_)) or not math.isfinite(float(tau)):
-        raise ValueError(f"tau must be a finite real number, got {tau!r}")
-    tau = float(tau)
+    tau = check_real("tau", tau)
     return PostprocessedMechanism(
         "threshold", mu,
         post=lambda x: np.where(x > tau, 1.0, 0.0),

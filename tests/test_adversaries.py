@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from gdpsim._numeric import FLOAT_OPS
@@ -48,10 +49,20 @@ def test_fixed_policy_validates_spends():
 
 
 def test_policies_refuse_boolean_spends():
-    with pytest.raises(ValueError, match="boolean"):
-        policy_fixed([True])
-    with pytest.raises(ValueError, match="boolean"):
-        make_policy("sign_adaptive", hi=True, lo=False)
+    for make in (lambda: policy_fixed([True]),
+                 lambda: make_policy("sign_adaptive", hi=True, lo=False)):
+        with pytest.raises(ValueError, match=re.escape(
+                "spend must be a finite real number >= 0, got True")):
+            make()
+
+
+def test_fixed_refuses_spends_that_are_not_a_list():
+    # A number is not iterable, and text would be read one character at a time.
+    for spends in (0.5, "0.6", None, {0.5}, np.array([0.5])):
+        with pytest.raises(ValueError) as info:
+            policy_fixed(spends)
+        assert str(info.value) == f"spends must be a list of spends, got {spends!r}"
+    assert policy_fixed((0.5, 0.25)).spends(FLOAT_OPS, 1, 1.0, 0.0, 0.5) == (0.25, False)
 
 
 def test_sign_adaptive_spend_rules():

@@ -68,10 +68,11 @@ def test_new_filter_rejects_malformed():
 @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
 def test_booleans_are_neither_budgets_nor_spends(flag):
     # float(True) is 1.0, so a flag would otherwise pass as a number
-    with pytest.raises(ValueError, match="boolean"):
-        filter_new(flag)
-    with pytest.raises(ValueError, match="boolean"):
-        try_spend(filter_new(1.0), flag)
+    for what, check in (("budget", filter_new),
+                        ("spend", lambda x: try_spend(filter_new(1.0), x))):
+        with pytest.raises(ValueError) as info:
+            check(flag)
+        assert str(info.value) == f"{what} must be a finite real number >= 0, got {flag!r}"
 
 
 def test_numbers_as_text_are_refused():
@@ -81,14 +82,15 @@ def test_numbers_as_text_are_refused():
         for check, what in ((check_spend, "spend"), (check_budget, "budget")):
             with pytest.raises(ValueError) as info:
                 check(bad)
-            assert str(info.value) == f"{what} must be a real number, got {bad!r}"
-    with pytest.raises(ValueError, match="budget must be a real number, got '1'"):
+            assert str(info.value) == f"{what} must be a finite real number >= 0, got {bad!r}"
+    with pytest.raises(ValueError, match="^budget must be a finite real number >= 0, got '1'$"):
         Session("direct", 1, "1", lambda: 0.0)
     for engine in ("vector", "scalar"):
-        with pytest.raises(ValueError, match="spend must be a real number, got '0.8'"):
+        with pytest.raises(ValueError, match="^hi must be a finite real number, got '0.8'$"):
             run_trial_batch("direct", 0, 1.0, "sign_adaptive", {"hi": "0.8", "lo": "0.2"},
                             4, 3, engine=engine)
-        with pytest.raises(ValueError, match="budget must be a real number, got '1.0'"):
+        with pytest.raises(ValueError,
+                           match="^budget must be a finite real number >= 0, got '1.0'$"):
             run_trial_batch("direct", 0, "1.0", "greedy_halving", {}, 4, 3, engine=engine)
     # real numbers of other types are still read, as floats
     for good, want in ((np.float64(0.25), 0.25), (1, 1.0), (Fraction(1, 4), 0.25),

@@ -109,7 +109,7 @@ def test_invalid_arguments():
         seeded_session("direct", 2, 1.0, 1)
     with pytest.raises(ValueError):
         seeded_session("direct", 0, -1.0, 1)
-    with pytest.raises(ValueError, match="boolean"):
+    with pytest.raises(ValueError, match="^budget must be a finite real number >= 0, got True$"):
         seeded_session("direct", 1, True, 3)
     # the bit rule of run_trial_batch: a bool or a float is not a bit
     for kind in ("direct", "simulated"):

@@ -10,6 +10,7 @@ import random
 import re
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from gdpsim import harness
 from gdpsim._numeric import check_int
 from gdpsim.adversaries import make_policy
 from gdpsim.batch import policy_stream_id, run_trial_batch
-from gdpsim.cholesky import DenseCholesky, StreamingCholesky
+from gdpsim.budget import check_budget, check_spend
+from gdpsim.cholesky import DenseCholesky, StreamingCholesky, next_noise
 from gdpsim.cli import main
 from gdpsim.curator import KINDS, Round, Session, Transcript, run_interaction
 from gdpsim.errors import ConfigError
@@ -37,6 +39,7 @@ from gdpsim.harness import (
     with_seed,
     write_transcripts,
 )
+from gdpsim.mechanisms import make_mechanism
 
 
 def small_config(**overrides):
@@ -120,8 +123,14 @@ def test_config_field_diagnostics():
         ("mechanisms", "tau", {"name": "threshold", "mu": 1.0, "tau": -float("inf")}),
         ("mechanisms", "mu", {"name": "identity", "mu": "0.5"}),
     ]:
-        with pytest.raises(ConfigError, match=rf"{key}\[0\]: {param} must be a finite number"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{key}[0]: {param} must be a finite real number, got ")):
             config_from_dict({"budget": 1.0, "n_trials": 1, key: [entry]})
+    # fixed's spends is a list: a number is refused by name, not iterated
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"budget": 1.0, "n_trials": 1,
+                          "policies": [{"name": "fixed", "spends": 0.5}]}, source="exp.cfg")
+    assert str(info.value) == "exp.cfg: policies[0]: spends must be a list of spends, got 0.5"
 
 
 def test_config_rejects_repeated_entries():
@@ -343,10 +352,10 @@ def test_verify_cholesky_rejects_a_malformed_size(name, value):
         verify_cholesky(seed=5, **{name: value})
 
 
-def test_each_input_rule_reads_the_same_from_every_entry_that_takes_it():
-    # Each integer, session-kind and bit rule is written once, so a bad value
-    # gets one message whichever public entry refuses it; the config loader
-    # adds its source prefix.
+def test_each_input_rule_reads_the_same_from_every_entry_that_takes_it(tmp_path):
+    # Each integer, real-number, session-kind and bit rule is written once,
+    # so a bad value gets one message whichever public entry refuses it; the
+    # config loader adds its source prefix.
     def refusal(call, **bad):
         with pytest.raises(ValueError) as info:
             call(**bad)
@@ -440,6 +449,68 @@ def test_each_input_rule_reads_the_same_from_every_entry_that_takes_it():
             assert (res.bit, res.budget) == (1, 1.0)
             assert res.answers.tobytes() == want.answers.tobytes()
             assert res.lengths.tolist() == want.lengths.tolist() == [3, 3]
+    # The real-number rule (``check_real``): every entry that takes a real
+    # refuses a bool, text, None, a list where a number is expected, a
+    # complex, a non-finite value and an integer too large for a float with
+    # one message naming its field, never an OverflowError or a TypeError,
+    # and reads NumPy numbers and fractions as plain floats.
+    def real_rule(name, low, value):
+        bound = "" if low is None else f" >= {low}"
+        return f"{name} must be a finite real number{bound}, got {value!r}"
+
+    def arm(engine, budget=1.0, spend=0.5):
+        return run_trial_batch("simulated", 1, budget, "fixed", {"spends": [spend]}, 2, 3,
+                               engine=engine)
+
+    def noise(state, m=0.5, seed=0.5):
+        return next_noise(state, m, seed)[0]
+
+    entries = [(check_spend, "spend", 0), (check_budget, "budget", 0),
+               (lambda x: Session("direct", 1, x, lambda: 0.0).mu0, "budget", 0),
+               (lambda x: make_mechanism("identity", x).mu, "spend", 0),
+               (lambda x: make_mechanism("threshold", 0.5, tau=x).post(np.array([0.6])).tobytes(),
+                "tau", None)]
+    for engine in ("vector", "scalar"):
+        entries += [(lambda x, e=engine: arm(e, budget=x).answers.tobytes(), "budget", 0),
+                    (lambda x, e=engine: arm(e, spend=x).answers.tobytes(), "spends", None)]
+    for state in (StreamingCholesky(), DenseCholesky()):
+        entries += [(lambda x, s=state: noise(s, m=x), "m", None),
+                    (lambda x, s=state: noise(s, seed=x), "fresh_seed", None)]
+    for value in (True, np.True_, "0.5", None, [0.5], 1j, math.nan, math.inf, -math.inf,
+                  10**400):
+        for call, name, low in entries:
+            assert refusal(lambda: call(value)) == real_rule(name, low, value), (name, value)
+    for value, want in ((np.float32(0.5), 0.5), (np.int64(1), 1.0), (Fraction(1, 4), 0.25)):
+        for call, name, low in entries:
+            got, expected = call(value), call(want)
+            assert type(got) is type(expected) and repr(got) == repr(expected), (name, value)
+        assert type(check_spend(value)) is type(check_budget(value)) is float
+    # The config reads JSON: the same values after the source prefix, and an
+    # entry's field.
+    for text in ("true", '"0.5"', "null", "NaN", "Infinity", "-Infinity", "1" + "0" * 400):
+        value = json.loads(text)
+        for field, data, name, low in [
+            ("", {"budget": value}, "budget", 0),
+            ("", {"alpha": value}, "alpha", None),
+            ("policies[0]: ", {"policies": [{"name": "fixed", "spends": [value]}]}, "spends",
+             None),
+            ("mechanisms[0]: ", {"mechanisms": [{"name": "identity", "mu": value}]}, "mu",
+             None),
+            ("mechanisms[0]: ", {"mechanisms": [{"name": "threshold", "mu": 1.0, "tau": value}]},
+             "tau", None),
+        ]:
+            with pytest.raises(ConfigError) as info:
+                config_from_dict({"budget": 1.0, "n_trials": 2, **data}, source="exp.cfg")
+            assert str(info.value) == f"exp.cfg: {field}" + real_rule(name, low, value)
+    # A transcript reads its text with ``float``, then applies the rule.
+    path = tmp_path / "answers.csv"
+    for text in ("nan", "inf", "-inf"):
+        path.write_text("policy,bit,kind,trial,budget,round,spend,decision,answer\n"
+                        f"p,0,direct,0,1.0,0,0.5,accepted,{text}\n")
+        with pytest.raises(ValueError) as info:
+            parse_transcripts(path)
+        assert str(info.value) == (
+            f"{path}:2: answer must be a finite real number, got {float(text)!r}")
 
 
 def _shift_streaming_noise(next_noise):
@@ -656,12 +727,13 @@ def test_parse_rejects_out_of_range_field_values(tmp_path):
     header = "policy,bit,kind,trial,budget,round,spend,decision,answer\n"
     good = "p,0,direct,0,1.0,0,0.5,accepted,0.25\n"
     for row, message in [
-        ("p,0,direct,0,1.0,1,nan,refused,", "spend must be a finite nonnegative real"),
-        ("p,0,direct,0,1.0,1,-0.5,refused,", "spend must be a finite nonnegative real"),
-        ("p,0,direct,0,1.0,1,0.5,accepted,inf", "answer must be finite, got inf"),
-        ("p,0,direct,0,1.0,1,0.5,accepted,nan", "answer must be finite, got nan"),
-        ("p,0,direct,0,nan,1,0.5,refused,", "budget must be a finite nonnegative real"),
-        ("p,0,direct,1,-1.0,0,0.5,refused,", "budget must be a finite nonnegative real"),
+        ("p,0,direct,0,1.0,1,nan,refused,", "spend must be a finite real number >= 0, got nan"),
+        ("p,0,direct,0,1.0,1,-0.5,refused,", "spend must be a finite real number >= 0, got -0.5"),
+        ("p,0,direct,0,1.0,1,0.5,accepted,inf", "answer must be a finite real number, got inf"),
+        ("p,0,direct,0,1.0,1,0.5,accepted,nan", "answer must be a finite real number, got nan"),
+        ("p,0,direct,0,nan,1,0.5,refused,", "budget must be a finite real number >= 0, got nan"),
+        ("p,0,direct,1,-1.0,0,0.5,refused,",
+         "budget must be a finite real number >= 0, got -1.0"),
         ("p,7,direct,0,1.0,0,0.5,refused,", "secret bit must be 0 or 1, got 7"),
         ("p,0,other,0,1.0,0,0.5,refused,", f"kind must be one of {KINDS}, got 'other'"),
         ("p,0,direct,-1,1.0,0,0.5,refused,", "trial must be an integer >= 0, got -1"),

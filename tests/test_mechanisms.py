@@ -39,16 +39,17 @@ def test_registry():
     with pytest.raises(ValueError):
         make_mechanism("identity", -1.0)
     for flag in (True, np.True_):
-        with pytest.raises(ValueError, match="boolean"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"spend must be a finite real number >= 0, got {flag!r}")):
             make_mechanism("identity", flag)
-    # tau is a finite real: a bool (float reads it as 0 or 1) or a non-finite
-    # value (a constant map) is refused; a number as text is read.
-    for tau in (True, False, np.True_, float("nan"), float("inf"), -float("inf"), "nan"):
+    # tau is a finite real: a bool (float reads it as 0 or 1), text (float
+    # would parse it) or a non-finite value (a constant map) is refused.
+    for tau in (True, False, np.True_, float("nan"), float("inf"), -float("inf"), "nan",
+                "0.5"):
         with pytest.raises(ValueError, match=re.escape(
                 f"tau must be a finite real number, got {tau!r}")):
             make_mechanism("threshold", 0.5, tau=tau)
-    for tau, outcomes in (("0.5", [0.0, 0.0, 1.0]), (0.5, [0.0, 0.0, 1.0]),
-                          (-1, [0.0, 1.0, 1.0])):
+    for tau, outcomes in ((0.5, [0.0, 0.0, 1.0]), (-1, [0.0, 1.0, 1.0])):
         post = make_mechanism("threshold", 0.5, tau=tau).post
         assert post(np.array([-1.5, 0.4, 0.6])).tolist() == outcomes
 

@@ -7,10 +7,15 @@ rounds back to ``Z0``; on those trials the two transcripts must be bitwise
 equal, since the view may read the bit only through ``W0``.  Causality: a
 trial's first k answers must not depend on spends chosen after round k.
 Both checks use no ``alpha``; a planted ``1e-9 * b`` leak, far below what
-any law test at these sizes resolves, shows the first has teeth.
+any law test at these sizes resolves, shows the first has teeth, and a
+planted look-ahead factor, with the right law for a fixed policy, shows the
+second has them where the first has none.
 """
 
+import numpy as np
+
 from gdpsim.adversaries import make_policy, policy_fixed
+from gdpsim.budget import try_spend
 from gdpsim.curator import DEFAULT_MAX_ROUNDS, Session, run_interaction
 from gdpsim.rng import generator
 
@@ -59,14 +64,56 @@ def test_a_leak_of_the_bit_below_any_law_test_is_caught(monkeypatch):
         assert differing == qualified > 0, (name, differing, qualified)
 
 
-def test_answers_do_not_depend_on_later_spends():
+def fixed_answers(spends, bit, z):
+    """A simulated session's answers to a fixed policy, drawing ``z``."""
+    session = Session("simulated", bit, 1.0, iter(z).__next__)
+    return [r.answer for r in run_interaction(session, policy_fixed(spends)).rounds]
+
+
+def changed_prefixes(answers=fixed_answers, trials=200):
+    """How many (k, trial) pairs change their first k answers when the spends
+    after round k switch from 0.3 to 0.05."""
     spends = [0.3] * 10
-    draws = generator(34, "causality").standard_normal((200, len(spends) + 1))
+    draws = generator(34, "causality").standard_normal((trials, len(spends) + 1))
+    changed = 0
     for k in range(1, 8):
-        policies = (policy_fixed(spends), policy_fixed(spends[:k] + [0.05] * (len(spends) - k)))
+        plans = (spends, spends[:k] + [0.05] * (len(spends) - k))
         for trial, z in enumerate(draws.tolist()):
-            same, switched = [[r.answer for r in run_interaction(
-                Session("simulated", trial % 2, 1.0, iter(z).__next__), policy).rounds]
-                for policy in policies]
-            assert repr(same[:k]) == repr(switched[:k]), (k, trial)
+            same, switched = (answers(plan, trial % 2, z) for plan in plans)
+            changed += repr(same[:k]) != repr(switched[:k])
             assert same[k] != switched[k], (k, trial)
+    return changed
+
+
+def test_answers_do_not_depend_on_later_spends():
+    assert changed_prefixes() == 0
+
+
+def test_a_look_ahead_factor_is_caught_by_causality_alone(monkeypatch):
+    # A factor that reads a fixed policy's whole spend list: round i answers
+    # m_i W0 + (S v)_i with S the symmetric root of I - m m^T, the right law
+    # for a fixed policy, but its early rounds read later spends.
+    plan = []
+
+    def look_ahead(self, spend):
+        accepted, self.filter_state = try_spend(self.filter_state, spend)
+        if not accepted:
+            return None
+        if self.draws == 1:   # the first answer draws every round's seed
+            m = np.array(plan) / self.mu0
+            w, q = np.linalg.eigh(np.eye(m.size) - np.outer(m, m))
+            root = (q * np.sqrt(np.maximum(w, 0.0))) @ q.T
+            self.chol = iter((root @ [self._next_draw() for _ in plan]).tolist())
+        self.draws += 1
+        return spend / self.mu0 * self.w0 + next(self.chol)
+
+    def answers(spends, bit, z):
+        plan[:] = spends
+        return fixed_answers(spends, bit, z)
+
+    monkeypatch.setattr(Session, "ask", look_ahead)
+    assert changed_prefixes(answers, trials=50) == 7 * 50   # every prefix, at every k
+    # The sufficiency check passes it: the answers read the bit only via W0.
+    plan[:] = [0.3] * 10
+    qualified, differing = sufficiency("fixed", {"spends": plan}, trials=100)
+    assert differing == 0 < qualified, (differing, qualified)
